@@ -51,6 +51,21 @@ BACKENDS = ("heap", "calendar")
 _SPREAD = 86_400.0
 
 
+def _interleaved_min(measure, repeats: int) -> dict[str, float]:
+    """Best of ``repeats`` timings per backend, backends alternating.
+
+    Alternating the backends inside each round, rather than timing all
+    of one backend's rounds and then the other's, spreads a burst of
+    load on a shared host over both sides of the comparison instead of
+    charging it to whichever backend happened to be running.
+    """
+    best = {backend: float("inf") for backend in BACKENDS}
+    for _ in range(repeats):
+        for backend in BACKENDS:
+            best[backend] = min(best[backend], measure(backend))
+    return best
+
+
 def _populate(queue, pending: int) -> int:
     for eid in range(pending):
         queue.push(((eid * 863.0) % _SPREAD, 1, eid, None))
@@ -93,19 +108,20 @@ def _pop_churn(backend: str, pending: int, ops: int) -> float:
 def queue_churn(pending_levels: tuple[int, ...], ops: int) -> dict:
     levels = {}
     for pending in pending_levels:
-        per_backend = {}
-        for backend in BACKENDS:
-            # The bench functions time only the op loop, not the
-            # _populate setup, so min the *returned* elapsed values.
-            schedule = min(
-                _schedule_burst(backend, pending, ops) for _ in range(3)
-            )
-            pop = min(_pop_churn(backend, pending, ops) for _ in range(3))
-            per_backend[backend] = {
-                "schedule_seconds": schedule,
-                "pop_churn_seconds": pop,
-                "seconds": schedule + pop,
+        # The bench functions time only the op loop, not the _populate
+        # setup, so min the *returned* elapsed values.
+        schedule = _interleaved_min(
+            lambda b, n=pending: _schedule_burst(b, n, ops), 3
+        )
+        pop = _interleaved_min(lambda b, n=pending: _pop_churn(b, n, ops), 3)
+        per_backend = {
+            backend: {
+                "schedule_seconds": schedule[backend],
+                "pop_churn_seconds": pop[backend],
+                "seconds": schedule[backend] + pop[backend],
             }
+            for backend in BACKENDS
+        }
         heap_s = per_backend["heap"]["seconds"]
         cal_s = per_backend["calendar"]["seconds"]
         levels[str(pending)] = {
@@ -249,12 +265,15 @@ def fig11_scale_kernel(
                 eid += 1
         return time.perf_counter() - start
 
-    out = {}
-    for backend in BACKENDS:
-        out[backend] = {
-            "cascade_seconds": min(cascade(backend) for _ in range(5)),
-            "replay_seconds": min(replay(backend) for _ in range(3)),
+    cascade_s = _interleaved_min(cascade, 5)
+    replay_s = _interleaved_min(replay, 3)
+    out = {
+        backend: {
+            "cascade_seconds": cascade_s[backend],
+            "replay_seconds": replay_s[backend],
         }
+        for backend in BACKENDS
+    }
     heap = out["heap"]
     cal = out["calendar"]
     return {

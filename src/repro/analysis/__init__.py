@@ -1,12 +1,5 @@
 """Offline analysis: timelines, statistics, overhead, text reports."""
 
-from .critical_path import (
-    PipelineCriticalPath,
-    StagePath,
-    TaskBreakdown,
-    breakdown_task,
-    pipeline_critical_path,
-)
 from .overhead import OverheadResult, compare_runtimes, makespan_overhead
 from .report import (
     fmt,
@@ -30,11 +23,6 @@ __all__ = [
     "BOOTSTRAP",
     "CoreInterval",
     "OverheadResult",
-    "PipelineCriticalPath",
-    "StagePath",
-    "TaskBreakdown",
-    "breakdown_task",
-    "pipeline_critical_path",
     "RUNNING",
     "ResourceTimeline",
     "SCHEDULING",

@@ -245,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
         "lint",
         help="run simlint (determinism/lifecycle static analysis)",
         description=(
-            "Walk the given files/directories with the simlint AST rules "
+            "Walk the given files/directories with the simlint flow rules "
             "and report determinism and event-lifecycle hazards.  Exits "
             "non-zero on any unsuppressed finding; suppress with an "
             "inline `# simlint: disable=RULE(reason)` comment."
@@ -267,23 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_lint.add_argument(
         "--list-rules", action="store_true", help="print the rule table and exit"
-    )
-    p_lint.add_argument(
-        "--flow",
-        action="store_true",
-        help="run the flow-sensitive SL100+ family (CFG/dataflow engine); "
-        "replaces the syntactic rules it supersedes",
-    )
-    p_lint.add_argument(
-        "--baseline",
-        metavar="FILE",
-        default=None,
-        help="fail only on findings not recorded in FILE",
-    )
-    p_lint.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="record current findings into --baseline FILE and exit 0",
     )
     return parser
 
@@ -766,16 +749,8 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         for rule in simlint.RULES.values():
             print(f"{rule.id}  {rule.name:<{width}}  {rule.summary}")
         return 0
-    if args.write_baseline and args.baseline is None:
-        print("lint: --write-baseline requires --baseline FILE", file=sys.stderr)
-        return 2
     return simlint.main(
-        args.paths,
-        fmt=args.fmt,
-        show_suppressed=args.show_suppressed,
-        flow=args.flow,
-        baseline=args.baseline,
-        update_baseline=args.write_baseline,
+        args.paths, fmt=args.fmt, show_suppressed=args.show_suppressed
     )
 
 

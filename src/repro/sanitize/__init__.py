@@ -3,11 +3,11 @@
 Two halves of one guarantee:
 
 * :mod:`repro.sanitize.simlint` — static analysis (``python -m repro
-  lint``): AST rules that flag wall-clock reads, unseeded randomness,
-  hash/id ordering, interrupt swallowing, and event/resource lifecycle
-  bugs before they run.  ``--flow`` upgrades it with the CFG/dataflow
-  engine in :mod:`repro.sanitize.flow` (interprocedural determinism
-  taint, path-sensitive lifecycle/interrupt proofs, SL100+).
+  lint``): rules on the CFG/dataflow engine in
+  :mod:`repro.sanitize.flow` that flag wall-clock, random, entropy, and
+  ordering values reaching the kernel (interprocedural determinism
+  taint), interrupt swallowing, and event/resource lifecycle bugs
+  before they run.
 * :mod:`repro.sim.sanitizer` — runtime sanitizers
   (``Environment(sanitize=True)`` or ``REPRO_SANITIZE=1``): event-leak,
   deadlock, resource-leak, and shared-dict race detection riding the

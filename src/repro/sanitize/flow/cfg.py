@@ -1,8 +1,7 @@
 """Intraprocedural control-flow graphs over Python ``ast``.
 
-simlint's original rules are path-blind: they look at *what* a function
-mentions, not *where* control can actually go.  The flow rules (SL100+)
-need real paths — "is there an execution on which this ``request()`` is
+Looking at *what* a function mentions is not enough to say *where*
+control can actually go.  The flow rules (SL100+) need real paths — "is there an execution on which this ``request()`` is
 never released?" — so this module lowers one function body to a small
 CFG the worklist solver (:mod:`.solver`) can iterate.
 

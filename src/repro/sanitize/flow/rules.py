@@ -14,15 +14,14 @@ SL100 (``taint-to-sink``)
     entropy, ``id()``/``hash()``, set iteration order) reaches a
     *scheduling-relevant sink* (``.timeout``/``.succeed``/``.put``/
     ``.send``/``.request(priority=…)``/``heapq.heappush``), possibly
-    through helper returns and arguments.  Replaces the occurrence
-    rules SL001/SL003–SL007 in flow mode.
+    through helper returns and arguments.
 
 SL101 (``leaked-request``)
     A ``<res>.request()`` result that *some* normal-completion path
     never releases (no ``release()``/``cancel()``/``with``), tracked on
-    the CFG — the path-sensitive replacement for blanket SL011.
-    Passing the request to another function or returning it transfers
-    ownership and ends tracking (we under-report rather than guess).
+    the CFG.  Passing the request to another function or returning it
+    transfers ownership and ends tracking (we under-report rather than
+    guess).
 
 SL102 (``stale-shared-write``)
     A value read from a shared mapping, carried across a ``yield``
@@ -34,8 +33,7 @@ SL103 (``swallowed-interrupt``)
     A broad ``except`` around a yield on which *some path* neither
     re-raises nor returns.  ``if isinstance(e, Interrupt): raise``
     followed by logging is clean (the surviving path is proven
-    non-Interrupt) — old SL008 flagged it.  Replaces SL008 in flow
-    mode.
+    non-Interrupt).
 """
 
 from __future__ import annotations
@@ -44,25 +42,18 @@ import ast
 from types import SimpleNamespace
 from typing import Callable
 
-from ..simlint import _body_contains_yield, _catches, _is_broad, _walk_same_function
+from ..simlint import _body_contains_yield, _walk_same_function
 from .cfg import CFG, Node, build_cfg
 from .solver import solve_forward
 from .summaries import FunctionInfo, Program
 from .taint import FunctionTaint, _dotted, _node_exprs, _walk_expr
 
-__all__ = ["flow_findings", "FLOW_RULE_IDS", "REPLACED_BY_FLOW"]
+__all__ = ["flow_findings", "FLOW_RULE_IDS"]
 
 Flag = Callable[[str, int, int, str], None]
 
 #: Rules implemented here.
 FLOW_RULE_IDS = ("SL100", "SL101", "SL102", "SL103")
-
-#: Syntactic rules the flow family supersedes when ``--flow`` is active:
-#: occurrence rules subsumed by SL100's source→sink reasoning, and the
-#: path-blind SL008/SL011 replaced by SL103/SL101.
-REPLACED_BY_FLOW = frozenset(
-    {"SL001", "SL003", "SL004", "SL005", "SL006", "SL007", "SL008", "SL011"}
-)
 
 
 def flow_findings(program: Program, path: str, flag: Flag) -> None:
@@ -396,6 +387,25 @@ def _check_interrupts(info: FunctionInfo, flag: Flag) -> None:
                     "re-raises nor returns, so a kernel Interrupt delivered "
                     "at the yield is silently swallowed",
                 )
+
+
+def _catches(handler_type: ast.expr, names: set[str]) -> bool:
+    """Does an except clause's type expression mention one of ``names``?"""
+    types = (
+        handler_type.elts if isinstance(handler_type, ast.Tuple) else [handler_type]
+    )
+    for type_expr in types:
+        if isinstance(type_expr, ast.Name) and type_expr.id in names:
+            return True
+        if isinstance(type_expr, ast.Attribute) and type_expr.attr in names:
+            return True
+    return False
+
+
+def _is_broad(handler: ast.ExceptHandler) -> bool:
+    if handler.type is None:
+        return True  # bare except catches everything
+    return _catches(handler.type, {"Exception", "BaseException"})
 
 
 def _handler_swallows(handler: ast.ExceptHandler) -> bool:

@@ -159,8 +159,8 @@ def _collect(
 def build_program(sources: Iterable[tuple[str, str]]) -> Program:
     """Build a :class:`Program` from ``(path, source)`` pairs.
 
-    Files that fail to parse are skipped (the syntactic linter already
-    reports hard syntax errors per file).
+    Files that fail to parse are skipped (``lint_source`` reports them
+    per file as SL000).
     """
     program = Program()
     for path, source in sources:

@@ -1,9 +1,8 @@
 """Determinism-taint interpretation over one function's CFG.
 
-The syntactic rules flag every *occurrence* of a nondeterministic
-source; this module flags only the occurrences whose values actually
-**reach a scheduling-relevant sink** — an ``env.timeout`` delay, an
-event/message payload, a queue priority.  ``t0 = time.perf_counter()``
+This module flags a nondeterministic source only where its value
+actually **reaches a scheduling-relevant sink** — an ``env.timeout``
+delay, an event/message payload, a queue priority.  ``t0 = time.perf_counter()``
 feeding a host-side benchmark report is clean; the same call feeding a
 simulated delay is a reproducibility bug.
 
@@ -36,14 +35,7 @@ import ast
 from dataclasses import dataclass
 from typing import Callable
 
-from ..simlint import (
-    _ENTROPY,
-    _NUMPY_RANDOM_OK,
-    _SET_METHODS,
-    _WALL_CLOCK,
-    _is_set_expr,
-)
-from .cfg import Node, stmt_has_yield
+from .cfg import Node
 from .solver import solve_forward
 
 __all__ = ["Taint", "Summary", "FunctionTaint", "REAL_KINDS", "EMPTY_SUMMARY"]
@@ -62,6 +54,37 @@ REAL_KINDS = {
     "set-order",
 }
 
+_WALL_CLOCK = {
+    "time.time",
+    "time.time_ns",
+    "time.monotonic",
+    "time.monotonic_ns",
+    "time.perf_counter",
+    "time.perf_counter_ns",
+    "time.process_time",
+    "time.process_time_ns",
+    "datetime.datetime.now",
+    "datetime.datetime.utcnow",
+    "datetime.datetime.today",
+    "datetime.date.today",
+}
+
+_ENTROPY = {"uuid.uuid1", "uuid.uuid4", "os.urandom", "os.getrandom"}
+
+#: numpy.random members that *construct* seeded generators (allowed).
+_NUMPY_RANDOM_OK = {
+    "default_rng",
+    "Generator",
+    "SeedSequence",
+    "BitGenerator",
+    "PCG64",
+    "PCG64DXSM",
+    "Philox",
+    "MT19937",
+    "SFC64",
+}
+
+_SET_METHODS = {"union", "intersection", "difference", "symmetric_difference"}
 _ORDER_INSENSITIVE = {"sorted", "len", "sum", "min", "max", "any", "all"}
 _SET_CONSTRUCTORS = {"set", "frozenset"}
 _ORDER_MATERIALIZERS = {"list", "tuple"}
@@ -117,6 +140,18 @@ class Summary:
 
 
 EMPTY_SUMMARY = Summary(_EMPTY, frozenset(), frozenset())
+
+
+def _is_set_expr(node: ast.expr) -> bool:
+    if isinstance(node, (ast.Set, ast.SetComp)):
+        return True
+    if isinstance(node, ast.Call):
+        func = node.func
+        if isinstance(func, ast.Name) and func.id in _SET_CONSTRUCTORS:
+            return True
+        if isinstance(func, ast.Attribute) and func.attr in _SET_METHODS:
+            return True
+    return False
 
 
 def _walk_expr(expr: ast.expr):

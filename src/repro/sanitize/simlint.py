@@ -8,53 +8,52 @@ measurements the same way noisy co-located monitors corrupt real Summit
 runs — the run still *completes*, the numbers are just wrong.  simlint
 walks the source with the stdlib :mod:`ast` (no third-party
 dependencies) and flags the hazard classes we have actually been bitten
-by, so the property is enforced instead of assumed.
+by, so the property is enforced instead of assumed.  The SL100+ family
+runs on the CFG/dataflow engine in :mod:`repro.sanitize.flow`: it flags
+a nondeterministic value only where it reaches the kernel, and proves
+lifecycle and interrupt handling per path.
 
 Rules
 -----
 
-========  =================  ======================================================
-id        name               flags
-========  =================  ======================================================
-SL001     wall-clock         ``time.time``/``monotonic``/``perf_counter``,
-                             ``datetime.now``/``utcnow``/``today`` — real time
-                             read inside simulated time
-SL002     real-sleep         ``time.sleep`` — blocks the host, not the sim clock
-SL003     global-random      module-level ``random.*`` / ``numpy.random.*`` draws
-                             (unseeded process-global streams; use a seeded
-                             ``numpy`` ``Generator`` threaded from the Session)
-SL004     nondet-entropy     ``uuid.uuid1``/``uuid4``, ``os.urandom``,
-                             ``secrets.*`` — OS entropy varies across runs
-SL005     set-iteration      iterating a set expression; str-hash randomization
-                             makes the order differ between interpreter runs
-SL006     id-ordering        any ``id()`` call — CPython addresses vary run to
-                             run, so id-keyed or id-ordered state is nondeterministic
-SL007     hash-ordering      ``hash()`` outside ``__hash__``/``__eq__`` — str/bytes
-                             hashes are salted per interpreter run
-SL008     swallow-interrupt  ``except Exception``/bare ``except`` around a
-                             ``yield`` with no ``except Interrupt`` and no
-                             re-raise — swallows kernel cancellation
-SL009     orphan-event       a local ``env.event()`` that is yielded but never
-                             triggered and never escapes — the process parks forever
-SL010     dropped-event      ``env.timeout(...)``/``env.event()`` whose result is
-                             discarded — schedules (or allocates) an event nobody
-                             can ever consume
-SL011     raw-request        ``resource.request()`` outside ``with`` in a function
-                             that never releases/cancels — leaks a resource slot
-========  =================  ======================================================
+========  ===================  ====================================================
+id        name                 flags
+========  ===================  ====================================================
+SL000     bad-suppression      a suppression without a reason or naming an unknown
+                               rule; a file that does not parse
+SL002     real-sleep           ``time.sleep`` — blocks the host, not the sim clock
+SL009     orphan-event         a local ``env.event()`` that is yielded but never
+                               triggered and never escapes — the process parks forever
+SL010     dropped-event        ``env.timeout(...)``/``env.event()`` whose result is
+                               discarded — schedules (or allocates) an event nobody
+                               can ever consume
+SL100     taint-to-sink        a wall-clock/RNG/entropy/``id()``/``hash()``/set-order
+                               value that reaches a delay, payload, or priority,
+                               possibly through helpers in other files
+SL101     leaked-request       a ``.request()`` not released on some path to exit
+SL102     stale-shared-write   a shared value read before a ``yield`` and written
+                               back after it (lost update)
+SL103     swallowed-interrupt  a broad ``except`` around a ``yield`` on which some
+                               path neither re-raises nor returns
+========  ===================  ====================================================
+
+Retired ids stay valid in suppressions and resolve to their replacement:
+SL001/SL003–SL007 (wall-clock, global-random, nondet-entropy,
+set-iteration, id-ordering, hash-ordering) → SL100; SL008
+(swallow-interrupt) → SL103; SL011 (raw-request) → SL101.
 
 Suppressions
 ------------
 
 A finding is suppressed by an inline comment **on the flagged line**::
 
-    t0 = time.time()  # simlint: disable=wall-clock(host-side bench timing, not sim state)
+    yield env.timeout(jitter)  # simlint: disable=taint-to-sink(host-side replay, not sim state)
 
-The rule may be named by id (``SL001``) or name (``wall-clock``), several
-suppressions may be comma-separated, and the parenthesized justification
-is *mandatory* — a suppression without a reason, or naming an unknown
-rule, is itself a finding (SL000 ``bad-suppression``).  Justifications
-must not contain ``)``.
+The rule may be named by id (``SL100``) or name (``taint-to-sink``),
+several suppressions may be comma-separated, and the parenthesized
+justification is *mandatory* — a suppression without a reason, or
+naming an unknown rule, is itself a finding (SL000 ``bad-suppression``).
+Justifications must not contain ``)``.
 """
 
 from __future__ import annotations
@@ -101,62 +100,11 @@ _RULE_LIST = [
         "is the audit trail",
     ),
     Rule(
-        "SL001",
-        "wall-clock",
-        "wall-clock read inside simulated code",
-        "time.time()/datetime.now() couple results to host load; all "
-        "timestamps must come from Environment.now",
-    ),
-    Rule(
         "SL002",
         "real-sleep",
         "time.sleep() in simulated code",
         "sleeping blocks the host thread without advancing the sim "
         "clock; use env.timeout(delay)",
-    ),
-    Rule(
-        "SL003",
-        "global-random",
-        "unseeded module-level random draw",
-        "random.* and numpy.random.* module functions share hidden "
-        "process-global state; draw from a Generator seeded via the "
-        "Session so runs replay bit-for-bit",
-    ),
-    Rule(
-        "SL004",
-        "nondet-entropy",
-        "OS entropy source (uuid4/urandom/secrets)",
-        "identifiers minted from OS entropy differ across runs and leak "
-        "into traces and orderings; mint uids from Session counters",
-    ),
-    Rule(
-        "SL005",
-        "set-iteration",
-        "iteration over a set expression",
-        "str-hash randomization reorders set iteration between "
-        "interpreter runs; sort before iterating when order can reach a "
-        "scheduling decision",
-    ),
-    Rule(
-        "SL006",
-        "id-ordering",
-        "id() used as key or ordering",
-        "CPython object addresses vary run to run; id()-keyed state "
-        "makes traces irreproducible — key by a minted uid instead",
-    ),
-    Rule(
-        "SL007",
-        "hash-ordering",
-        "hash() outside __hash__/__eq__",
-        "str/bytes hashes are salted per interpreter run (PYTHONHASHSEED)",
-    ),
-    Rule(
-        "SL008",
-        "swallow-interrupt",
-        "broad except may swallow kernel Interrupt",
-        "Interrupt subclasses Exception; a broad handler around a yield "
-        "absorbs cancellation, detaching fault-injection and shutdown "
-        "from the process it targets",
     ),
     Rule(
         "SL009",
@@ -173,15 +121,8 @@ _RULE_LIST = [
         "fires with no waiter; a discarded env.event() can never fire — "
         "both are lifecycle leaks",
     ),
-    Rule(
-        "SL011",
-        "raw-request",
-        "resource request outside with, never released",
-        "a granted request that no path releases pins a resource slot "
-        "until process exit; use `with resource.request() as req:`",
-    ),
-    # -- flow-sensitive family (emitted only under --flow; implemented in
-    # repro.sanitize.flow.rules on the CFG/dataflow engine) ---------------
+    # -- flow-sensitive family (implemented in repro.sanitize.flow.rules
+    # on the CFG/dataflow engine) ----------------------------------------
     Rule(
         "SL100",
         "taint-to-sink",
@@ -196,8 +137,8 @@ _RULE_LIST = [
         "leaked-request",
         "request not released on some path",
         "a .request() held at function exit on any normal-completion "
-        "path pins the resource slot; unlike SL011 this follows the CFG, "
-        "so functions that release on every real path are clean",
+        "path pins the resource slot; the check follows the CFG, so "
+        "functions that release on every real path are clean",
     ),
     Rule(
         "SL102",
@@ -214,7 +155,7 @@ _RULE_LIST = [
         "broad except path swallows Interrupt",
         "only flagged when some handler path neither re-raises nor "
         "returns; `if isinstance(e, Interrupt): raise` followed by "
-        "recovery code is proven clean, where SL008 had to flag it",
+        "recovery code is proven clean",
     ),
 ]
 
@@ -222,8 +163,26 @@ _RULE_LIST = [
 RULES: dict[str, Rule] = {rule.id: rule for rule in _RULE_LIST}
 _RULES_BY_NAME: dict[str, Rule] = {rule.name: rule for rule in _RULE_LIST}
 
+#: Retired rule ids and names -> the flow rule that replaced them, so
+#: suppressions written against the old rules keep working.
+_RETIRED = {
+    **dict.fromkeys(
+        (
+            "SL001", "wall-clock", "SL003", "global-random",
+            "SL004", "nondet-entropy", "SL005", "set-iteration",
+            "SL006", "id-ordering", "SL007", "hash-ordering",
+        ),
+        "SL100",
+    ),
+    "SL008": "SL103",
+    "swallow-interrupt": "SL103",
+    "SL011": "SL101",
+    "raw-request": "SL101",
+}
+
 
 def _rule_for(token: str) -> Rule | None:
+    token = _RETIRED.get(token, token)
     return RULES.get(token) or _RULES_BY_NAME.get(token)
 
 
@@ -238,7 +197,6 @@ class Finding:
     message: str
     suppressed: bool = False
     justification: str | None = None
-    baselined: bool = False
 
     def format(self) -> str:
         text = (
@@ -247,8 +205,6 @@ class Finding:
         )
         if self.suppressed:
             text += f"  (suppressed: {self.justification})"
-        elif self.baselined:
-            text += "  (baselined)"
         return text
 
     def to_dict(self) -> dict:
@@ -261,7 +217,6 @@ class Finding:
             "message": self.message,
             "suppressed": self.suppressed,
             "justification": self.justification,
-            "baselined": self.baselined,
         }
 
 
@@ -343,45 +298,6 @@ def _parse_suppressions(
 # name resolution
 
 
-_WALL_CLOCK = {
-    "time.time",
-    "time.time_ns",
-    "time.monotonic",
-    "time.monotonic_ns",
-    "time.perf_counter",
-    "time.perf_counter_ns",
-    "time.process_time",
-    "time.process_time_ns",
-    "datetime.datetime.now",
-    "datetime.datetime.utcnow",
-    "datetime.datetime.today",
-    "datetime.date.today",
-}
-
-_ENTROPY = {"uuid.uuid1", "uuid.uuid4", "os.urandom", "os.getrandom"}
-
-#: numpy.random members that *construct* seeded generators (allowed).
-_NUMPY_RANDOM_OK = {
-    "default_rng",
-    "Generator",
-    "SeedSequence",
-    "BitGenerator",
-    "PCG64",
-    "PCG64DXSM",
-    "Philox",
-    "MT19937",
-    "SFC64",
-}
-
-_SET_METHODS = {"union", "intersection", "difference", "symmetric_difference"}
-
-#: Builtins whose result does not depend on argument iteration order —
-#: feeding a set (or a comprehension over one) into these is clean.
-_ORDER_INSENSITIVE = {
-    "sorted", "len", "sum", "min", "max", "any", "all", "set", "frozenset",
-}
-
-
 class _Imports(ast.NodeVisitor):
     """Resolve local names to dotted module paths."""
 
@@ -444,39 +360,6 @@ def _body_contains_yield(stmts: Iterable[ast.stmt]) -> bool:
     return False
 
 
-def _is_set_expr(node: ast.expr) -> bool:
-    if isinstance(node, (ast.Set, ast.SetComp)):
-        return True
-    if isinstance(node, ast.Call):
-        func = node.func
-        if isinstance(func, ast.Name) and func.id in ("set", "frozenset"):
-            return True
-        if isinstance(func, ast.Attribute) and func.attr in _SET_METHODS:
-            return True
-    return False
-
-
-def _catches(handler_type: ast.expr | None, names: set[str]) -> bool:
-    """Does an except clause's type expression mention one of ``names``?"""
-    if handler_type is None:
-        return "BaseException" in names  # bare except catches everything
-    types = (
-        handler_type.elts if isinstance(handler_type, ast.Tuple) else [handler_type]
-    )
-    for type_expr in types:
-        if isinstance(type_expr, ast.Name) and type_expr.id in names:
-            return True
-        if isinstance(type_expr, ast.Attribute) and type_expr.attr in names:
-            return True
-    return False
-
-
-def _is_broad(handler: ast.ExceptHandler) -> bool:
-    if handler.type is None:
-        return True
-    return _catches(handler.type, {"Exception", "BaseException"})
-
-
 # --------------------------------------------------------------------------
 # the linter
 
@@ -486,11 +369,6 @@ class _Linter(ast.NodeVisitor):
         self.path = path
         self.imports = imports
         self.findings: list[Finding] = []
-        self._func_stack: list[str] = []
-        # Comprehensions passed straight into an order-insensitive
-        # builtin (``sum(x for x in some_set)``): exempt from SL005.
-        # AST nodes hash by identity.
-        self._order_free: set[ast.AST] = set()
 
     # -- helpers -------------------------------------------------------
 
@@ -505,158 +383,34 @@ class _Linter(ast.NodeVisitor):
             )
         )
 
-    def _is_builtin(self, name: str) -> bool:
-        """True if ``name`` still refers to the builtin (not an import)."""
-        return (
-            name not in self.imports.members and name not in self.imports.aliases
-        )
-
-    # -- calls ---------------------------------------------------------
+    # -- SL002: real sleep -----------------------------------------------
 
     def visit_Call(self, node: ast.Call) -> None:
-        dotted = self.imports.resolve(node.func)
-        if dotted is not None:
-            if dotted in _WALL_CLOCK:
-                self._flag(
-                    "SL001",
-                    node,
-                    f"wall-clock call {dotted}() — simulated code must read "
-                    "Environment.now",
-                )
-            elif dotted == "time.sleep":
-                self._flag(
-                    "SL002",
-                    node,
-                    "time.sleep() blocks the host; yield env.timeout(delay)",
-                )
-            elif dotted == "random.Random" and (node.args or node.keywords):
-                pass  # an explicitly seeded instance is deterministic
-            elif dotted.startswith("random."):
-                self._flag(
-                    "SL003",
-                    node,
-                    f"{dotted}() draws from the process-global stream; use a "
-                    "seeded numpy Generator threaded from the Session",
-                )
-            elif (
-                dotted.startswith("numpy.random.")
-                and dotted.split(".")[-1] not in _NUMPY_RANDOM_OK
-            ):
-                self._flag(
-                    "SL003",
-                    node,
-                    f"{dotted}() uses numpy's hidden global RandomState; use "
-                    "a seeded Generator",
-                )
-            elif dotted in _ENTROPY or dotted.startswith("secrets."):
-                self._flag(
-                    "SL004",
-                    node,
-                    f"{dotted}() reads OS entropy — nondeterministic across "
-                    "runs; mint identifiers from Session counters",
-                )
-        elif isinstance(node.func, ast.Name):
-            name = node.func.id
-            if name in _ORDER_INSENSITIVE and self._is_builtin(name):
-                for arg in node.args:
-                    if isinstance(
-                        arg,
-                        (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp),
-                    ):
-                        self._order_free.add(arg)
-            if name == "id" and self._is_builtin(name):
-                self._flag(
-                    "SL006",
-                    node,
-                    "id() exposes the allocator; key or order by a minted "
-                    "uid instead",
-                )
-            elif (
-                name == "hash"
-                and self._is_builtin(name)
-                and not any(f in ("__hash__", "__eq__") for f in self._func_stack)
-            ):
-                self._flag(
-                    "SL007",
-                    node,
-                    "hash() is salted per interpreter run (PYTHONHASHSEED)",
-                )
-        self.generic_visit(node)
-
-    # -- set iteration ---------------------------------------------------
-
-    def visit_For(self, node: ast.For) -> None:
-        if _is_set_expr(node.iter):
+        if self.imports.resolve(node.func) == "time.sleep":
             self._flag(
-                "SL005",
-                node.iter,
-                "iterating a set — order varies with str-hash randomization; "
-                "sort first",
+                "SL002",
+                node,
+                "time.sleep() blocks the host; yield env.timeout(delay)",
             )
         self.generic_visit(node)
-
-    def _check_comprehension(self, node: ast.AST) -> None:
-        if node in self._order_free:
-            self.generic_visit(node)
-            return
-        for gen in node.generators:  # type: ignore[attr-defined]
-            if _is_set_expr(gen.iter):
-                self._flag(
-                    "SL005",
-                    gen.iter,
-                    "comprehension over a set — order varies with str-hash "
-                    "randomization; sort first",
-                )
-        self.generic_visit(node)
-
-    visit_ListComp = _check_comprehension
-    visit_SetComp = _check_comprehension
-    visit_DictComp = _check_comprehension
-    visit_GeneratorExp = _check_comprehension
 
     # -- functions -------------------------------------------------------
 
     def _visit_function(self, node: ast.FunctionDef | ast.AsyncFunctionDef) -> None:
-        self._func_stack.append(node.name)
         if _body_contains_yield(node.body):
             self._check_generator_lifecycles(node)
         self.generic_visit(node)
-        self._func_stack.pop()
 
     visit_FunctionDef = _visit_function
     visit_AsyncFunctionDef = _visit_function
 
-    # -- SL008: interrupt swallowing ------------------------------------
-
-    def visit_Try(self, node: ast.Try) -> None:
-        if _body_contains_yield(node.body):
-            interrupt_handled = any(
-                handler.type is not None
-                and _catches(handler.type, {"Interrupt"})
-                for handler in node.handlers
-            )
-            if not interrupt_handled:
-                for handler in node.handlers:
-                    if _is_broad(handler) and not any(
-                        isinstance(child, ast.Raise)
-                        for child in _walk_same_function(handler)
-                    ):
-                        self._flag(
-                            "SL008",
-                            handler,
-                            "broad except around a yield swallows the kernel's "
-                            "Interrupt — handle Interrupt explicitly or "
-                            "re-raise",
-                        )
-        self.generic_visit(node)
-
-    # -- SL009/SL010/SL011: lifecycle rules (per generator function) ------
+    # -- SL009/SL010: event lifecycle rules (per generator function) ------
 
     def _check_generator_lifecycles(
         self, func: ast.FunctionDef | ast.AsyncFunctionDef
     ) -> None:
-        # Map every Name usage of locals assigned from `<x>.event()`.
-        event_assigns: dict[str, ast.Assign] = {}
+        # Locals assigned from `<x>.event()`.
+        events: set[str] = set()
         for child in _walk_same_function(func):
             if (
                 isinstance(child, ast.Assign)
@@ -668,37 +422,31 @@ class _Linter(ast.NodeVisitor):
                 and not child.value.args
                 and not child.value.keywords
             ):
-                event_assigns[child.targets[0].id] = child
+                events.add(child.targets[0].id)
 
-        if event_assigns:
-            yields: dict[str, ast.AST] = {}
-            escaped: set[str] = set()
-            for child in _walk_same_function(func):
-                if isinstance(child, (ast.Yield, ast.YieldFrom)):
-                    value = child.value
-                    if isinstance(value, ast.Name) and value.id in event_assigns:
-                        yields.setdefault(value.id, child)
-                        continue
-                if isinstance(child, ast.Name) and child.id in event_assigns:
-                    escaped.add(child.id)
-            # `escaped` saw *every* Name occurrence, including the
-            # assignment target and the yielded reference; an event is an
-            # orphan when those two are its only occurrences (2 uses).
-            for name, assign in event_assigns.items():
-                if name not in yields:
-                    continue
-                uses = sum(
-                    1
-                    for child in _walk_same_function(func)
-                    if isinstance(child, ast.Name) and child.id == name
+        yields: dict[str, ast.AST] = {}
+        for child in _walk_same_function(func):
+            if (
+                isinstance(child, (ast.Yield, ast.YieldFrom))
+                and isinstance(child.value, ast.Name)
+                and child.value.id in events
+            ):
+                yields.setdefault(child.value.id, child)
+        # An event is an orphan when the assignment target and the yielded
+        # reference are its only Name occurrences (2 uses).
+        for name, node in yields.items():
+            uses = sum(
+                1
+                for child in _walk_same_function(func)
+                if isinstance(child, ast.Name) and child.id == name
+            )
+            if uses <= 2:
+                self._flag(
+                    "SL009",
+                    node,
+                    f"event {name!r} is yielded but never triggered and "
+                    "never escapes — this process can never resume",
                 )
-                if uses <= 2:
-                    self._flag(
-                        "SL009",
-                        yields[name],
-                        f"event {name!r} is yielded but never triggered and "
-                        "never escapes — this process can never resume",
-                    )
 
         # SL010: expression statements discarding a fresh event.
         for child in _walk_same_function(func):
@@ -715,67 +463,22 @@ class _Linter(ast.NodeVisitor):
                     "event is scheduled (or created) with no possible consumer",
                 )
 
-        # SL011: .request() outside `with`, in a function that never
-        # releases or cancels anything.
-        with_contexts: set[ast.Call] = set()  # AST nodes hash by identity
-        with_names: set[str] = set()
-        for child in _walk_same_function(func):
-            if isinstance(child, (ast.With, ast.AsyncWith)):
-                for item in child.items:
-                    expr = item.context_expr
-                    if isinstance(expr, ast.Call):
-                        with_contexts.add(expr)
-                    elif isinstance(expr, ast.Name):
-                        # `req = r.request()` then `with req as g:` —
-                        # the with still releases on exit.
-                        with_names.add(expr.id)
-        for child in _walk_same_function(func):
-            if (
-                isinstance(child, ast.Assign)
-                and len(child.targets) == 1
-                and isinstance(child.targets[0], ast.Name)
-                and child.targets[0].id in with_names
-                and isinstance(child.value, ast.Call)
-            ):
-                with_contexts.add(child.value)
-        releases = any(
-            isinstance(child, ast.Call)
-            and isinstance(child.func, ast.Attribute)
-            and child.func.attr in ("release", "cancel")
-            for child in _walk_same_function(func)
-        )
-        if not releases:
-            for child in _walk_same_function(func):
-                if (
-                    isinstance(child, ast.Call)
-                    and isinstance(child.func, ast.Attribute)
-                    and child.func.attr == "request"
-                    and child not in with_contexts
-                ):
-                    self._flag(
-                        "SL011",
-                        child,
-                        ".request() outside `with` in a function that never "
-                        "calls release()/cancel() — the slot leaks until "
-                        "process exit",
-                    )
-
 
 # --------------------------------------------------------------------------
 # public API
 
 
-def lint_source(
-    source: str, path: str = "<string>", *, flow: bool = False, program=None
-) -> list[Finding]:
+def lint_source(source: str, path: str = "<string>", *, program=None) -> list[Finding]:
     """Lint one source string; returns all findings, suppressed ones marked.
 
-    With ``flow=True`` the flow-sensitive family (SL100+) runs and the
-    syntactic rules it supersedes are dropped; ``program`` may carry a
-    pre-built whole-tree :class:`repro.sanitize.flow.summaries.Program`
-    so taint follows calls across files (built from this file alone
-    when omitted).
+    ``program`` may carry a pre-built whole-tree
+    :class:`repro.sanitize.flow.summaries.Program` so taint follows calls
+    across files (built from this file alone when omitted).
     """
+    # Imported lazily: flow builds on this module.
+    from .flow.rules import flow_findings
+    from .flow.summaries import build_program, compute_summaries
+
     suppressions, findings = _parse_suppressions(source, path)
     try:
         tree = ast.parse(source, filename=path)
@@ -795,22 +498,16 @@ def lint_source(
     linter = _Linter(path, imports)
     linter.visit(tree)
     findings.extend(linter.findings)
-    if flow:
-        # Imported lazily: flow builds on this module.
-        from .flow.rules import REPLACED_BY_FLOW, flow_findings
-        from .flow.summaries import build_program, compute_summaries
-
-        findings = [f for f in findings if f.rule.id not in REPLACED_BY_FLOW]
-        if program is None:
-            program = build_program([(path, source)])
-            compute_summaries(program)
-        flow_findings(
-            program,
-            path,
-            lambda rule_id, line, col, message: findings.append(
-                Finding(RULES[rule_id], path, line, col, message)
-            ),
-        )
+    if program is None:
+        program = build_program([(path, source)])
+        compute_summaries(program)
+    flow_findings(
+        program,
+        path,
+        lambda rule_id, line, col, message: findings.append(
+            Finding(RULES[rule_id], path, line, col, message)
+        ),
+    )
     for finding in findings:
         if finding.rule.id == "SL000":
             continue  # suppression hygiene findings cannot be suppressed
@@ -822,9 +519,9 @@ def lint_source(
     return findings
 
 
-def lint_file(path: str, *, flow: bool = False, program=None) -> list[Finding]:
+def lint_file(path: str, *, program=None) -> list[Finding]:
     with open(path, encoding="utf-8") as handle:
-        return lint_source(handle.read(), path, flow=flow, program=program)
+        return lint_source(handle.read(), path, program=program)
 
 
 def _iter_python_files(paths: Iterable[str]) -> Iterator[str]:
@@ -854,27 +551,15 @@ class Report:
     def suppressed(self) -> list[Finding]:
         return [f for f in self.findings if f.suppressed]
 
-    @property
-    def new(self) -> list[Finding]:
-        """Findings that gate: neither suppressed nor in the baseline."""
-        return [f for f in self.findings if not f.suppressed and not f.baselined]
-
     def format_text(self, show_suppressed: bool = False) -> str:
-        lines = [f.format() for f in self.unsuppressed if not f.baselined]
+        lines = [f.format() for f in self.unsuppressed]
         if show_suppressed:
-            lines.extend(
-                f.format() for f in self.unsuppressed if f.baselined
-            )
             lines.extend(f.format() for f in self.suppressed)
-        baselined = len(self.unsuppressed) - len(self.new)
-        summary = (
+        lines.append(
             f"simlint: {self.files_scanned} files, "
-            f"{len(self.new)} findings, "
+            f"{len(self.unsuppressed)} findings, "
             f"{len(self.suppressed)} suppressed"
         )
-        if baselined:
-            summary += f", {baselined} baselined"
-        lines.append(summary)
         return "\n".join(lines)
 
     def format_json(self) -> str:
@@ -887,69 +572,25 @@ class Report:
         )
 
 
-def lint_paths(paths: Iterable[str], *, flow: bool = False) -> Report:
+def lint_paths(paths: Iterable[str]) -> Report:
     """Lint every ``.py`` file under ``paths`` (files or directories).
 
-    In flow mode the whole file set is parsed into one program first so
+    The whole file set is parsed into one program first so
     interprocedural summaries span files, then each file is linted
     against it.
     """
-    report = Report()
-    files = list(_iter_python_files(paths))
-    program = None
-    if flow:
-        from .flow.summaries import build_program, compute_summaries
+    from .flow.summaries import build_program, compute_summaries
 
-        sources = []
-        for path in files:
-            try:
-                with open(path, encoding="utf-8") as handle:
-                    sources.append((path, handle.read()))
-            except OSError:
-                continue
-        program = build_program(sources)
-        compute_summaries(program)
-    for path in files:
-        report.files_scanned += 1
-        report.findings.extend(lint_file(path, flow=flow, program=program))
+    sources = []
+    for path in _iter_python_files(paths):
+        with open(path, encoding="utf-8") as handle:
+            sources.append((path, handle.read()))
+    program = build_program(sources)
+    compute_summaries(program)
+    report = Report(files_scanned=len(sources))
+    for path, source in sources:
+        report.findings.extend(lint_source(source, path, program=program))
     return report
-
-
-# --------------------------------------------------------------------------
-# baselines
-
-
-def _fingerprint(finding: Finding) -> str:
-    # Line numbers are deliberately excluded so unrelated edits that
-    # shift code do not invalidate the baseline.
-    return f"{finding.path}::{finding.rule.id}::{finding.message}"
-
-
-def write_baseline(report: Report, path: str) -> int:
-    """Record current unsuppressed findings; returns how many were written."""
-    counts: dict[str, int] = {}
-    for finding in report.unsuppressed:
-        key = _fingerprint(finding)
-        counts[key] = counts.get(key, 0) + 1
-    payload = {"version": 1, "findings": counts}
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return sum(counts.values())
-
-
-def apply_baseline(report: Report, path: str) -> None:
-    """Mark findings recorded in the baseline file; new ones still gate."""
-    with open(path, encoding="utf-8") as handle:
-        payload = json.load(handle)
-    budget = dict(payload.get("findings", {}))
-    for finding in report.findings:
-        if finding.suppressed:
-            continue
-        key = _fingerprint(finding)
-        if budget.get(key, 0) > 0:
-            budget[key] -= 1
-            finding.baselined = True
 
 
 def main(
@@ -957,30 +598,13 @@ def main(
     fmt: str = "text",
     show_suppressed: bool = False,
     stream=None,
-    *,
-    flow: bool = False,
-    baseline: str | None = None,
-    update_baseline: bool = False,
 ) -> int:
     """Entry point behind ``python -m repro lint``; returns the exit code."""
     if stream is None:
         stream = sys.stdout
-    report = lint_paths(paths, flow=flow)
-    if baseline is not None and update_baseline:
-        written = write_baseline(report, baseline)
-        print(
-            f"simlint: wrote {written} findings to baseline {baseline}",
-            file=stream,
-        )
-        return 0
-    if baseline is not None:
-        try:
-            apply_baseline(report, baseline)
-        except FileNotFoundError:
-            print(f"simlint: baseline {baseline} not found", file=stream)
-            return 2
+    report = lint_paths(paths)
     if fmt == "json":
         print(report.format_json(), file=stream)
     else:
         print(report.format_text(show_suppressed=show_suppressed), file=stream)
-    return 1 if report.new else 0
+    return 1 if report.unsuppressed else 0

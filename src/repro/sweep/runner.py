@@ -60,13 +60,13 @@ def execute_cell(cell: dict) -> dict:
 
     check_worker_fault(cell["key"])
     telemetry_dir = cell.get("telemetry_dir")
-    start = time.perf_counter()  # simlint: disable=wall-clock(host-side sweep timing, not sim state)
+    start = time.perf_counter()
     if telemetry_dir:
         payload, trace_path = _run_cell_traced(cell, telemetry_dir)
     else:
         payload = run_cell(cell["family"], cell["params"], cell["seed"])
         trace_path = None
-    wall = time.perf_counter() - start  # simlint: disable=wall-clock(host-side sweep timing, not sim state)
+    wall = time.perf_counter() - start
     record = {
         "key": cell["key"],
         "family": cell["family"],
@@ -243,7 +243,7 @@ def run_sweep(
 
     failures: list[dict] = []
     interrupted: str | None = None
-    started = time.perf_counter()  # simlint: disable=wall-clock(host-side sweep timing, not sim state)
+    started = time.perf_counter()
 
     def payload_cell(cell: CellSpec) -> dict:
         out = dict(cell.to_dict(), digest=digests[cell.key])
@@ -323,7 +323,7 @@ def run_sweep(
                 if interrupted is not None:
                     break
 
-    wall_clock = time.perf_counter() - started  # simlint: disable=wall-clock(host-side sweep timing, not sim state)
+    wall_clock = time.perf_counter() - started
 
     entries = []
     for cell in spec:

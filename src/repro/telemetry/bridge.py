@@ -10,8 +10,8 @@ Two directions:
   spans carry references into it, not copies of subsystem state.
 * **Spans → TraceRecords**: :func:`spans_to_trace_records` renders the
   span tree as ordinary ``telemetry.span`` records so the existing
-  analysis helpers (:mod:`repro.analysis.critical_path`,
-  :mod:`repro.analysis.timeline`) consume spans natively.
+  analysis helpers (:mod:`repro.analysis.timeline`) consume spans
+  natively.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Flow-rule battery: fixture corpus, interprocedural cases, baselines.
+"""Flow-rule battery: fixture corpus and interprocedural cases.
 
 The corpus in ``fixtures/flow/`` holds ``.py.bad`` files (each with an
 ``# expect: RULE@line`` header naming every finding the flow analysis
@@ -7,7 +7,6 @@ back completely clean.  The extensions keep the fixtures invisible to
 pytest collection, ruff, and the lint gate's ``*.py`` walk.
 """
 
-import json
 import re
 import textwrap
 from pathlib import Path
@@ -24,7 +23,7 @@ _EXPECT_RE = re.compile(r"#\s*expect:\s*(.+)$", re.MULTILINE)
 
 
 def flow_findings(source: str, path: str = "<fixture>"):
-    findings = simlint.lint_source(source, path, flow=True)
+    findings = simlint.lint_source(source, path)
     return sorted(
         (f.rule.id, f.line) for f in findings if not f.suppressed
     )
@@ -88,7 +87,7 @@ def test_taint_follows_returns_across_files(tmp_path):
             """
         )
     )
-    report = simlint.lint_paths([str(tmp_path)], flow=True)
+    report = simlint.lint_paths([str(tmp_path)])
     hits = [f for f in report.findings if f.rule.id == "SL100"]
     assert len(hits) == 1
     assert hits[0].path.endswith("proc.py")
@@ -104,10 +103,11 @@ def test_flow_mode_replaces_syntactic_source_rules():
             return time.time()
         """
     )
-    base_ids = {f.rule.id for f in simlint.lint_source(source)}
-    flow_ids = {f.rule.id for f in simlint.lint_source(source, flow=True)}
-    assert "SL001" in base_ids  # syntactic occurrence rule fires
-    assert flow_ids == set()  # value never reaches a sink
+    # The occurrence never reaches a sink, so it is not a finding, and
+    # the retired occurrence rules are gone from the table.
+    assert simlint.lint_source(source) == []
+    retired = {"SL001", "SL003", "SL004", "SL005", "SL006", "SL007", "SL008", "SL011"}
+    assert not retired & set(simlint.RULES)
 
 
 def test_flow_findings_are_suppressible():
@@ -120,13 +120,13 @@ def test_flow_findings_are_suppressible():
             yield env.timeout(delay)  # simlint: disable=SL100(fixture)
         """
     )
-    findings = simlint.lint_source(source, flow=True)
+    findings = simlint.lint_source(source)
     assert [f.rule.id for f in findings] == ["SL100"]
     assert findings[0].suppressed
     assert findings[0].justification == "fixture"
 
 
-# -- base-rule precision fixes ---------------------------------------------
+# -- source classification at a sink ---------------------------------------
 
 
 def findings_for(source: str):
@@ -142,7 +142,9 @@ def test_seeded_random_instance_is_clean():
             """
             import random
 
-            rng = random.Random(1234)
+            def proc(env):
+                rng = random.Random(1234)
+                yield env.timeout(rng.random())
             """
         )
         == []
@@ -154,19 +156,22 @@ def test_unseeded_random_instance_still_flagged():
         """
         import random
 
-        rng = random.Random()
+        def proc(env):
+            rng = random.Random()
+            yield env.timeout(rng.random())
         """
     )
-    assert [rule for rule, _line in found] == ["SL003"]
+    assert found == [("SL100", 6)]
 
 
 def test_set_comprehension_into_order_insensitive_sink_is_clean():
     assert (
         findings_for(
             """
-            total = sum(x for x in {1, 2, 3})
-            bound = max(len(str(x)) for x in {4, 5})
-            ordered = sorted(x * 2 for x in {6, 7})
+            def proc(env, queue):
+                yield env.timeout(sum(x for x in {1, 2, 3}))
+                yield env.timeout(max(len(str(x)) for x in {4, 5}))
+                queue.put(sorted(x * 2 for x in {6, 7}))
             """
         )
         == []
@@ -176,10 +181,11 @@ def test_set_comprehension_into_order_insensitive_sink_is_clean():
 def test_set_comprehension_into_ordered_sink_still_flagged():
     found = findings_for(
         """
-        materialized = list(x for x in {1, 2, 3})
+        def f(queue):
+            queue.put(list(x for x in {1, 2, 3}))
         """
     )
-    assert [rule for rule, _line in found] == ["SL005"]
+    assert found == [("SL100", 3)]
 
 
 def test_request_assigned_then_with_is_clean():
@@ -196,101 +202,22 @@ def test_request_assigned_then_with_is_clean():
     )
 
 
-# -- baselines --------------------------------------------------------------
-
-
-def _tree_with_finding(tmp_path):
-    target = tmp_path / "proc.py"
-    target.write_text(
-        textwrap.dedent(
-            """
-            import time
-
-            def proc(env):
-                yield env.timeout(time.time())
-            """
-        )
-    )
-    return target
-
-
-def test_baseline_roundtrip_masks_old_findings(tmp_path):
-    _tree_with_finding(tmp_path)
-    baseline = tmp_path / "lint-baseline.json"
-
-    report = simlint.lint_paths([str(tmp_path)], flow=True)
-    assert len(report.new) == 1
-    written = simlint.write_baseline(report, str(baseline))
-    assert written == 1
-    payload = json.loads(baseline.read_text())
-    assert payload["version"] == 1
-
-    # Same tree, baseline applied: the finding no longer gates.
-    report = simlint.lint_paths([str(tmp_path)], flow=True)
-    simlint.apply_baseline(report, str(baseline))
-    assert report.new == []
-    assert len(report.unsuppressed) == 1  # still reported, just baselined
-
-
-def test_new_findings_still_gate_with_a_baseline(tmp_path):
-    target = _tree_with_finding(tmp_path)
-    baseline = tmp_path / "lint-baseline.json"
-    report = simlint.lint_paths([str(tmp_path)], flow=True)
-    simlint.write_baseline(report, str(baseline))
-
-    # Introduce a second, different finding.
-    target.write_text(
-        target.read_text()
-        + textwrap.dedent(
-            """
-            import random
-
-            def jitter(env):
-                yield env.timeout(random.random())
-            """
-        )
-    )
-    report = simlint.lint_paths([str(tmp_path)], flow=True)
-    simlint.apply_baseline(report, str(baseline))
-    assert len(report.new) == 1
-    assert "random.random" in report.new[0].message
-
-
-def test_baseline_cli_flags(tmp_path, capfd):
-    from repro.cli import main as cli_main
-
-    _tree_with_finding(tmp_path)
-    baseline = tmp_path / "baseline.json"
-    assert (
-        cli_main(
-            [
-                "lint", str(tmp_path), "--flow",
-                "--baseline", str(baseline), "--write-baseline",
-            ]
-        )
-        == 0
-    )
-    assert baseline.exists()
-    assert (
-        cli_main(
-            ["lint", str(tmp_path), "--flow", "--baseline", str(baseline)]
-        )
-        == 0
-    )
-    out = capfd.readouterr().out
-    assert "baselined" in out
+# -- tree-wide gate ---------------------------------------------------------
 
 
 def test_flow_gate_is_clean_tree_wide():
-    # The CI lint-flow job's contract, asserted from the suite as well:
-    # src, tests, and benchmarks produce no unsuppressed flow findings.
+    # The flow rule's share of the CI lint gate: src, tests, and
+    # benchmarks let no unsanctioned value reach a sink, and every
+    # sanctioned flow carries its justification.
     root = Path(__file__).resolve().parents[2]
     paths = [
         str(root / name)
         for name in ("src", "tests", "benchmarks")
         if (root / name).is_dir()
     ]
-    report = simlint.lint_paths(paths, flow=True)
-    assert [f.format() for f in report.new] == []
+    report = simlint.lint_paths(paths)
+    flow = [f for f in report.unsuppressed if f.rule.id == "SL100"]
+    assert [f.format() for f in flow] == []
     for finding in report.suppressed:
-        assert finding.justification, finding.format()
+        if finding.rule.id == "SL100":
+            assert finding.justification, finding.format()

@@ -152,7 +152,7 @@ def test_resource_leak_names_process_and_request_line():
     res = Resource(env, capacity=2)
 
     def hog(env, res):
-        req = res.request()  # simlint: disable=SL011(deliberate leak fixture the runtime sanitizer must catch),SL101(deliberate leak fixture the runtime sanitizer must catch)
+        req = res.request()  # simlint: disable=SL101(deliberate leak fixture the runtime sanitizer must catch)
         yield req
         yield env.timeout(1)
 
