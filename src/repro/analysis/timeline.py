@@ -11,19 +11,14 @@ boundaries.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from ..rp.session import Session
 from ..rp.task import Task
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..telemetry.spans import Telemetry
 
 __all__ = [
     "CoreInterval",
     "ResourceTimeline",
     "build_timeline",
-    "span_tracks",
 ]
 
 #: Interval kinds, matching the Fig 8 legend.
@@ -159,24 +154,3 @@ def build_timeline(
                 )
     return ResourceTimeline(intervals, t_end)
 
-
-def span_tracks(
-    telemetry: "Telemetry",
-) -> dict[str, list[tuple[float, float, str]]]:
-    """Per-component span intervals, the span-native timeline view.
-
-    Returns component -> [(start, stop, span name), ...], start-ordered;
-    open spans are clamped to ``env.now``.  This is the same grouping
-    the Chrome exporter renders as thread tracks, usable directly by
-    plotting code alongside :func:`build_timeline` intervals.
-    """
-    now = telemetry.env.now
-    tracks: dict[str, list[tuple[float, float, str]]] = {}
-    for span in telemetry.spans:
-        stop = span.end if span.end is not None else max(now, span.start)
-        tracks.setdefault(span.component, []).append(
-            (span.start, stop, span.name)
-        )
-    for intervals in tracks.values():
-        intervals.sort()
-    return tracks

@@ -15,25 +15,26 @@ trees alone cannot see:
 * :meth:`watch_store` taps a :class:`~repro.soma.storage.NamespaceStore`
   so every append and every query becomes a write/read event, giving
   store-mediated dataflow edges via the per-source index;
-* :meth:`note_grant` marks the agent scheduler placing a task
-  (wait-on-grant / launch edges);
 * :meth:`note_raptor_submit` / :meth:`note_raptor_dispatch` pair a
   function call's submission with its dispatch to a resident worker.
 
 :func:`build_graph` then stitches the hub's span trees and the capture
 notes into one :class:`~repro.provenance.graph.ProvGraph` after the run
 finished — graph construction is pure post-processing and never touches
-the simulation.
+the simulation.  Scheduler grants (wait-on-grant / launch edges) need
+no note: they are the ``rp.alloc`` records of the session tracer, read
+back at build time.
 """
 
 from __future__ import annotations
 
 import os
-from typing import TYPE_CHECKING, Any, Iterable
+from typing import TYPE_CHECKING, Any
 
 from .graph import ProvEvent, ProvGraph
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..sim.trace import Tracer
     from ..soma.storage import NamespaceStore, PublishedRecord
     from ..telemetry.spans import Span, SpanContext, Telemetry
 
@@ -86,7 +87,6 @@ class ProvenanceCapture:
         "rpc_serves",
         "store_writes",
         "store_reads",
-        "grants",
         "raptor_submits",
         "raptor_dispatches",
         "_nstores",
@@ -108,8 +108,6 @@ class ProvenanceCapture:
         self.store_reads: list[
             tuple[int, str, str, str | None, float, int | None, tuple | None, int]
         ] = []
-        #: (task uid, t, placed nodes).
-        self.grants: list[tuple[str, float, tuple[str, ...]]] = []
         #: (call uid, t, submitting span id).
         self.raptor_submits: list[tuple[Any, float, int | None]] = []
         #: (call uid, worker uid, t).
@@ -135,7 +133,6 @@ class ProvenanceCapture:
             "rpc_serves": len(self.rpc_serves),
             "store_writes": len(self.store_writes),
             "store_reads": len(self.store_reads),
-            "grants": len(self.grants),
             "raptor_submits": len(self.raptor_submits),
             "raptor_dispatches": len(self.raptor_dispatches),
         }
@@ -209,12 +206,7 @@ class ProvenanceCapture:
             (sid, name, op, source, self._now(), self._ctx_id(), matched, len(records))
         )
 
-    # -- scheduler / raptor -------------------------------------------
-
-    def note_grant(self, uid: str, t: float, nodes: Iterable[str]) -> None:
-        if self.closed:
-            return
-        self.grants.append((uid, t, tuple(nodes)))
+    # -- raptor -------------------------------------------------------
 
     def note_raptor_submit(
         self, uid: Any, t: float, ctx: "SpanContext | None"
@@ -245,6 +237,24 @@ _FAULT_ANNOTATED_KINDS = frozenset(
 )
 
 
+def _grants(tracer: "Tracer | None") -> list[tuple[str, float, list[str]]]:
+    """(task uid, t, placed nodes) per grant, in scheduling order.
+
+    The scheduler writes one ``rp.alloc`` record per allocated node, all
+    at the grant's instant, so consecutive records sharing (uid, time)
+    make up one grant.
+    """
+    grants: list[tuple[str, float, list[str]]] = []
+    if tracer is None:
+        return grants
+    for rec in tracer.select(category="rp.alloc"):
+        if grants and grants[-1][:2] == (rec.name, rec.time):
+            grants[-1][2].append(rec.data["node"])
+        else:
+            grants.append((rec.name, rec.time, [rec.data["node"]]))
+    return grants
+
+
 def build_graph(
     result: Any = None,
     *,
@@ -259,7 +269,9 @@ def build_graph(
     ``hub``/``capture``/``plan`` override its telemetry hub, capture
     notebook, and fault plan (a bare hub with no capture still yields
     the span-skeleton graph).  ``close=True`` freezes the capture so
-    later offline store reads stop appending notes.
+    later offline store reads stop appending notes.  With a capture,
+    scheduler grants come from the ``rp.alloc`` records of
+    ``hub.tracer``, so the tracer must be recording.
     """
     if hub is None:
         if result is None:
@@ -269,6 +281,8 @@ def build_graph(
         raise ValueError("provenance needs an enabled telemetry hub")
     if capture is None:
         capture = hub.provenance
+    if capture is not None and hub.tracer is not None and not hub.tracer.enabled:
+        raise ValueError("provenance needs an enabled tracer (trace=True)")
     if plan is None and result is not None and result.injector is not None:
         plan = result.injector.plan
     finished = float(result.finished_at if result is not None else hub.env.now)
@@ -377,7 +391,7 @@ def build_graph(
             write_ev = writes_by_key.get(matched) if matched is not None else None
             if write_ev is not None and write_ev.t <= t:
                 g.add_edge(write_ev, ev, "wait-on-store", records=count)
-        for uid, t, nodes in capture.grants:
+        for uid, t, nodes in _grants(hub.tracer):
             ev = g.add_event(
                 "sched.grant", t, f"grant:{uid}", ref=uid,
                 component="rp-agent", nodes=",".join(nodes),

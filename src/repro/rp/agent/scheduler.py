@@ -234,9 +234,6 @@ class AgentScheduler:
                     gpus=list(allocation.gpus),
                 )
             self.scheduled_count += 1
-            prov = getattr(self.session.telemetry, "provenance", None)
-            if prov is not None:
-                prov.note_grant(task.uid, self.env.now, task.nodelist)
             self._end_schedule_span(
                 task, outcome="placed", nodes=",".join(task.nodelist)
             )

@@ -19,7 +19,6 @@ from ..platform.cluster import Cluster
 from ..platform.specs import ClusterSpec, summit_like
 from ..sim.core import Environment
 from ..sim.trace import Tracer
-from ..telemetry.bridge import install_tracer_sink
 from ..telemetry.spans import Telemetry
 from .config import DEFAULT_RP_CONFIG, RPConfig
 from .profiler import ProfileStore
@@ -54,8 +53,7 @@ class Session:
         # Always present; when disabled every operation is a no-op and
         # the kernel never sees it (env._telemetry stays None).
         self.telemetry = Telemetry(self.env, enabled=telemetry)
-        if self.telemetry.enabled:
-            install_tracer_sink(self.telemetry, self.tracer)
+        self.telemetry.tracer = self.tracer
         self.profiles = ProfileStore(
             self.env,
             write_time=self.config.profile_write_time,

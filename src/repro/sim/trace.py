@@ -2,14 +2,16 @@
 
 A :class:`Tracer` accumulates timestamped records grouped by category.
 All subsystems (RP scheduler, SOMA service, monitors) emit through a
-shared tracer so post-run analysis (timelines, utilization plots,
-overhead accounting) has a single source of truth.
+shared tracer, and it is the run's only point-event log: post-run
+consumers (timelines, utilization plots, overhead accounting, the
+Chrome trace export, provenance grants) read it rather than keeping
+copies of their own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Iterator
 
 from .core import Environment
 
@@ -33,37 +35,21 @@ class Tracer:
     """Collects :class:`TraceRecord` objects during a run.
 
     Categories are free-form strings ("rp.task", "soma.publish",
-    "hw.sample", ...).  Recording can be toggled per category to keep
-    large runs cheap.
+    "hw.sample", ...).  With ``enabled`` false the tracer stores nothing
+    but still counts, which keeps very large runs cheap.
     """
 
     def __init__(self, env: Environment, enabled: bool = True) -> None:
         self.env = env
         self.enabled = enabled
         self._records: list[TraceRecord] = []
-        self._disabled_categories: set[str] = set()
         self._counts: dict[str, int] = {}
-        #: Optional callback invoked with every *stored* record — the
-        #: telemetry bridge attaches records to spans through it, so no
-        #: subsystem has to log into both layers.  Records suppressed
-        #: by ``enabled``/category toggles never reach the sink.
-        self.sink: "Callable[[TraceRecord], None] | None" = None
-
-    def disable_category(self, category: str) -> None:
-        self._disabled_categories.add(category)
-
-    def enable_category(self, category: str) -> None:
-        self._disabled_categories.discard(category)
 
     def record(self, category: str, name: str, **data: Any) -> None:
         """Record an observation at the current simulated time."""
         self._counts[category] = self._counts.get(category, 0) + 1
-        if not self.enabled or category in self._disabled_categories:
-            return
-        rec = TraceRecord(self.env.now, category, name, data)
-        self._records.append(rec)
-        if self.sink is not None:
-            self.sink(rec)
+        if self.enabled:
+            self._records.append(TraceRecord(self.env.now, category, name, data))
 
     def __len__(self) -> int:
         return len(self._records)
@@ -103,9 +89,6 @@ class Tracer:
 
     def categories(self) -> set[str]:
         return {rec.category for rec in self._records}
-
-    def extend(self, records: Iterable[TraceRecord]) -> None:
-        self._records.extend(records)
 
     def clear(self) -> None:
         self._records.clear()

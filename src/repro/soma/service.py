@@ -225,14 +225,6 @@ class SomaServiceModel(ServiceModel):
                 time=self.session.env.now, source=request.client, data=data
             )
             self.publishes += 1
-            # Storage-layer visibility: lands on the active rpc.serve
-            # span (the handler runs inside the server's span).
-            self.session.telemetry.event(
-                "soma.store.append",
-                namespace=namespace,
-                nbytes=record.nbytes,
-                records=len(store),
-            )
             self.session.tracer.record(
                 "soma.publish",
                 namespace,

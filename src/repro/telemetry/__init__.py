@@ -4,8 +4,12 @@ First-class observability for the simulated stack itself: spans with
 cross-component context propagation (the single causal tree of one
 task's lifecycle across EnTK, RP, raptor, and SOMA), a metrics registry
 absorbing the stack's ad-hoc counters, and exporters to Chrome
-trace-event JSON (Perfetto-loadable), a plain-text flame summary, and
-:class:`~repro.sim.trace.TraceRecord` streams for the analysis layer.
+trace-event JSON (Perfetto-loadable), a plain-text flame summary, and a
+top-spans table.
+
+Spans carry intervals only.  Point events have one home, the session's
+:class:`~repro.sim.trace.Tracer`; the Chrome exporter reads it after the
+run to place each record on the track of the span it belongs to.
 
 Telemetry is **zero-perturbation** by construction: enabling it changes
 no simulated event, draws no random number, and leaves every result
@@ -13,18 +17,14 @@ digest and kernel counter byte-identical — enforced by the differential
 regression battery in ``tests/telemetry``.
 """
 
-from .bridge import (
-    install_tracer_sink,
-    render_span_table,
-    spans_to_trace_records,
-    top_critical_spans,
-)
 from .export import (
     chrome_trace,
     component_tracks,
     flame_summary,
     merge_chrome_traces,
+    render_span_table,
     save_chrome_trace,
+    top_critical_spans,
     validate_chrome_trace,
 )
 from .metrics import (
@@ -67,8 +67,6 @@ __all__ = [
     "validate_chrome_trace",
     "component_tracks",
     "flame_summary",
-    "install_tracer_sink",
-    "spans_to_trace_records",
     "top_critical_spans",
     "render_span_table",
 ]

@@ -3,9 +3,14 @@
 The Chrome trace-event format is the lingua franca of timeline viewers:
 the emitted JSON loads directly in Perfetto (ui.perfetto.dev) and
 ``chrome://tracing``.  Spans become ``X`` (complete) events on one
-thread track per component, span annotations become ``i`` (instant)
-events, and metric scalars become ``C`` (counter) events; ``M``
-metadata events name the process and the per-component tracks.
+thread track per component, the records of the hub's tracer become
+``i`` (instant) events, and metric scalars become ``C`` (counter)
+events; ``M`` metadata events name the process and the tracks.
+
+Instant events are a view of the tracer, derived here at export time:
+a record named after a task uid lands on the track of that task's
+``task:<uid>`` span (with ``args.span_id``), every other record on one
+``tracer`` track.
 
 Timestamps are simulated seconds scaled to microseconds (the format's
 unit), so one simulated second reads as one second in the viewer.
@@ -22,6 +27,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..sim.trace import Tracer
     from .metrics import MetricsRegistry
     from .spans import Span, Telemetry
 
@@ -31,6 +37,8 @@ __all__ = [
     "save_chrome_trace",
     "validate_chrome_trace",
     "flame_summary",
+    "top_critical_spans",
+    "render_span_table",
 ]
 
 #: Chrome trace-event timestamps are microseconds.
@@ -103,19 +111,8 @@ def chrome_trace(
                 "args": args,
             }
         )
-        for time, name, attrs in span.events:
-            events.append(
-                {
-                    "name": name,
-                    "cat": span.component,
-                    "ph": "i",
-                    "s": "t",
-                    "ts": time * _US,
-                    "pid": pid,
-                    "tid": tid,
-                    "args": dict(attrs, span_id=span.span_id),
-                }
-            )
+    if telemetry.tracer is not None:
+        events.extend(_instant_events(telemetry.spans, telemetry.tracer, tids, pid))
     if metrics is not None:
         for name, value in metrics.scalar_values().items():
             events.append(
@@ -129,6 +126,52 @@ def chrome_trace(
                 }
             )
     return {"traceEvents": events, "displayTimeUnit": "ms"}
+
+
+def _instant_events(
+    spans: "list[Span]", tracer: "Tracer", tids: dict[str, int], pid: int
+) -> list[dict[str, Any]]:
+    """One ``i`` event per tracer record, on its task span's track.
+
+    Records with no task span share a ``tracer`` track, announced by a
+    thread_name event only when some record lands on it.
+    """
+    task_spans = {
+        span.name[5:]: span for span in spans if span.name.startswith("task:")
+    }
+    tracer_tid = len(tids) + 1
+    on_tracer_track = False
+    events: list[dict[str, Any]] = []
+    for rec in tracer.records:
+        span = task_spans.get(rec.name)
+        if span is None:
+            cat, tid, args = "tracer", tracer_tid, dict(rec.data)
+            on_tracer_track = True
+        else:
+            cat, tid = span.component, tids[span.component]
+            args = dict(rec.data, span_id=span.span_id)
+        events.append(
+            {
+                "name": f"{rec.category}:{rec.name}",
+                "cat": cat,
+                "ph": "i",
+                "s": "t",
+                "ts": rec.time * _US,
+                "pid": pid,
+                "tid": tid,
+                "args": args,
+            }
+        )
+    if not on_tracer_track:
+        return events
+    track = {
+        "name": "thread_name",
+        "ph": "M",
+        "pid": pid,
+        "tid": tracer_tid,
+        "args": {"name": "tracer"},
+    }
+    return [track, *events]
 
 
 def merge_chrome_traces(documents: list[dict[str, Any]]) -> dict[str, Any]:
@@ -283,4 +326,73 @@ def flame_summary(telemetry: "Telemetry", top: int = 20) -> str:
         )
     if not rows:
         lines.append("(no spans recorded)")
+    return "\n".join(lines)
+
+
+# -- top spans table --------------------------------------------------
+
+
+def top_critical_spans(telemetry: "Telemetry", k: int = 10) -> list[dict]:
+    """The k spans that dominate the run, ranked by self time.
+
+    Self time is a span's duration minus its direct children's — the
+    part of the interval no finer-grained span explains.  This is the
+    per-span view of the critical path: the rows tell you where
+    simulated time actually went, not merely which spans were widest.
+    """
+    now = telemetry.env.now
+    self_times = _self_times(telemetry)
+    by_id = {span.span_id: span for span in telemetry.spans}
+
+    def root_of(span: "Span") -> "Span":
+        seen = 0
+        while span.parent_id is not None and seen < len(by_id):
+            parent = by_id.get(span.parent_id)
+            if parent is None:
+                break
+            span = parent
+            seen += 1
+        return span
+
+    ranked = sorted(
+        telemetry.spans,
+        key=lambda s: (-self_times[s.span_id], s.span_id),
+    )[: max(0, k)]
+    return [
+        {
+            "component": span.component,
+            "name": span.name,
+            "start": span.start,
+            "duration": span.duration(now),
+            "self_time": self_times[span.span_id],
+            "trace_id": span.trace_id,
+            "span_id": span.span_id,
+            "root": root_of(span).name,
+            "closed": span.closed,
+        }
+        for span in ranked
+    ]
+
+
+def render_span_table(rows: list[dict]) -> str:
+    """Fixed-width table of :func:`top_critical_spans` rows."""
+    lines = [
+        f"{'component':<14} {'span':<30} {'root':<22} "
+        f"{'start':>10} {'dur':>10} {'self':>10}",
+        "-" * 101,
+    ]
+    for row in rows:
+        name = row["name"]
+        if len(name) > 30:
+            name = name[:27] + "..."
+        root = row["root"]
+        if len(root) > 22:
+            root = root[:19] + "..."
+        lines.append(
+            f"{row['component']:<14} {name:<30} {root:<22} "
+            f"{row['start']:>10.2f} {row['duration']:>10.2f} "
+            f"{row['self_time']:>10.2f}"
+        )
+    if not rows:
+        lines.append("(no spans)")
     return "\n".join(lines)

@@ -40,6 +40,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from typing import ContextManager
 
     from ..sim.core import Environment, Process
+    from ..sim.trace import Tracer
 
 __all__ = [
     "SpanContext",
@@ -128,7 +129,6 @@ class Span:
         "start",
         "end",
         "attributes",
-        "events",
         "_stack",
     )
 
@@ -150,8 +150,6 @@ class Span:
         self.start = start
         self.end: float | None = None
         self.attributes = attributes
-        #: Timestamped point annotations: (sim time, name, attrs).
-        self.events: list[tuple[float, str, dict[str, Any]]] = []
         #: The ambient stack this span was activated on (None if not
         #: activated); lets end_span pop from the right stack even when
         #: the span closes in a different process than it opened in.
@@ -215,7 +213,10 @@ class Telemetry:
         self.spans_started = 0
         self.spans_closed = 0
         self.double_closes = 0
-        self.dropped_events = 0
+        #: The run's point-event log, set by the owning
+        #: :class:`~repro.rp.session.Session`; ``None`` on a hub built
+        #: without one.  Exporters read it after the run.
+        self.tracer: "Tracer | None" = None
         #: Optional provenance capture riding this hub (same contract:
         #: host-memory bookkeeping only, never a kernel event).
         self.provenance = None
@@ -384,25 +385,6 @@ class Telemetry:
         finally:
             self.end_span(span)
 
-    # -- annotations ---------------------------------------------------
-
-    def event(self, name: str, **attributes: Any) -> None:
-        """Attach a point event to the current open span (if any)."""
-        if not self.enabled:
-            return
-        ctx = self.current()
-        span = self._open.get(ctx.span_id) if ctx is not None else None
-        if span is None:
-            self.dropped_events += 1
-            return
-        span.events.append((self.env.now, name, attributes))
-
-    def add_event(self, span: Span | None, name: str, **attributes: Any) -> None:
-        """Attach a point event to a specific span."""
-        if span is None or not self.enabled:
-            return
-        span.events.append((self.env.now, name, attributes))
-
     # -- bindings ------------------------------------------------------
 
     def bind(self, uid: str, ctx: "SpanContext | Span | None") -> None:
@@ -439,6 +421,5 @@ class Telemetry:
             "spans_closed": self.spans_closed,
             "open_spans": len(self._open),
             "double_closes": self.double_closes,
-            "dropped_events": self.dropped_events,
             "traces": len(self.trace_ids()),
         }

@@ -5,9 +5,16 @@ a workload through the fault window, and asserts two things: the
 workflow degraded the way the fault model promises, and the whole run
 is deterministic — the same (seed, plan) pair yields byte-identical
 trace and SOMA metric streams.
+
+:func:`run_digest` is the one fingerprint every differential test
+compares (heap vs calendar, seed sweeps, telemetry on vs off, sharded
+vs single SOMA): two runs are the same run when their digests match.
 """
 
 from __future__ import annotations
+
+import hashlib
+import json
 
 from repro.faults import FaultInjector, FaultPlan
 from repro.platform import summit_like
@@ -43,22 +50,40 @@ def arm(session, plan: FaultPlan, name: str = "chaos") -> FaultInjector:
     return injector
 
 
-def trace_signature(session) -> str:
-    """Canonical byte string of the full trace stream."""
+def trace_signature(session, skip_categories=()) -> str:
+    """Canonical byte string of the trace stream (minus skipped categories)."""
     return "\n".join(
         f"{rec.time!r}|{rec.category}|{rec.name}|{sorted(rec.data.items())!r}"
         for rec in session.tracer.records
+        if rec.category not in skip_categories
     )
 
 
 def metric_signature(deployment) -> str:
-    """Canonical byte string of every SOMA namespace's record stream."""
-    lines = []
-    for namespace in deployment.config.namespaces:
-        store = deployment.store(namespace)
-        for rec in store.records():
-            lines.append(f"{namespace}|{rec.time!r}|{rec.source}|{rec.nbytes!r}")
-    return "\n".join(lines)
+    """Canonical byte string of every SOMA namespace's record stream,
+    payloads included."""
+    return "\n".join(
+        f"{namespace}|{rec.time!r}|{rec.source}|{rec.nbytes!r}"
+        f"|{rec.data.to_json()}"
+        for namespace in deployment.config.namespaces
+        for rec in deployment.store(namespace).records()
+    )
+
+
+def run_digest(result, skip_categories=()) -> str:
+    """sha256 of everything one workflow run simulated.
+
+    Covers every trace record outside ``skip_categories``, every SOMA
+    store record with its payload, the kernel counters, the makespan
+    and the finish time.
+    """
+    digest = hashlib.sha256()
+    digest.update(trace_signature(result.session, skip_categories).encode())
+    digest.update(metric_signature(result.deployment).encode())
+    counters = result.session.env.kernel_counters()
+    digest.update(json.dumps(counters, sort_keys=True).encode())
+    digest.update(f"{result.makespan!r}|{result.finished_at!r}".encode())
+    return digest.hexdigest()
 
 
 def client_by_name(deployment, name: str):

@@ -3,15 +3,13 @@
 The strongest equivalence evidence the repo can produce: the fig. 4
 (OpenFOAM tuning) and Table-2 DDMD tuning scenarios, run end to end
 under each event-queue backend with the same seed, must emit
-byte-identical trace digests and identical kernel counters — down to
-the tombstone-skip count.  A sweep-cell run closes the loop at the
+byte-identical run digests — traces, stores, and kernel counters down
+to the tombstone-skip count.  A sweep-cell run closes the loop at the
 payload level, since cell payloads are what the cached sweep engine
 digests.
 """
 
 from __future__ import annotations
-
-import hashlib
 
 import pytest
 
@@ -24,7 +22,7 @@ from repro.experiments import (
 from repro.experiments.harness import run_cell
 from repro.sim import set_default_event_queue
 
-from tests.faults.harness import trace_signature
+from tests.faults.harness import run_digest
 
 SEEDS = (3, 17, 33)
 BACKENDS = ("heap", "calendar")
@@ -38,22 +36,13 @@ def backend_default():
     set_default_event_queue(previous)
 
 
-def trace_digest(result) -> str:
-    signature = trace_signature(result.session)
-    return hashlib.sha256(signature.encode()).hexdigest()
-
-
-def kernel_counters(result) -> dict:
-    return dict(result.session.env.kernel_counters())
-
-
 def _per_backend(backend_default, run):
     out = {}
     for backend in BACKENDS:
         backend_default(backend)
         result = run()
         assert result.session.env.event_queue_backend == backend
-        out[backend] = (trace_digest(result), kernel_counters(result))
+        out[backend] = run_digest(result)
     return out
 
 
@@ -62,12 +51,7 @@ def test_openfoam_digests_identical_across_backends(backend_default, seed):
     runs = _per_backend(
         backend_default, lambda: run_openfoam_experiment(TUNING, seed=seed)
     )
-    digest_heap, counters_heap = runs["heap"]
-    digest_cal, counters_cal = runs["calendar"]
-    assert digest_heap == digest_cal, f"trace digest diverged for seed {seed}"
-    assert counters_heap == counters_cal, (
-        f"kernel counters diverged for seed {seed}"
-    )
+    assert runs["heap"] == runs["calendar"], f"run digest diverged for seed {seed}"
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -76,12 +60,7 @@ def test_ddmd_digests_identical_across_backends(backend_default, seed):
         backend_default,
         lambda: run_ddmd_experiment(tuning_experiment(), seed=seed),
     )
-    digest_heap, counters_heap = runs["heap"]
-    digest_cal, counters_cal = runs["calendar"]
-    assert digest_heap == digest_cal, f"trace digest diverged for seed {seed}"
-    assert counters_heap == counters_cal, (
-        f"kernel counters diverged for seed {seed}"
-    )
+    assert runs["heap"] == runs["calendar"], f"run digest diverged for seed {seed}"
 
 
 def test_sweep_cell_payload_parity(backend_default):

@@ -3,8 +3,8 @@
 The facility service only counts as landed if sharding is *behaviorally
 invisible* to a single tenant: for the same seed, the same workload
 monitored through a 2-shard deployment must yield byte-identical
-namespace stores (times, sources, byte counts, canonical payload JSON)
-and byte-identical trace streams, compared to the paper's
+namespace stores (times, sources, byte counts, canonical payload JSON),
+trace streams, kernel counters and makespan, compared to the paper's
 single-instance baseline.
 
 The pairing that makes this an apples-to-apples comparison:
@@ -36,7 +36,12 @@ from repro.experiments.openfoam_exps import (
 )
 from repro.soma.service import ShardedSomaServiceModel
 
+from tests.faults.harness import run_digest
+
 SEEDS = (3, 17, 33)
+#: The sharded bring-up's placement announcements, which have no
+#: single-instance counterpart.
+SKIP = ("soma.instance",)
 
 OPENFOAM_BASE = OpenFOAMExperiment(
     name="differential",
@@ -57,28 +62,6 @@ DDMD_SHARDED = DDMD_BASE.with_updates(
 )
 
 
-def store_signature(result) -> str:
-    """Canonical bytes of every namespace's full record stream."""
-    lines = []
-    for namespace in result.deployment.config.namespaces:
-        store = result.deployment.store(namespace)
-        for rec in store.records():
-            lines.append(
-                f"{namespace}|{rec.time!r}|{rec.source}"
-                f"|{rec.nbytes!r}|{rec.data.to_json()}"
-            )
-    return "\n".join(lines)
-
-
-def trace_signature(session) -> str:
-    """Canonical bytes of the trace stream, minus shard bring-up."""
-    return "\n".join(
-        f"{rec.time!r}|{rec.category}|{rec.name}|{sorted(rec.data.items())!r}"
-        for rec in session.tracer.records
-        if rec.category != "soma.instance"
-    )
-
-
 def assert_differential(baseline, sharded) -> None:
     model = sharded.deployment.service_model
     assert isinstance(model, ShardedSomaServiceModel)
@@ -92,11 +75,9 @@ def assert_differential(baseline, sharded) -> None:
     stats = model.queue_stats()
     assert all("." in name for name in stats)
     assert sum(s["calls"] for s in stats.values()) > 0
-    # The headline: byte-identical stores and traces.
-    assert store_signature(baseline) == store_signature(sharded)
-    assert trace_signature(baseline.session) == trace_signature(
-        sharded.session
-    )
+    # The headline: byte-identical stores, traces, kernel counters and
+    # makespan.
+    assert run_digest(baseline, SKIP) == run_digest(sharded, SKIP)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -104,7 +85,6 @@ def test_openfoam_sharded_matches_single(seed):
     baseline = run_openfoam_experiment(OPENFOAM_BASE, seed=seed)
     sharded = run_openfoam_experiment(OPENFOAM_SHARDED, seed=seed)
     assert_differential(baseline, sharded)
-    assert baseline.makespan == sharded.makespan
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -112,4 +92,3 @@ def test_ddmd_sharded_matches_single(seed):
     baseline = run_ddmd_experiment(DDMD_BASE, seed=seed)
     sharded = run_ddmd_experiment(DDMD_SHARDED, seed=seed)
     assert_differential(baseline, sharded)
-    assert baseline.makespan == sharded.makespan

@@ -67,7 +67,38 @@ def test_capture_rides_the_hub(adaptive_graph):
     assert counters["rpc_sends"] == counters["rpc_serves"]
     assert counters["store_writes"] > 0
     assert counters["store_reads"] > 0
-    assert counters["grants"] == len(result.tasks)
+
+
+def test_grants_come_from_the_tracer(adaptive_graph):
+    result, graph = adaptive_graph
+    grants = [e for e in graph.events if e.kind == "sched.grant"]
+    assert len(grants) == len(result.tasks)
+    # One grant per placement: the rp.alloc records of a task's grant
+    # instant, one per node, merge into a single event.
+    allocs = result.session.tracer.select(category="rp.alloc")
+    assert {(e.ref, e.t) for e in grants} == {(r.name, r.time) for r in allocs}
+    for event in grants:
+        nodes = [
+            r.get("node") for r in allocs if (r.name, r.time) == (event.ref, event.t)
+        ]
+        assert event.attrs["nodes"] == ",".join(nodes)
+
+
+def test_disabled_tracer_is_rejected_with_a_capture():
+    from repro.rp import Session
+
+    prev_prov = set_default_provenance(True)
+    try:
+        session = Session(trace=False, telemetry=True)
+    finally:
+        set_default_provenance(prev_prov)
+        drain_telemetries()
+    assert session.telemetry.provenance is not None
+    with pytest.raises(ValueError, match="enabled tracer"):
+        build_graph(hub=session.telemetry)
+    # Without a capture there are no grants to read: the skeleton builds.
+    session.telemetry.provenance = None
+    assert len(build_graph(hub=session.telemetry).events) == 2  # run bounds
 
 
 def test_graph_is_valid_and_complete(adaptive_graph):

@@ -32,18 +32,6 @@ def test_select_time_window(env):
     assert [r.name for r in tracer.select(since=5, until=15)] == ["t10"]
 
 
-def test_disabled_category_not_stored_but_counted(env):
-    tracer = Tracer(env)
-    tracer.disable_category("noisy")
-    tracer.record("noisy", "x")
-    tracer.record("kept", "y")
-    assert len(tracer) == 1
-    assert tracer.count("noisy") == 1
-    tracer.enable_category("noisy")
-    tracer.record("noisy", "z")
-    assert len(tracer) == 2
-
-
 def test_disabled_tracer_stores_nothing(env):
     tracer = Tracer(env, enabled=False)
     tracer.record("a", "x")

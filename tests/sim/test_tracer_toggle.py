@@ -1,46 +1,33 @@
-"""Regression battery for the tracer's mid-run toggles and record sink.
+"""Regression battery for the tracer's ``enabled`` flag.
 
-The per-category toggle is how large runs stay cheap (disable chatty
-categories mid-flight, re-enable for the window of interest), and the
-sink is the telemetry bridge's attachment point — both must agree on
-one rule: only *stored* records exist downstream, but emission counts
-keep the full story.
+Turning recording off (before or during a run) is how very large runs
+stay cheap: nothing is stored while it is off, but emission counts keep
+the full story.
 """
 
 from __future__ import annotations
 
-from repro.sim.trace import TraceRecord, Tracer
+from repro.sim.trace import Tracer
 
 
 def test_mid_run_disable_suppresses_storage_not_counts(env):
     tracer = Tracer(env)
     tracer.record("chatty", "a")
-    tracer.disable_category("chatty")
+    tracer.enabled = False
     tracer.record("chatty", "b")
     tracer.record("quiet", "c")
-    assert [r.name for r in tracer.records] == ["a", "c"]
+    assert [r.name for r in tracer.records] == ["a"]
     assert tracer.count("chatty") == 2  # emission is still counted
     assert tracer.count("quiet") == 1
 
 
 def test_mid_run_reenable_resumes_storage(env):
-    tracer = Tracer(env)
-    tracer.disable_category("x")
+    tracer = Tracer(env, enabled=False)
     tracer.record("x", "dropped")
-    tracer.enable_category("x")
+    tracer.enabled = True
     tracer.record("x", "kept")
     assert [r.name for r in tracer.records] == ["kept"]
     assert tracer.count("x") == 2
-
-
-def test_disable_is_idempotent_and_scoped(env):
-    tracer = Tracer(env)
-    tracer.disable_category("x")
-    tracer.disable_category("x")
-    tracer.enable_category("never-disabled")  # harmless no-op
-    tracer.record("x", "a")
-    tracer.record("y", "b")
-    assert [r.category for r in tracer.records] == ["y"]
 
 
 def test_globally_disabled_tracer_still_counts(env):
@@ -49,27 +36,6 @@ def test_globally_disabled_tracer_still_counts(env):
     assert len(tracer) == 0
     assert tracer.count("x") == 1
     assert tracer.categories() == set()
-
-
-def test_sink_sees_exactly_the_stored_records(env):
-    tracer = Tracer(env)
-    seen: list[TraceRecord] = []
-    tracer.sink = seen.append
-    tracer.record("keep", "a")
-    tracer.disable_category("mute")
-    tracer.record("mute", "b")  # suppressed: must not reach the sink
-    tracer.enable_category("mute")
-    tracer.record("mute", "c")
-    assert [r.name for r in seen] == ["a", "c"]
-    assert seen == tracer.records  # same objects, no copies
-
-
-def test_sink_not_called_when_tracer_disabled(env):
-    tracer = Tracer(env, enabled=False)
-    calls = []
-    tracer.sink = calls.append
-    tracer.record("x", "a")
-    assert calls == []
 
 
 def test_clear_resets_counts_and_records(env):

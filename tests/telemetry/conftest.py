@@ -3,7 +3,7 @@
 ``traced_ddmd`` runs the DDMD tuning experiment once per session with
 telemetry on and hands out the (result, hub) pair — the experiment
 exercises every instrumented component (EnTK, RP client/agent, SOMA
-client/service, monitors), so one run backs all export/bridge/analysis
+client/service, monitors), so one run backs all export/analysis
 assertions.
 """
 

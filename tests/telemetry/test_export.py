@@ -1,10 +1,10 @@
-"""Chrome trace-event export, validation, and flame summary."""
+"""Chrome trace-event export, validation, flame summary, span table."""
 
 from __future__ import annotations
 
 import json
 
-from repro.sim import Environment
+from repro.sim import Environment, Tracer
 from repro.telemetry import (
     MetricsRegistry,
     Telemetry,
@@ -13,7 +13,9 @@ from repro.telemetry import (
     drain_telemetries,
     flame_summary,
     merge_chrome_traces,
+    render_span_table,
     save_chrome_trace,
+    top_critical_spans,
     validate_chrome_trace,
 )
 
@@ -23,8 +25,8 @@ US = 1e6
 def _hub() -> Telemetry:
     """A small deterministic span tree on a bare environment.
 
-    root(a) [0..10] -> child(b) [2..5] with one annotation; plus an
-    open span on track a.  Times are driven via a trivial process.
+    root(a) [0..10] -> child(b) [2..5]; plus an open span on track a.
+    Times are driven via a trivial process.  The hub has no tracer.
     """
     env = Environment()
     tel = Telemetry(env, enabled=True)
@@ -33,7 +35,6 @@ def _hub() -> Telemetry:
         root = tel.start_span("root", component="a", activate=True, uid="r")
         yield env.timeout(2.0)
         child = tel.start_span("child", component="b")
-        tel.add_event(child, "tick", n=1)
         yield env.timeout(3.0)
         tel.end_span(child)
         yield env.timeout(5.0)
@@ -91,13 +92,48 @@ def test_open_spans_are_clamped_and_flagged():
     assert hub.open_spans()[0].end is None
 
 
-def test_annotations_become_instant_events():
-    doc = chrome_trace(_hub())
-    (instant,) = _events(doc, "i")
-    assert instant["name"] == "tick"
-    assert instant["s"] == "t"
-    assert instant["ts"] == 2.0 * US
-    assert instant["args"]["n"] == 1
+def test_tracer_records_become_instant_events():
+    env = Environment()
+    tel = Telemetry(env, enabled=True)
+    tel.tracer = Tracer(env)
+    drain_telemetries()
+
+    def run():
+        span = tel.start_span("task:task.0", component="rp-client")
+        yield env.timeout(2.0)
+        tel.tracer.record("rp.state", "task.0", state="DONE")
+        tel.tracer.record("rp.pilot", "pilot.0", event="shutdown")
+        tel.end_span(span)
+
+    env.run(env.process(run()))
+    doc = chrome_trace(tel)
+    assert validate_chrome_trace(doc) == []
+    assert component_tracks(doc) == ["rp-client", "tracer"]
+    tids = {
+        e["args"]["name"]: e["tid"]
+        for e in _events(doc, "M")
+        if e["name"] == "thread_name"
+    }
+    span_id = tel.spans[0].span_id
+    state, pilot = _events(doc, "i")
+    assert state["name"] == "rp.state:task.0"
+    assert state["s"] == "t"
+    assert state["ts"] == 2.0 * US
+    assert state["tid"] == tids["rp-client"]
+    assert state["args"] == {"state": "DONE", "span_id": span_id}
+    assert pilot["name"] == "rp.pilot:pilot.0"
+    assert pilot["tid"] == tids["tracer"]
+    assert pilot["args"] == {"event": "shutdown"}
+    # The export reads the tracer; it never writes back into it.
+    assert tel.tracer.records[0].data == {"state": "DONE"}
+
+
+def test_hub_without_tracer_exports_no_instant_events():
+    hub = _hub()
+    assert hub.tracer is None
+    doc = chrome_trace(hub)
+    assert _events(doc, "i") == []
+    assert "tracer" not in component_tracks(doc)
 
 
 def test_metrics_become_counter_events():
@@ -178,6 +214,44 @@ def test_flame_summary_orders_by_self_time():
     assert "3.0000" in rows[1]
 
 
+def test_top_critical_spans_ranked_by_self_time():
+    env = Environment()
+    tel = Telemetry(env, enabled=True)
+    drain_telemetries()
+
+    def build():
+        with tel.span("root", component="a"):  # dur 10, self 4
+            yield env.timeout(1.0)
+            with tel.span("mid", component="b"):  # dur 6, self 1
+                yield env.timeout(1.0)
+                with tel.span("leaf", component="c"):  # dur 5, self 5
+                    yield env.timeout(5.0)
+            yield env.timeout(3.0)
+
+    env.run(env.process(build()))
+    rows = top_critical_spans(tel, k=2)
+    assert [r["name"] for r in rows] == ["leaf", "root"]
+    assert rows[0]["self_time"] == 5.0
+    assert rows[1]["self_time"] == 4.0
+    assert all(r["root"] == "root" for r in rows)
+    assert top_critical_spans(tel, k=0) == []
+
+
+def test_render_span_table_shapes():
+    env = Environment()
+    tel = Telemetry(env, enabled=True)
+    drain_telemetries()
+    tel.end_span(tel.start_span("x" * 40, component="c"))
+    rows = top_critical_spans(tel)
+    table = render_span_table(rows)
+    lines = table.splitlines()
+    assert lines[0].split() == [
+        "component", "span", "root", "start", "dur", "self",
+    ]
+    assert "..." in lines[2]  # long names are elided
+    assert render_span_table([]).endswith("(no spans)")
+
+
 def test_flame_summary_empty_hub():
     env = Environment()
     tel = Telemetry(env, enabled=True)
@@ -195,3 +269,32 @@ def test_real_run_exports_validate(traced_ddmd):
     tracks = component_tracks(doc)
     assert len(tracks) >= 4
     assert {"entk", "rp-client", "rp-agent", "soma-service"} <= set(tracks)
+
+
+def test_real_run_instant_events_mirror_the_tracer(traced_ddmd):
+    result, hub = traced_ddmd
+    tracer = result.session.tracer
+    assert hub.tracer is tracer
+    doc = chrome_trace(hub)
+    instants = _events(doc, "i")
+    assert len(instants) == len(tracer.records)
+    tracks = {
+        e["tid"]: e["args"]["name"]
+        for e in _events(doc, "M")
+        if e["name"] == "thread_name"
+    }
+    task_spans = {
+        span.attributes["uid"]: span
+        for span in hub.spans
+        if span.name.startswith("task:")
+    }
+    states = 0
+    # Instants keep the tracer's order, one for one.
+    for rec, event in zip(tracer.records, instants):
+        assert event["name"] == f"{rec.category}:{rec.name}"
+        if rec.category == "rp.state":
+            span = task_spans[rec.name]
+            assert tracks[event["tid"]] == span.component
+            assert event["args"]["span_id"] == span.span_id
+            states += 1
+    assert states == len(tracer.select("rp.state")) > 0

@@ -32,7 +32,6 @@ def test_disabled_hub_is_inert(env):
     assert hub not in active_telemetries()
     assert hub.start_span("x", component="c") is None
     hub.end_span(None)
-    hub.event("nothing")
     hub.bind("uid", None)
     with hub.span("y", component="c") as span:
         assert span is None
@@ -211,34 +210,7 @@ def test_process_exit_drops_ambient_stack(env, tel):
     assert proc not in tel._ambient
 
 
-# -- annotations and bindings -----------------------------------------
-
-
-def test_event_lands_on_current_open_span(env, tel):
-    with tel.span("s", component="c") as span:
-        tel.event("tick", n=1)
-    assert span.events == [(0.0, "tick", {"n": 1})]
-    assert tel.dropped_events == 0
-
-
-def test_event_without_span_is_dropped_and_counted(tel):
-    tel.event("orphan")
-    assert tel.dropped_events == 1
-
-
-def test_event_on_closed_context_is_dropped(tel):
-    span = tel.start_span("s", component="c")
-    with tel.use(span.context):
-        tel.end_span(span)
-        tel.event("late")
-    assert span.events == []
-    assert tel.dropped_events == 1
-
-
-def test_add_event_targets_specific_span(tel):
-    span = tel.start_span("s", component="c")
-    tel.add_event(span, "mark", k="v")
-    assert span.events == [(0.0, "mark", {"k": "v"})]
+# -- bindings ---------------------------------------------------------
 
 
 def test_bindings_are_durable_until_unbound(tel):
@@ -256,13 +228,11 @@ def test_counters_snapshot(tel):
     tel.start_span("b", component="c")
     tel.end_span(a)
     tel.end_span(a)
-    tel.event("orphanless")
     counters = tel.counters()
     assert counters == {
         "spans_started": 2,
         "spans_closed": 1,
         "open_spans": 1,
         "double_closes": 1,
-        "dropped_events": 1,
         "traces": 2,
     }

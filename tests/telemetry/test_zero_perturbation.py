@@ -1,15 +1,14 @@
 """The zero-perturbation contract, enforced differentially.
 
 Telemetry on must be invisible to the simulation: for the same seed,
-the full event-trace digest, every kernel counter, and the finish time
-are byte-identical with the span machinery enabled and disabled.  Any
+the run digest (full event trace, every SOMA store record, every kernel
+counter, makespan and finish time) is byte-identical with the span
+machinery enabled and disabled.  Any
 instrumentation that schedules an event, draws randomness, or perturbs
 iteration order breaks one of these digests for some seed.
 """
 
 from __future__ import annotations
-
-import hashlib
 
 from repro.experiments import (
     TUNING,
@@ -20,25 +19,18 @@ from repro.experiments import (
 from repro.sweep.spec import result_digest
 from repro.telemetry import drain_telemetries, set_default_telemetry
 
-from tests.faults.harness import metric_signature, trace_signature
+from tests.faults.harness import run_digest
 
 SEEDS = (3, 17, 33)
-
-
-def _fingerprint(result) -> tuple[str, dict, float]:
-    signature = trace_signature(result.session)
-    digest = hashlib.sha256(signature.encode()).hexdigest()
-    return digest, dict(result.session.env.kernel_counters()), result.finished_at
 
 
 def _differential(run, telemetry_expected_spans=True):
     previous = set_default_telemetry(False)
     try:
-        baseline = _fingerprint(run())
+        baseline = run_digest(run())
         assert drain_telemetries() == []
         set_default_telemetry(True)
-        result = run()
-        traced = _fingerprint(result)
+        traced = run_digest(run())
         hubs = drain_telemetries()
     finally:
         set_default_telemetry(previous)
@@ -56,11 +48,7 @@ def test_openfoam_trace_is_byte_identical_per_seed():
         baseline, traced = _differential(
             lambda: run_openfoam_experiment(TUNING, seed=seed)
         )
-        assert baseline[0] == traced[0], f"trace digest drifted (seed {seed})"
-        assert baseline[1] == traced[1], (
-            f"kernel counters drifted (seed {seed})"
-        )
-        assert baseline[2] == traced[2], f"finish time drifted (seed {seed})"
+        assert baseline == traced, f"run digest drifted (seed {seed})"
 
 
 def test_ddmd_trace_is_byte_identical():
@@ -83,22 +71,20 @@ def test_ddmd_trace_is_byte_identical():
 def _provenance_differential(run):
     """Baseline (everything off) vs telemetry + provenance capture on.
 
-    Returns ``(baseline, captured)`` where each element also carries
-    the SOMA store signature — the provenance store taps must not
-    change what lands in any namespace store, not just the trace.
+    Returns the two run digests; they cover the SOMA stores too, so
+    the provenance store taps must not change what lands in any
+    namespace store, not just the trace.
     """
     from repro.provenance import set_default_provenance
 
     prev_tel = set_default_telemetry(False)
     prev_prov = set_default_provenance(False)
     try:
-        base_result = run()
-        baseline = (*_fingerprint(base_result), metric_signature(base_result.deployment))
+        baseline = run_digest(run())
         assert drain_telemetries() == []
         set_default_telemetry(True)
         set_default_provenance(True)
-        result = run()
-        captured = (*_fingerprint(result), metric_signature(result.deployment))
+        captured = run_digest(run())
         hubs = drain_telemetries()
     finally:
         set_default_telemetry(prev_tel)
