@@ -24,6 +24,9 @@ __all__ = ["Node", "PathError"]
 
 #: Leaf types Conduit understands; anything else must be wrapped.
 _LEAF_TYPES = (int, float, str, bool, bytes, type(None))
+#: Exact leaf types that ``set`` stores as is (subclasses take the
+#: validating path).
+_PLAIN_TYPES = frozenset(_LEAF_TYPES)
 
 
 class PathError(KeyError):
@@ -33,9 +36,11 @@ class PathError(KeyError):
 def _split(path: str) -> list[str]:
     if not isinstance(path, str):
         raise PathError(f"path must be a string, got {type(path).__name__}")
-    parts = [p for p in path.split("/") if p]
-    if not parts:
-        raise PathError(f"empty path {path!r}")
+    parts = path.split("/")
+    if "" in parts:  # leading, trailing or doubled slashes; or no path
+        parts = [p for p in parts if p]
+        if not parts:
+            raise PathError(f"empty path {path!r}")
     return parts
 
 
@@ -81,10 +86,17 @@ class Node:
 
     def set(self, value: Any) -> None:
         """Make this node a leaf holding ``value``."""
+        if type(value) in _PLAIN_TYPES:
+            if self._children:
+                raise PathError("cannot assign a value to an object node")
+            self._value = value
+            self._has_value = True
+            return
         if isinstance(value, Node):
-            self._children = {k: v.copy() for k, v in value._children.items()}
-            self._value = value._value
-            self._has_value = value._has_value
+            clone = value.copy()
+            self._children = clone._children
+            self._value = clone._value
+            self._has_value = clone._has_value
             return
         if isinstance(value, dict):
             self._children.clear()
@@ -113,8 +125,12 @@ class Node:
 
     def fetch(self, path: str) -> "Node":
         """Get the node at ``path``, creating object nodes on the way."""
+        if type(path) is str and path and "/" not in path:
+            parts: "tuple[str] | list[str]" = (path,)  # one name: no split
+        else:
+            parts = _split(path)
         node = self
-        for part in _split(path):
+        for part in parts:
             if node._has_value:
                 raise PathError(f"cannot descend through leaf at {part!r}")
             child = node._children.get(part)
@@ -301,23 +317,32 @@ class Node:
         """Approximate serialized size in bytes.
 
         This is the quantity the simulated RPC layer charges for when a
-        SOMA client publishes a tree, so it must be cheap and stable.
+        SOMA client publishes a tree, so it must be cheap and stable: the
+        sum over :meth:`leaves` of the path length plus the value size.
+        The walk carries each path's length instead of building it.
         """
+        if self._has_value:
+            return _value_nbytes(self._value)
         total = 0
-        for path, value in self.leaves():
-            total += len(path)
-            if isinstance(value, str):
-                total += len(value)
-            elif isinstance(value, bytes):
-                total += len(value)
-            elif isinstance(value, bool) or value is None:
-                total += 1
-            elif isinstance(value, int):
-                total += 8
-            elif isinstance(value, float):
-                total += 8
-            elif isinstance(value, list):
-                total += 8 * len(value)
+        # (node, length of its path); the root's children have no "/".
+        stack: list[tuple[Node, int]] = [(self, -1)]
+        while stack:
+            node, length = stack.pop()
+            for name, child in node._children.items():
+                sub = length + 1 + len(name)
+                if not child._has_value:
+                    stack.append((child, sub))
+                    continue
+                value = child._value
+                kind = type(value)
+                # Exact floats, ints and strings (most monitoring leaves)
+                # skip the isinstance chain.
+                if kind is float or kind is int:
+                    total += sub + 8
+                elif kind is str:
+                    total += sub + len(value)
+                else:
+                    total += sub + _value_nbytes(value)
         return total
 
     def num_leaves(self) -> int:
@@ -344,3 +369,16 @@ class Node:
 
 
 _MISSING = object()
+
+
+def _value_nbytes(value: Any) -> int:
+    """Serialized size of one leaf value (see :meth:`Node.nbytes`)."""
+    if isinstance(value, (str, bytes)):
+        return len(value)
+    if isinstance(value, bool) or value is None:
+        return 1
+    if isinstance(value, (int, float)):
+        return 8
+    if isinstance(value, list):
+        return 8 * len(value)
+    return 0

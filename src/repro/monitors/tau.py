@@ -46,9 +46,11 @@ def profiles_to_conduit(
     """
     tree = ConduitNode()
     for profile in profiles:
-        base = f"TAU/{task_uid}/{profile.hostname}/rank{profile.rank:05d}"
+        if not profile.seconds_by_region:
+            continue  # no leaves, so no (empty) rank node either
+        rank = tree.fetch(f"TAU/{task_uid}/{profile.hostname}/rank{profile.rank:05d}")
         for region, seconds in profile.seconds_by_region.items():
-            tree[f"{base}/{region}"] = round(seconds, 6)
+            rank[region] = round(seconds, 6)
     return tree
 
 

@@ -72,19 +72,25 @@ class ProcSnapshot:
             return 0.0
         return max(0.0, min(1.0, d_busy / d_total))
 
+    @property
+    def path(self) -> str:
+        """Where this sample lives in the hardware namespace tree."""
+        return f"PROC/{self.hostname}/{self.timestamp:.6f}"
+
     def to_conduit(self) -> ConduitNode:
         """Render as the Conduit tree of Listing 2."""
         root = ConduitNode()
-        base = f"PROC/{self.hostname}/{self.timestamp:.6f}"
-        root[f"{base}/Uptime"] = round(self.uptime, 3)
-        root[f"{base}/Num Processes"] = self.num_processes
-        root[f"{base}/Available RAM"] = round(self.available_ram_mib, 1)
-        root[f"{base}/stat/cpu"] = [
+        sample = root.fetch(self.path)
+        sample["Uptime"] = round(self.uptime, 3)
+        sample["Num Processes"] = self.num_processes
+        sample["Available RAM"] = round(self.available_ram_mib, 1)
+        stat = sample.fetch("stat")
+        stat["cpu"] = [
             round(self.cpu_busy_jiffies, 1),
             round(self.cpu_total_jiffies - self.cpu_busy_jiffies, 1),
         ]
-        root[f"{base}/stat/ncores"] = self.ncores
-        root[f"{base}/gpu/busy_seconds"] = round(self.gpu_busy_seconds, 3)
+        stat["ncores"] = self.ncores
+        sample["gpu/busy_seconds"] = round(self.gpu_busy_seconds, 3)
         return root
 
 

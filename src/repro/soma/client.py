@@ -129,7 +129,9 @@ class SomaClient:
         does not crash or stall its host beyond the policy's deadline).
         """
         server = yield from self.connect(namespace)
-        self._annotate_health(data)
+        data = self._annotate_health(data)
+        # The one size walk of this sample: it is charged on the wire
+        # and carried to the store in the request's payload_bytes.
         nbytes = data.nbytes()
         with self.session.telemetry.span(
             f"soma.publish:{namespace}",
@@ -219,15 +221,18 @@ class SomaClient:
             seconds=extent,
         )
 
-    def _annotate_health(self, data: ConduitNode) -> None:
-        """Fold client health into the outgoing tree.
+    def _annotate_health(self, data: ConduitNode) -> ConduitNode:
+        """The tree to publish: ``data`` with client health folded in.
 
         Only once something has gone wrong: a healthy client publishes
         byte-identical payloads with or without fault injection wired
-        in, which is what the determinism regression pins down.
+        in, which is what the determinism regression pins down.  The
+        annotation goes on a copy, because the caller's tree may
+        already be stored and published trees are never mutated.
         """
         if self.dropped == 0 and self._rpc.retries == 0:
-            return
+            return data
+        data = data.copy()
         prefix = f"SOMA/health/{self.name}"
         data[f"{prefix}/dropped"] = self.dropped
         data[f"{prefix}/retries"] = self._rpc.retries
@@ -241,6 +246,7 @@ class SomaClient:
                 base = f"SOMA/degraded/{self.name}/{namespace}"
                 data[f"{base}/samples"] = int(summary["samples"])
                 data[f"{base}/bytes"] = summary["bytes"]
+        return data
 
     @property
     def retries(self) -> int:

@@ -221,8 +221,13 @@ class SomaServiceModel(ServiceModel):
                     f"publish to {namespace!r} expects a Conduit Node, "
                     f"got {type(data).__name__}"
                 )
+            # The client sized the tree once for the wire; published
+            # trees are never mutated, so that size is the stored one.
             record = store.append(
-                time=self.session.env.now, source=request.client, data=data
+                time=self.session.env.now,
+                source=request.client,
+                data=data,
+                nbytes=request.payload_bytes,
             )
             self.publishes += 1
             self.session.tracer.record(

@@ -48,8 +48,18 @@ class NamespaceStore:
     def __len__(self) -> int:
         return len(self._records)
 
-    def append(self, time: float, source: str, data: Node) -> PublishedRecord:
-        nbytes = data.nbytes()
+    def append(
+        self, time: float, source: str, data: Node, nbytes: float | None = None
+    ) -> PublishedRecord:
+        """Store one published tree.
+
+        ``nbytes`` is the size the publisher already charged for (the
+        service passes the request's ``payload_bytes``), so a publish
+        walks its tree once.  Offline and test appends leave it out and
+        the tree is sized here.
+        """
+        if nbytes is None:
+            nbytes = data.nbytes()
         record = PublishedRecord(time=time, source=source, data=data, nbytes=nbytes)
         # Publishes arrive in RPC-completion order, which is time order
         # within one environment; insort keeps us safe regardless.

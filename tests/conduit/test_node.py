@@ -211,6 +211,12 @@ class TestSerialization:
         c["a/b"].append(3)
         assert n["a/b"] == [1, 2]
 
+    def test_set_from_node_copies_list_leaf(self):
+        src, dst = Node([1, 2]), Node()
+        dst.set(src)
+        src.value.append(3)
+        assert dst.value == [1, 2]
+
 
 class TestSize:
     def test_nbytes_grows_with_content(self):
@@ -225,6 +231,24 @@ class TestSize:
         a["k"] = "x"
         b["k"] = "x" * 1000
         assert b.nbytes() - a.nbytes() == 999
+
+    def test_nbytes_root_leaf_has_no_path(self):
+        assert Node(5).nbytes() == 8
+        assert Node("abc").nbytes() == 3
+        assert Node(True).nbytes() == 1
+
+    def test_nbytes_list_leaf(self):
+        n = Node()
+        n["a/b"] = [1.0, 2.0, 3.0]
+        assert n.nbytes() == len("a/b") + 8 * 3
+
+    def test_nbytes_numpy_float_leaf(self):
+        np = pytest.importorskip("numpy")
+        n = Node()
+        n["x/y"] = np.float64(1.5)
+        size = n.nbytes()
+        assert size == len("x/y") + 8
+        assert type(size) is int
 
     def test_render_contains_values(self):
         n = Node()

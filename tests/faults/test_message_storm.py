@@ -109,8 +109,14 @@ def test_storm_completes_cleanly():
     ]
     storm_end = t0 + STORM_AT + STORM_LENGTH
     for namespace in (WORKFLOW, HARDWARE):
-        records = deployment.store(namespace).records()
+        store = deployment.store(namespace)
+        records = store.records()
         assert [r for r in records if r.time > storm_end]
+        # Each record carries the size its client computed once at
+        # publish; drops, duplicates and retries never mutate the tree.
+        for r in records:
+            assert type(r.nbytes) is int and r.nbytes == r.data.nbytes()
+        assert store.total_bytes == sum(r.nbytes for r in records)
     if gate.dropped_requests + gate.dropped_responses > 0:
         total_retries = sum(c.retries for c in clients)
         rpmon = deployment.rp_monitor_model

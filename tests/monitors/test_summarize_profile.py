@@ -1,9 +1,15 @@
 """Unit tests for the RP monitor's profile summarizer."""
 
+from collections import Counter
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.monitors import summarize_profile
+from repro.monitors.rp_monitor import ProfileFold
 from repro.rp import ProfileRecord, TaskState
+from repro.rp.states import TASK_FINAL_STATES
 
 
 def rec(t, uid, state):
@@ -77,3 +83,81 @@ def test_sub_state_events_do_not_change_state():
     summary = summarize_profile(records, now=5.0)
     assert summary["running"] == 1
     assert summary["state_counts"] == {TaskState.AGENT_EXECUTING: 1}
+
+
+def full_reparse(records, now):
+    """The monitor's original summary: one pass over every record."""
+    last_state, entered, time_in_state = {}, {}, Counter()
+    for record in records:
+        if not record.entity.startswith("task.") or record.event != "state":
+            continue
+        prev = last_state.get(record.entity)
+        if prev is not None:
+            time_in_state[prev] += record.time - entered[record.entity]
+        last_state[record.entity] = record.state
+        entered[record.entity] = record.time
+    for uid, state in last_state.items():
+        if state not in TASK_FINAL_STATES:
+            time_in_state[state] += now - entered[uid]
+    counts = Counter(last_state.values())
+    return {
+        "tasks_seen": len(last_state),
+        "state_counts": dict(counts),
+        "time_in_state": dict(time_in_state),
+        "done": counts.get(TaskState.DONE, 0),
+        "failed": counts.get(TaskState.FAILED, 0),
+        "running": counts.get(TaskState.AGENT_EXECUTING, 0),
+        "pending": sum(
+            n
+            for state, n in counts.items()
+            if state not in TASK_FINAL_STATES and state != TaskState.AGENT_EXECUTING
+        ),
+    }
+
+
+def ordered(summary):
+    """Items at every level: key order becomes Conduit child order."""
+    return [
+        (key, list(value.items()) if isinstance(value, dict) else value)
+        for key, value in summary.items()
+    ]
+
+
+entry = st.tuples(
+    st.floats(min_value=0.0, max_value=50.0),  # time step
+    st.sampled_from(["task.000000", "task.000001", "task.000002", "pilot.0000"]),
+    st.sampled_from(["state", "state", "rank_start", "exec_stop"]),
+    st.sampled_from(
+        [
+            TaskState.NEW,
+            TaskState.AGENT_SCHEDULING,
+            TaskState.AGENT_EXECUTING,
+            TaskState.DONE,
+            TaskState.FAILED,
+            TaskState.CANCELED,
+        ]
+    ),
+)
+
+
+@given(
+    st.lists(entry, max_size=40),
+    st.lists(st.integers(min_value=0, max_value=8), min_size=1, max_size=10),
+    st.floats(min_value=0.0, max_value=100.0),
+)
+@settings(max_examples=200)
+def test_running_fold_matches_full_reparse(entries, chunks, lag):
+    records, t = [], 0.0
+    for step, entity, event, state in entries:
+        t += step
+        records.append(ProfileRecord(t, entity, event, state))
+    fold, cursor = ProfileFold(), 0
+    for size in chunks + [len(records)]:
+        fold.fold(records[cursor : cursor + size])
+        cursor = min(cursor + size, len(records))
+        assert fold.folded == cursor
+        prefix = records[:cursor]
+        now = (prefix[-1].time if prefix else 0.0) + lag
+        expected = ordered(full_reparse(prefix, now))
+        assert ordered(fold.snapshot(now)) == expected
+        assert ordered(summarize_profile(prefix, now)) == expected

@@ -110,6 +110,47 @@ def test_nbytes_nonnegative_and_monotone(pairs):
     assert node.nbytes() > before
 
 
+# Every leaf kind Conduit accepts, lists and None included.
+leaf = st.one_of(
+    scalar,
+    st.none(),
+    st.lists(st.one_of(st.integers(), st.floats(width=32), st.text(max_size=4)), max_size=5),
+)
+
+
+def reference_nbytes(node):
+    """The size ``nbytes`` promises, summed over ``leaves()``."""
+    total = 0
+    for p, v in node.leaves():
+        total += len(p)
+        if isinstance(v, (str, bytes)):
+            total += len(v)
+        elif isinstance(v, bool) or v is None:
+            total += 1
+        elif isinstance(v, (int, float)):
+            total += 8
+        elif isinstance(v, list):
+            total += 8 * len(v)
+    return total
+
+
+def subtrees(node):
+    yield node
+    for _, child in node.children():
+        yield from subtrees(child)
+
+
+@given(st.lists(st.tuples(path, leaf), max_size=12))
+@settings(max_examples=200)
+def test_nbytes_is_the_exact_leaf_sum(pairs):
+    node, _ = build(pairs)
+    # Every subtree too: inner roots, and leaves sized as a root.
+    for sub in subtrees(node):
+        size = sub.nbytes()
+        assert type(size) is int
+        assert size == reference_nbytes(sub)
+
+
 @given(st.lists(st.tuples(path, scalar), max_size=10))
 @settings(max_examples=100)
 def test_num_leaves_matches_iteration(pairs):

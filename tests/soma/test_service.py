@@ -270,7 +270,14 @@ class TestShardedService:
         first, second, third, soma = env.run(env.process(proc(env)))
         assert (first, second, third) == (True, False, True)
         assert soma.rejected == 1 and soma.gaps == 1
-        latest = model.store(WORKFLOW, tenant="t0").latest()
+        store = model.store(WORKFLOW, tenant="t0")
+        latest = store.latest()
         prefix = "SOMA/degraded/deg-client/workflow"
         assert latest.data[f"{prefix}/samples"] == 1
         assert latest.data[f"{prefix}/bytes"] > 0
+        # Annotating the re-published tree must not touch the copy
+        # already stored: each record keeps the size it was sent with.
+        records = store.records()
+        for r in records:
+            assert type(r.nbytes) is int and r.nbytes == r.data.nbytes()
+        assert store.total_bytes == sum(r.nbytes for r in records)
