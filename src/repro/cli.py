@@ -343,10 +343,12 @@ def _cmd_ddmd(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_scaling(args: argparse.Namespace) -> int:
+def _cmd_scaling(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     from .analysis import compare_runtimes, render_boxes
     from .experiments import SCALING_B, pipeline_durations, run_ddmd_experiment
 
+    if args.pipelines < 1:
+        parser.error(f"scaling: --pipelines must be >= 1, got {args.pipelines}")
     durations: dict[str, list[float]] = {}
     for mode in args.modes:
         exp = SCALING_B(args.pipelines, mode, frequent=args.frequent)
@@ -710,7 +712,7 @@ def _cmd_bottleneck(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_facility(args: argparse.Namespace) -> int:
+def _cmd_facility(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     import json as json_mod
 
     from .experiments.facility import (
@@ -720,16 +722,19 @@ def _cmd_facility(args: argparse.Namespace) -> int:
     )
     from .sweep.artifacts import render_facility
 
-    spec = FacilitySpec(
-        pilots=args.pilots,
-        shards=args.shards,
-        service_nodes=args.service_nodes,
-        tasks_per_pilot=args.tasks_per_pilot,
-        concurrency=args.concurrency,
-        period=args.period,
-        admission_rate=args.admission_rate,
-        degrade=args.degrade,
-    )
+    try:
+        spec = FacilitySpec(
+            pilots=args.pilots,
+            shards=args.shards,
+            service_nodes=args.service_nodes,
+            tasks_per_pilot=args.tasks_per_pilot,
+            concurrency=args.concurrency,
+            period=args.period,
+            admission_rate=args.admission_rate,
+            degrade=args.degrade,
+        )
+    except ValueError as exc:
+        parser.error(f"facility: {exc}")
     plan = facility_chaos_plan(spec) if args.chaos else None
     result = run_facility(spec, seed=args.seed, fault_plan=plan)
     payload = result.payload()
@@ -755,7 +760,8 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.command == "info":
         return _cmd_info()
     if args.command == "openfoam":
@@ -763,7 +769,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.command == "ddmd":
         return _cmd_ddmd(args)
     if args.command == "scaling":
-        return _cmd_scaling(args)
+        return _cmd_scaling(args, parser)
     if args.command == "sweep":
         return _cmd_sweep(args)
     if args.command == "trace":
@@ -773,7 +779,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.command == "bottleneck":
         return _cmd_bottleneck(args)
     if args.command == "facility":
-        return _cmd_facility(args)
+        return _cmd_facility(args, parser)
     if args.command == "lint":
         return _cmd_lint(args)
     return 2  # pragma: no cover - argparse enforces choices

@@ -83,6 +83,21 @@ class FacilitySpec:
     #: Client degrade mode under backpressure: "drop" or "summarize".
     degrade: str = "drop"
 
+    def __post_init__(self) -> None:
+        # Rejected here, not deep in the run: with no task slot no
+        # worker ever runs a task, and a zero period never advances the
+        # monitor loop, so either would hang instead of failing.
+        if self.concurrency < 1:
+            raise ValueError(f"concurrency must be >= 1, got {self.concurrency}")
+        if self.period <= 0:
+            raise ValueError(f"period must be > 0, got {self.period}")
+        if self.shards < 1:
+            raise ValueError(f"shards must be >= 1, got {self.shards}")
+        if self.admission_rate is not None and self.admission_rate <= 0:
+            raise ValueError(
+                f"admission_rate must be > 0 or None, got {self.admission_rate}"
+            )
+
     def soma_config(self) -> SomaConfig:
         return SomaConfig(
             ranks_per_namespace=self.ranks_per_namespace,

@@ -13,16 +13,19 @@ __all__ = ["StepIntegrator", "EventCounter"]
 
 
 class StepIntegrator:
-    """Integrates a piecewise-constant signal over simulated time."""
+    """Integrates a piecewise-constant signal over simulated time.
 
-    __slots__ = ("env", "value", "_integral", "_last_time", "_samples")
+    Only the current value and the running integral are kept, so a
+    meter's memory stays constant however long the run.
+    """
+
+    __slots__ = ("env", "value", "_integral", "_last_time")
 
     def __init__(self, env: Environment, initial: float = 0.0) -> None:
         self.env = env
         self.value = float(initial)
         self._integral = 0.0
         self._last_time = env.now
-        self._samples: list[tuple[float, float]] = [(env.now, float(initial))]
 
     def _advance(self) -> None:
         now = self.env.now
@@ -34,41 +37,16 @@ class StepIntegrator:
         """Shift the signal by ``delta`` at the current time."""
         self._advance()
         self.value += delta
-        self._samples.append((self.env.now, self.value))
 
     def set(self, value: float) -> None:
         self._advance()
         self.value = float(value)
-        self._samples.append((self.env.now, self.value))
 
     @property
     def integral(self) -> float:
         """Integral of the signal from t=0 to now."""
         self._advance()
         return self._integral
-
-    def mean(self, since: float = 0.0) -> float:
-        """Time-average of the signal from ``since`` to now."""
-        self._advance()
-        span = self._last_time - since
-        if span <= 0:
-            return self.value
-        # Integrate the recorded history over [since, now].
-        total = 0.0
-        prev_t, prev_v = self._samples[0]
-        for t, v in self._samples[1:]:
-            lo, hi = max(prev_t, since), t
-            if hi > lo:
-                total += prev_v * (hi - lo)
-            prev_t, prev_v = t, v
-        if self._last_time > prev_t:
-            lo = max(prev_t, since)
-            total += prev_v * (self._last_time - lo)
-        return total / span
-
-    def history(self) -> list[tuple[float, float]]:
-        """The recorded (time, value) transition list."""
-        return list(self._samples)
 
 
 class EventCounter:

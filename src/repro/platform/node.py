@@ -63,6 +63,11 @@ class Allocation:
         )
 
 
+def _lowest_free(owners: list[str | None], count: int) -> list[int]:
+    """The ``count`` lowest-index unowned slots of an owner map."""
+    return [i for i, o in enumerate(owners) if o is None][:count]
+
+
 class Node:
     """One compute node: resource maps + contention + accounting."""
 
@@ -74,6 +79,10 @@ class Node:
         #: core slot -> owner uid or None (only usable cores are mapped).
         self._core_owner: list[str | None] = [None] * spec.usable_cores
         self._gpu_owner: list[str | None] = [None] * spec.gpus
+        #: Unowned slots in each map, kept in step by allocate/free so
+        #: the scheduler's per-node fit check is O(1).
+        self.free_cores = spec.usable_cores
+        self.free_gpus = spec.gpus
         #: Memory-bandwidth contention domain for CPU compute.
         self.domain = ContentionDomain(env, capacity=spec.memory_bandwidth)
         #: Meters feeding the synthetic /proc.
@@ -97,14 +106,6 @@ class Node:
     def total_gpus(self) -> int:
         return self.spec.gpus
 
-    @property
-    def free_cores(self) -> int:
-        return sum(1 for owner in self._core_owner if owner is None)
-
-    @property
-    def free_gpus(self) -> int:
-        return sum(1 for owner in self._gpu_owner if owner is None)
-
     def allocate(
         self, cores: int, gpus: int = 0, owner: str = "anonymous"
     ) -> Allocation:
@@ -113,26 +114,24 @@ class Node:
             raise AllocationError(f"{self.name} is down")
         if cores < 0 or gpus < 0:
             raise ValueError("resource counts must be non-negative")
-        free_core_slots = [
-            i for i, o in enumerate(self._core_owner) if o is None
-        ]
-        free_gpu_slots = [i for i, o in enumerate(self._gpu_owner) if o is None]
-        if len(free_core_slots) < cores:
+        if self.free_cores < cores:
             raise AllocationError(
                 f"{self.name}: need {cores} cores, only "
-                f"{len(free_core_slots)} free"
+                f"{self.free_cores} free"
             )
-        if len(free_gpu_slots) < gpus:
+        if self.free_gpus < gpus:
             raise AllocationError(
                 f"{self.name}: need {gpus} GPUs, only "
-                f"{len(free_gpu_slots)} free"
+                f"{self.free_gpus} free"
             )
-        core_slots = free_core_slots[:cores]
-        gpu_slots = free_gpu_slots[:gpus]
+        core_slots = _lowest_free(self._core_owner, cores)
+        gpu_slots = _lowest_free(self._gpu_owner, gpus)
         for slot in core_slots:
             self._core_owner[slot] = owner
         for slot in gpu_slots:
             self._gpu_owner[slot] = owner
+        self.free_cores -= cores
+        self.free_gpus -= gpus
         self.allocated_cores.add(cores)
         return Allocation(self, core_slots, gpu_slots, owner)
 
@@ -143,6 +142,8 @@ class Node:
             self._core_owner[slot] = None
         for slot in allocation.gpus:
             self._gpu_owner[slot] = None
+        self.free_cores += len(allocation.cores)
+        self.free_gpus += len(allocation.gpus)
         self.allocated_cores.add(-len(allocation.cores))
         allocation.released = True
 

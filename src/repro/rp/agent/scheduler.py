@@ -11,6 +11,8 @@ tasks may only touch SOMA service nodes when the pilot runs in the
 The scheduler is a single sequential loop, so its per-decision cost —
 ``schedule_base_cost + schedule_per_node_cost × nodes scanned`` —
 bounds the agent's task throughput exactly as in the real system.
+That cost is simulated time; the host pays O(1) per scanned node, since
+each node keeps its free-slot counts up to date.
 """
 
 from __future__ import annotations
@@ -313,18 +315,11 @@ class AgentScheduler:
         if not description.multi_node or gpr > 0:
             # Single-node placement (all DDMD tasks, monitors, services
             # with GPUs).  First node with enough cores and GPUs wins.
+            cores = description.total_cores
+            gpus = description.total_gpus
             for scanned, node in enumerate(eligible, start=1):
-                if (
-                    node.free_cores >= description.total_cores
-                    and node.free_gpus >= description.total_gpus
-                ):
-                    return [
-                        node.allocate(
-                            description.total_cores,
-                            description.total_gpus,
-                            owner=task.uid,
-                        )
-                    ], scanned
+                if node.free_cores >= cores and node.free_gpus >= gpus:
+                    return [node.allocate(cores, gpus, owner=task.uid)], scanned
             return None, len(eligible)
 
         # Multi-node placement.  Service tasks are balanced across

@@ -1,5 +1,6 @@
 """Experiment harness configuration and small-scale behaviour."""
 
+import pytest
 
 from repro.experiments import (
     DDMD_ADAPTIVE_TRAIN_COUNTS,
@@ -14,6 +15,7 @@ from repro.experiments import (
     run_workflow,
     tuning_experiment,
 )
+from repro.experiments.facility import FacilitySpec
 from repro.rp import FixedDurationModel, TaskDescription
 
 
@@ -113,3 +115,23 @@ class TestHarness:
             assert set(value) == {"cpu", "gpu"}
             assert 0.0 <= value["cpu"] <= 1.0
             assert 0.0 <= value["gpu"] <= 1.0
+
+
+class TestFacilitySpec:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("concurrency", 0),  # no worker ever takes a task
+            ("period", 0.0),  # the monitor loop never leaves one timestamp
+            ("period", -5.0),
+            ("shards", 0),
+            ("admission_rate", 0.0),
+        ],
+    )
+    def test_invalid_field_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            FacilitySpec(**{field: value})
+
+    def test_defaults_and_no_admission_control_are_valid(self):
+        assert FacilitySpec().admission_rate is None
+        assert FacilitySpec(admission_rate=0.5).admission_rate == 0.5

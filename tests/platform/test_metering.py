@@ -28,24 +28,6 @@ class TestStepIntegrator:
         assert meter.integral == pytest.approx(28.0)
         assert meter.value == 7.0
 
-    def test_mean_over_window(self, env):
-        meter = StepIntegrator(env)
-        env.run(until=10)
-        meter.set(10.0)
-        env.run(until=20)
-        # Signal: 0 for [0,10), 10 for [10,20) -> mean over [0,20]=5
-        assert meter.mean(since=0.0) == pytest.approx(5.0)
-        assert meter.mean(since=10.0) == pytest.approx(10.0)
-
-    def test_history_records_transitions(self, env):
-        meter = StepIntegrator(env)
-        meter.add(1)
-        env.run(until=3)
-        meter.add(1)
-        history = meter.history()
-        assert history[0] == (0.0, 0.0)
-        assert history[-1] == (3.0, 2.0)
-
 
 class TestEventCounter:
     def test_count(self, env):

@@ -11,6 +11,7 @@ from repro.rp import (
     TaskMode,
     TaskState,
 )
+from repro.rp.task import Task
 
 
 def run_pilot_with_tasks(
@@ -167,3 +168,69 @@ class TestPinningAndPolicy:
         for task in tasks:
             touched |= set(task.nodelist)
         assert touched & service_names
+
+
+class TestScanCharge:
+    """``_try_place``'s ``scanned`` count is the simulated decision cost
+    (``schedule_base_cost + schedule_per_node_cost × scanned``)."""
+
+    @staticmethod
+    def partly_filled_pilot():
+        session = Session(cluster_spec=summit_like(8), seed=1)
+        client = Client(session)
+        env = session.env
+
+        def main(env):
+            pilot = yield from client.submit_pilot(
+                PilotDescription(nodes=4, agent_nodes=1)
+            )
+            return pilot
+
+        pilot = env.run(env.process(main(env)))
+        n0, n1, n2, n3 = pilot.compute_nodes
+        # Free (cores, GPUs): n0 (0, 6), n1 (25, 2), n2 (30, 0), n3 (22, 6).
+        n0.allocate(42, 0, owner="filler")
+        n1.allocate(17, 4, owner="filler")
+        n2.allocate(12, 6, owner="filler")
+        n3.allocate(20, 0, owner="filler")
+        scheduler = client.agent.scheduler
+        return session, client, scheduler
+
+    @staticmethod
+    def task(session, cores, gpus):
+        description = TaskDescription(
+            name="probe",
+            model=FixedDurationModel(1.0),
+            ranks=1,
+            cores_per_rank=cores,
+            gpus_per_rank=gpus,
+            multi_node=False,
+        )
+        return Task(session.env, session.new_uid("task"), description)
+
+    def test_scanned_is_position_of_first_fit_in_rotated_order(self):
+        session, client, scheduler = self.partly_filled_pilot()
+        # 20 cores + 1 GPU fits n1 and n3 only.  Per rotation start:
+        # (1-based position of the first fit, the node it lands on).
+        expected = [(2, 1), (1, 1), (2, 3), (1, 3), (2, 1)]
+        for rr, (position, landed) in enumerate(expected):
+            assert scheduler._rr_index == rr
+            task = self.task(session, 20, 1)
+            eligible = scheduler._eligible_nodes(task)
+            allocations, scanned = scheduler._try_place(task, eligible)
+            assert scheduler._rr_index == rr + 1
+            assert scanned == position
+            assert [a.node for a in allocations] == [eligible[landed]]
+            for allocation in allocations:
+                allocation.release()
+        client.close()
+
+    def test_no_fit_scans_every_node_and_still_rotates(self):
+        session, client, scheduler = self.partly_filled_pilot()
+        # 30 cores + 1 GPU: n2 has the cores but no GPU, so nothing fits.
+        for rr in range(3):
+            task = self.task(session, 30, 1)
+            eligible = scheduler._eligible_nodes(task)
+            assert scheduler._try_place(task, eligible) == (None, len(eligible))
+            assert scheduler._rr_index == rr + 1
+        client.close()

@@ -81,6 +81,23 @@ def test_facility_smoke(capsys):
     assert "Per-shard store occupancy" in out
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["facility", "--period", "-5"], "period"),
+        (["scaling", "--pipelines", "0"], "--pipelines"),
+    ],
+)
+def test_bad_arguments_exit_2_with_one_line(capsys, argv, option):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    (line,) = [line for line in err.splitlines() if "error:" in line]
+    assert argv[0] in line and option in line
+
+
 def test_facility_json_with_chaos(capsys):
     import json
 
