@@ -54,8 +54,8 @@ DROP_AT = 10.0
 DROP_FOR = 10.0
 
 
-@pytest.fixture(scope="module")
-def chaos_graph():
+def build_chaos_graph():
+    """Run the outage + rpc_drop scenario and build its provenance graph."""
     prev_tel = set_default_telemetry(True)
     prev_prov = set_default_provenance(True)
     drain_telemetries()
@@ -84,6 +84,11 @@ def chaos_graph():
         set_default_provenance(prev_prov)
         drain_telemetries()
     return graph
+
+
+@pytest.fixture(scope="module")
+def chaos_graph():
+    return build_chaos_graph()
 
 
 def test_chaos_graph_still_validates(chaos_graph):

@@ -29,8 +29,8 @@ from repro.telemetry import drain_telemetries, set_default_telemetry
 SEED = 7
 
 
-@pytest.fixture(scope="module")
-def adaptive_graph():
+def build_adaptive_graph():
+    """Run adaptive DDMD at ``SEED``; returns (result, graph)."""
     from repro.experiments import adaptive_experiment, run_ddmd_experiment
 
     prev_tel = set_default_telemetry(True)
@@ -46,6 +46,11 @@ def adaptive_graph():
     graph = build_graph(result)
     drain_telemetries()
     return result, graph
+
+
+@pytest.fixture(scope="module")
+def adaptive_graph():
+    return build_adaptive_graph()
 
 
 def test_default_toggle_round_trips():
