@@ -22,6 +22,17 @@ import numpy as np
 __all__ = ["main", "build_parser"]
 
 
+def _at_least_one(text: str) -> int:
+    """argparse type for counts: an integer >= 1, else a one-line usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -49,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scale = sub.add_parser(
         "scaling", help="run a Scaling-B style comparison"
     )
-    p_scale.add_argument("--pipelines", type=int, default=16)
+    p_scale.add_argument("--pipelines", type=_at_least_one, default=16)
     p_scale.add_argument(
         "--modes",
         nargs="+",
@@ -70,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     p_sweep.add_argument(
-        "--jobs", "-j", type=int, default=1,
+        "--jobs", "-j", type=_at_least_one, default=1,
         help="worker processes (default: 1, the serial reference path)",
     )
     p_sweep.add_argument(
@@ -131,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="trace JSON path (default: traces/<experiment>.trace.json)",
     )
     p_trace.add_argument(
-        "--top", type=int, default=10,
+        "--top", type=_at_least_one, default=10,
         help="rows in the critical-path span table (default: 10)",
     )
 
@@ -162,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_why.add_argument("--seed", type=int, default=7)
     p_why.add_argument(
-        "--top", type=int, default=20,
+        "--top", type=_at_least_one, default=20,
         help="costliest hops kept in the chain rendering (default: 20)",
     )
     p_why.add_argument(
@@ -343,12 +354,10 @@ def _cmd_ddmd(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_scaling(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def _cmd_scaling(args: argparse.Namespace) -> int:
     from .analysis import compare_runtimes, render_boxes
     from .experiments import SCALING_B, pipeline_durations, run_ddmd_experiment
 
-    if args.pipelines < 1:
-        parser.error(f"scaling: --pipelines must be >= 1, got {args.pipelines}")
     durations: dict[str, list[float]] = {}
     for mode in args.modes:
         exp = SCALING_B(args.pipelines, mode, frequent=args.frequent)
@@ -419,7 +428,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     )
 
     if args.list_cells:
-        plan = plan_shards(spec.cells, max(1, args.jobs))
+        plan = plan_shards(spec.cells, args.jobs)
         print(
             f"{len(spec)} cell(s), {len(selected_artifacts)} artifact(s), "
             f"{args.jobs} job(s); predicted makespan "
@@ -439,7 +448,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     try:
         run = run_sweep(
             spec,
-            jobs=max(1, args.jobs),
+            jobs=args.jobs,
             sweep_dir=args.sweep_dir,
             resume=args.resume,
             progress=print,
@@ -541,7 +550,7 @@ def _cmd_why(args: argparse.Namespace) -> int:
         return 2
     chain = why_chain(graph, target)
     print()
-    print(render_why(graph, target, chain, top=max(1, args.top)))
+    print(render_why(graph, target, chain, top=args.top))
     print()
     path = critical_path(graph)
     table = render_critical_path(graph, path)
@@ -615,7 +624,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     print(flame_summary(hub))
     print()
     print("top critical-path spans (by self time):")
-    print(render_span_table(top_critical_spans(hub, k=max(1, args.top))))
+    print(render_span_table(top_critical_spans(hub, k=args.top)))
     return 0
 
 
@@ -769,7 +778,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.command == "ddmd":
         return _cmd_ddmd(args)
     if args.command == "scaling":
-        return _cmd_scaling(args, parser)
+        return _cmd_scaling(args)
     if args.command == "sweep":
         return _cmd_sweep(args)
     if args.command == "trace":

@@ -288,42 +288,32 @@ def build_graph(
     finished = float(result.finished_at if result is not None else hub.env.now)
 
     g = ProvGraph()
-    root = g.add_event("run.start", 0.0, "run", component="run")
-    end = g.add_event("run.end", finished, "run", component="run")
-    g.root, g.end = root, end
+    event, edge, times = g.append_event, g.append_edge, g.times
+    root = event("run.start", 0.0, "run", "", "run")
+    end = event("run.end", finished, "run", "", "run")
+    g.root, g.end = ProvEvent(g, root), ProvEvent(g, end)
 
-    # 1. Span interval events, one start/end pair per span.
-    starts: dict[int, ProvEvent] = {}
-    ends: dict[int, ProvEvent] = {}
+    # 1. Span interval events: a span's span.end id is its span.start id + 1.
+    starts: dict[int, int] = {}
     raptor_calls: dict[str, int] = {}
     sched_spans: dict[str, int] = {}
     exec_spans: dict[str, int] = {}
     for span in hub.spans:
         label = f"{span.component}:{span.name}"
+        ref = str(span.span_id)
         uid = span.attributes.get("uid")
-        s = g.add_event(
-            "span.start",
-            span.start,
-            label,
-            ref=str(span.span_id),
-            component=span.component,
-        )
-        end_t = span.end if span.end is not None else finished
-        e = g.add_event(
-            "span.end",
-            end_t,
-            label,
-            ref=str(span.span_id),
-            component=span.component,
-            open=span.end is None,
-        )
-        g.add_edge(s, e, "span", name=span.name)
+        s = event("span.start", span.start, label, ref, span.component)
+        if span.end is None:
+            event("span.end", finished, label, ref, span.component, {"open": True})
+        else:
+            event("span.end", span.end, label, ref, span.component)
+        edge(s, s + 1, "span")
         starts[span.span_id] = s
-        ends[span.span_id] = e
-        g.span_events[span.span_id] = (s, e)
+        pair = (ProvEvent(g, s), ProvEvent(g, s + 1))
+        g.span_events[span.span_id] = pair
         if isinstance(uid, str):
             if span.name == f"task:{uid}":
-                g.task_events[uid] = (s, e)
+                g.task_events[uid] = pair
             elif span.name == "agent.schedule":
                 sched_spans[uid] = span.span_id
             elif span.name == "agent.execute":
@@ -332,129 +322,117 @@ def build_graph(
             raptor_calls[span.name.split(":", 1)[1]] = span.span_id
 
     # 2. Program-order anchors per container (a span, or the run root).
-    # Each anchor is (t, rank, seq, event, entry_kind): child span starts
-    # and capture events assigned to the container, sorted by time with
-    # a deterministic tie-break, then chained sequentially.
-    anchors: dict[int | None, list[tuple[float, int, int, ProvEvent, str]]] = {}
+    # Each anchor is (t, rank, event id): child span starts and capture
+    # events assigned to the container, sorted by time with a
+    # deterministic tie-break, then chained sequentially.
+    anchors: dict[int | None, list[tuple[float, int, int]]] = {}
 
-    def anchor(
-        container: int | None, event: ProvEvent, entry_kind: str, rank: int
-    ) -> None:
+    def anchor(container: int | None, eid: int, t: float, rank: int) -> None:
         if container is not None and container not in starts:
             container = None
-        anchors.setdefault(container, []).append(
-            (event.t, rank, event.eid, event, entry_kind)
-        )
+        anchors.setdefault(container, []).append((t, rank, eid))
 
     for span in hub.spans:
-        anchor(span.parent_id, starts[span.span_id], "program", 0)
+        anchor(span.parent_id, starts[span.span_id], span.start, 0)
 
     # 3. Capture events.
-    sends_by_uid: dict[str, ProvEvent] = {}
     if capture is not None:
+        sends_by_uid: dict[str, int] = {}
         for uid, method, client, t, span_id in capture.rpc_sends:
-            ev = g.add_event(
-                "rpc.send", t, f"rpc.send:{method}", ref=uid, component="rpc",
-                client=client,
-            )
+            ev = event("rpc.send", t, f"rpc.send:{method}", uid, "rpc", {"client": client})
             sends_by_uid[uid] = ev
-            anchor(span_id, ev, "program", 1)
+            anchor(span_id, ev, t, 1)
         for uid, server, arrival, granted, serve_id in capture.rpc_serves:
-            grant_ev = g.add_event(
-                "rpc.grant", granted, f"rpc.grant:{server}", ref=uid,
-                component="rpc", queue_time=granted - arrival,
+            grant_ev = event(
+                "rpc.grant", granted, f"rpc.grant:{server}", uid, "rpc",
+                {"queue_time": granted - arrival},
             )
             serve = starts.get(serve_id) if serve_id is not None else None
             if serve is not None:
-                g.add_edge(serve, grant_ev, "rpc.queue")
-                g.add_edge(grant_ev, ends[serve_id], "program")
+                edge(serve, grant_ev, "rpc.queue")
+                edge(grant_ev, serve + 1, "program")
                 send_ev = sends_by_uid.get(uid)
-                if send_ev is not None and send_ev.t <= serve.t:
-                    g.add_edge(send_ev, serve, "rpc.wire")
+                if send_ev is not None and times[send_ev] <= times[serve]:
+                    edge(send_ev, serve, "rpc.wire")
             else:  # pragma: no cover - defensive (serve span always set)
-                g.add_edge(root, grant_ev, "run")
-        writes_by_key: dict[tuple, ProvEvent] = {}
+                edge(root, grant_ev, "run")
+        writes_by_key: dict[tuple, int] = {}
         for sid, name, t, source, nbytes, span_id in capture.store_writes:
-            ev = g.add_event(
-                "store.write", t, f"store.write:{name}",
-                ref=f"{name}/{source}", component="soma-service", nbytes=nbytes,
+            ev = event(
+                "store.write", t, f"store.write:{name}", f"{name}/{source}",
+                "soma-service", {"nbytes": nbytes},
             )
             writes_by_key[(sid, t, source)] = ev
-            anchor(span_id, ev, "program", 1)
+            anchor(span_id, ev, t, 1)
         for sid, name, op, source, t, span_id, matched, count in capture.store_reads:
-            ev = g.add_event(
-                "store.read", t, f"store.read:{name}",
-                ref=f"{name}/{source or '*'}", component="soma-service",
-                op=op, records=count,
+            ev = event(
+                "store.read", t, f"store.read:{name}", f"{name}/{source or '*'}",
+                "soma-service", {"op": op, "records": count},
             )
-            anchor(span_id, ev, "program", 1)
+            anchor(span_id, ev, t, 1)
             write_ev = writes_by_key.get(matched) if matched is not None else None
-            if write_ev is not None and write_ev.t <= t:
-                g.add_edge(write_ev, ev, "wait-on-store", records=count)
+            if write_ev is not None and times[write_ev] <= t:
+                edge(write_ev, ev, "wait-on-store")
         for uid, t, nodes in _grants(hub.tracer):
-            ev = g.add_event(
-                "sched.grant", t, f"grant:{uid}", ref=uid,
-                component="rp-agent", nodes=",".join(nodes),
+            ev = event(
+                "sched.grant", t, f"grant:{uid}", uid, "rp-agent",
+                {"nodes": ",".join(nodes)},
             )
-            sched_id = sched_spans.get(uid)
-            if sched_id is not None and starts[sched_id].t <= t:
-                g.add_edge(starts[sched_id], ev, "wait-on-grant")
-                if t <= ends[sched_id].t:
-                    g.add_edge(ev, ends[sched_id], "program")
+            sched = starts.get(sched_spans.get(uid))
+            if sched is not None and times[sched] <= t:
+                edge(sched, ev, "wait-on-grant")
+                if t <= times[sched + 1]:
+                    edge(ev, sched + 1, "program")
             else:
-                g.add_edge(root, ev, "run")
-            exec_id = exec_spans.get(uid)
-            if exec_id is not None and t <= starts[exec_id].t:
-                g.add_edge(ev, starts[exec_id], "launch")
-        submits_by_uid: dict[Any, ProvEvent] = {}
+                edge(root, ev, "run")
+            launched = starts.get(exec_spans.get(uid))
+            if launched is not None and t <= times[launched]:
+                edge(ev, launched, "launch")
+        submits_by_uid: dict[Any, int] = {}
         for uid, t, span_id in capture.raptor_submits:
-            ev = g.add_event(
-                "raptor.submit", t, f"raptor.submit:{uid}", ref=str(uid),
-                component="raptor",
-            )
+            ev = event("raptor.submit", t, f"raptor.submit:{uid}", str(uid), "raptor")
             submits_by_uid[uid] = ev
-            anchor(span_id, ev, "program", 1)
+            anchor(span_id, ev, t, 1)
         for uid, worker_uid, t in capture.raptor_dispatches:
-            ev = g.add_event(
-                "raptor.dispatch", t, f"raptor.dispatch:{uid}", ref=str(uid),
-                component="raptor", worker=worker_uid,
+            ev = event(
+                "raptor.dispatch", t, f"raptor.dispatch:{uid}", str(uid), "raptor",
+                {"worker": worker_uid},
             )
             submit_ev = submits_by_uid.get(uid)
-            if submit_ev is not None and submit_ev.t <= t:
-                g.add_edge(submit_ev, ev, "raptor.queue")
+            if submit_ev is not None and times[submit_ev] <= t:
+                edge(submit_ev, ev, "raptor.queue")
             else:
-                g.add_edge(root, ev, "run")
-            call_id = raptor_calls.get(str(uid))
-            if call_id is not None and t <= starts[call_id].t:
-                g.add_edge(ev, starts[call_id], "raptor.dispatch")
+                edge(root, ev, "run")
+            call = starts.get(raptor_calls.get(str(uid)))
+            if call is not None and t <= times[call]:
+                edge(ev, call, "raptor.dispatch")
 
     # 4. Chain each container's anchors in program order.  A container's
     # closing edge is skipped when the last anchor outlives it (e.g. a
     # duplicate RPC served after the originating attempt failed).
     for container, entries in anchors.items():
-        entries.sort(key=lambda entry: entry[:3])
+        entries.sort()
         if container is None:
-            prev: ProvEvent = root
-            close_ev: ProvEvent = end
+            prev, close_ev, closing = root, end, "run"
         else:
             prev = starts[container]
-            close_ev = ends[container]
-        for _t, _rank, _seq, event, entry_kind in entries:
-            g.add_edge(prev, event, entry_kind)
-            prev = event
-        if prev.t <= close_ev.t:
-            g.add_edge(prev, close_ev, "program" if container is not None else "run")
+            close_ev, closing = prev + 1, "program"
+        for _t, _rank, eid in entries:
+            edge(prev, eid, "program")
+            prev = eid
+        if times[prev] <= times[close_ev]:
+            edge(prev, close_ev, closing)
 
     # 5. Join edges: child completion constrains parent completion when
     # the child actually finished first; root spans join the run end.
     for span in hub.spans:
-        child_end = ends[span.span_id]
-        if span.parent_id is not None and span.parent_id in ends:
-            parent_end = ends[span.parent_id]
-            if child_end.t <= parent_end.t:
-                g.add_edge(child_end, parent_end, "join")
+        child_end = starts[span.span_id] + 1
+        if span.parent_id is not None and span.parent_id in starts:
+            parent_end = starts[span.parent_id] + 1
+            if times[child_end] <= times[parent_end]:
+                edge(child_end, parent_end, "join")
         elif span.parent_id is None:
-            g.add_edge(child_end, end, "run")
+            edge(child_end, end, "run")
 
     # 6. Fault windows from the plan, annotated onto overlapping edges.
     windows: list[tuple[str, float, float]] = []
@@ -464,29 +442,24 @@ def build_graph(
                 continue
             t0 = fe.time
             t1 = finished if fe.duration is None else min(finished, t0 + fe.duration)
-            fs = g.add_event(
-                "fault.start", t0, f"fault:{fe.kind}", ref=fe.kind,
-                component="faults", seq=fe.seq,
-            )
-            fend = g.add_event(
-                "fault.end", t1, f"fault:{fe.kind}", ref=fe.kind,
-                component="faults", seq=fe.seq,
-            )
-            g.add_edge(root, fs, "run")
-            g.add_edge(fs, fend, "fault.window")
-            g.add_edge(fend, end, "run")
+            label = f"fault:{fe.kind}"
+            fs = event("fault.start", t0, label, fe.kind, "faults", {"seq": fe.seq})
+            fend = event("fault.end", t1, label, fe.kind, "faults", {"seq": fe.seq})
+            edge(root, fs, "run")
+            edge(fs, fend, "fault.window")
+            edge(fend, end, "run")
             windows.append((fe.kind, t0, t1))
     if windows:
-        for edge in g.edges:
-            if edge.kind not in _FAULT_ANNOTATED_KINDS or edge.duration <= 0:
+        for index, e in enumerate(g.edges):
+            if e.kind not in _FAULT_ANNOTATED_KINDS or e.duration <= 0:
                 continue
             overlapping = [
                 f"{kind}@[{t0:g},{t1:g})"
                 for kind, t0, t1 in windows
-                if t0 < edge.t_dst and t1 > edge.t_src
+                if t0 < e.t_dst and t1 > e.t_src
             ]
             if overlapping:
-                edge.attrs["faults"] = overlapping
+                g.annotate_edge(index, faults=overlapping)
 
     if close and capture is not None:
         capture.close()

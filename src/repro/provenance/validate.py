@@ -45,10 +45,13 @@ class GraphViolation:
 def validate_graph(graph: ProvGraph) -> list[GraphViolation]:
     """Check every invariant; returns the violations (empty = valid)."""
     violations: list[GraphViolation] = []
+    times, src, dst = graph.times, graph.src, graph.dst
 
-    bad_hb = [edge for edge in graph.edges if edge.t_src > edge.t_dst]
+    bad_hb = [i for i, (a, b) in enumerate(zip(src, dst)) if times[a] > times[b]]
     if bad_hb:
-        worst = max(bad_hb, key=lambda e: e.t_src - e.t_dst)
+        worst = graph.edges[
+            max(bad_hb, key=lambda i: times[src[i]] - times[dst[i]])
+        ]
         violations.append(
             GraphViolation(
                 "happens-before",
@@ -64,12 +67,10 @@ def validate_graph(graph: ProvGraph) -> list[GraphViolation]:
             GraphViolation("acyclic", "graph contains at least one cycle")
         )
 
-    rootless = [
-        event for event in graph.events if not graph.in_edges(event)
-    ]
-    expected_root = [graph.root] if graph.root is not None else []
+    rootless = [eid for eid, d in enumerate(graph.in_degrees()) if d == 0]
+    expected_root = [graph.root.eid] if graph.root is not None else []
     if rootless != expected_root:
-        labels = ", ".join(e.label for e in rootless[:5]) or "(none)"
+        labels = ", ".join(graph.event(e).label for e in rootless[:5]) or "(none)"
         violations.append(
             GraphViolation(
                 "single-root",
@@ -80,9 +81,9 @@ def validate_graph(graph: ProvGraph) -> list[GraphViolation]:
 
     if graph.root is not None:
         reachable = graph.reachable_from(graph.root)
-        orphans = [e for e in graph.events if e.eid not in reachable]
+        orphans = [eid for eid in range(len(graph)) if eid not in reachable]
         if orphans:
-            labels = ", ".join(e.label for e in orphans[:5])
+            labels = ", ".join(graph.event(e).label for e in orphans[:5])
             violations.append(
                 GraphViolation(
                     "reachable",

@@ -86,6 +86,11 @@ def test_facility_smoke(capsys):
     [
         (["facility", "--period", "-5"], "period"),
         (["scaling", "--pipelines", "0"], "--pipelines"),
+        (["sweep", "--list", "--jobs", "-3"], "--jobs"),
+        (["sweep", "--list", "-j", "0"], "--jobs"),
+        (["why", "--top", "0"], "--top"),
+        (["trace", "ddmd", "--top", "0"], "--top"),
+        (["trace", "ddmd", "--top", "many"], "--top"),
     ],
 )
 def test_bad_arguments_exit_2_with_one_line(capsys, argv, option):
