@@ -89,11 +89,11 @@ class FacilitySpec:
         # monitor loop, so either would hang instead of failing.
         if self.concurrency < 1:
             raise ValueError(f"concurrency must be >= 1, got {self.concurrency}")
-        if self.period <= 0:
+        if not self.period > 0:  # also rejects NaN
             raise ValueError(f"period must be > 0, got {self.period}")
         if self.shards < 1:
             raise ValueError(f"shards must be >= 1, got {self.shards}")
-        if self.admission_rate is not None and self.admission_rate <= 0:
+        if self.admission_rate is not None and not self.admission_rate > 0:
             raise ValueError(
                 f"admission_rate must be > 0 or None, got {self.admission_rate}"
             )

@@ -11,14 +11,6 @@ Every simulated subsystem in this repository is a set of generator
 processes scheduled on one :class:`Environment`.
 """
 
-from .calqueue import (
-    EVENT_QUEUE_BACKENDS,
-    CalendarEventQueue,
-    HeapEventQueue,
-    default_event_queue,
-    make_event_queue,
-    set_default_event_queue,
-)
 from .core import (
     Environment,
     Event,
@@ -59,12 +51,6 @@ __all__ = [
     "Timeout",
     "default_sanitize",
     "set_default_sanitize",
-    "EVENT_QUEUE_BACKENDS",
-    "CalendarEventQueue",
-    "HeapEventQueue",
-    "default_event_queue",
-    "make_event_queue",
-    "set_default_event_queue",
     "KernelSanitizer",
     "SanitizerError",
     "SanitizerFinding",

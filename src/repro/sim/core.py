@@ -8,17 +8,13 @@ processes scheduled on one :class:`Environment`.
 
 Design notes
 ------------
-* Events are scheduled on a pending set totally ordered by ``(time,
-  priority, sequence)``.  The sequence number makes the ordering of
-  simultaneous events deterministic (FIFO within a priority class),
-  which in turn makes every experiment in this repository reproducible
-  bit-for-bit for a given seed.  Two interchangeable backends implement
-  the set (:mod:`repro.sim.calqueue`): the default bucketed *calendar
-  queue*, whose hot zero-delay path costs O(log current-bucket) rather
-  than O(log total-pending), and the historical binary *heap* kept as
-  an escape hatch (``REPRO_EVENT_QUEUE=heap``) for differential tests.
-  Both drain in exactly the same total order, so digests, counters,
-  and traces are byte-identical across backends.
+* Pending events live in one binary heap, a plain ``heapq`` list of
+  ``(time, priority, eid, event)`` entries owned by the environment.
+  ``eid`` is a unique, increasing sequence number, so the order is
+  total: simultaneous events run URGENT before NORMAL and, within a
+  priority class, in the order they were scheduled (FIFO).  That makes
+  every experiment in this repository reproducible bit-for-bit for a
+  given seed.
 * Processes are plain Python generators that ``yield`` events.  When the
   yielded event fires, the process is resumed with the event's value (or
   the exception, if the event failed).
@@ -38,9 +34,8 @@ from __future__ import annotations
 
 import os
 from collections.abc import Generator
+from heapq import heappop, heappush
 from typing import TYPE_CHECKING, Any, Callable
-
-from .calqueue import default_event_queue, make_event_queue, set_default_event_queue
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..telemetry.spans import Telemetry
@@ -59,8 +54,6 @@ __all__ = [
     "NORMAL",
     "set_default_sanitize",
     "default_sanitize",
-    "set_default_event_queue",
-    "default_event_queue",
 ]
 
 #: Process-wide default for ``Environment(sanitize=None)``.  ``None``
@@ -235,8 +228,8 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
+        if not delay >= 0:  # also rejects NaN, which compares false
+            raise ValueError(f"delay must be >= 0, got {delay}")
         super().__init__(env)
         self.delay = delay
         self._ok = True
@@ -397,24 +390,12 @@ class Environment:
         detection).  ``None`` (the default) defers to
         :func:`set_default_sanitize` and the ``REPRO_SANITIZE``
         environment variable.
-    event_queue:
-        Scheduling backend: ``"calendar"`` (bucketed calendar queue,
-        the default) or ``"heap"`` (single binary heap).  ``None``
-        defers to :func:`~repro.sim.calqueue.set_default_event_queue`
-        and the ``REPRO_EVENT_QUEUE`` environment variable.  Both
-        backends drain events in the identical total order.
     """
 
-    def __init__(
-        self,
-        initial_time: float = 0.0,
-        sanitize: bool | None = None,
-        event_queue: str | None = None,
-    ) -> None:
+    def __init__(self, initial_time: float = 0.0, sanitize: bool | None = None) -> None:
         self._now = float(initial_time)
-        if event_queue is None:
-            event_queue = default_event_queue()
-        self._queue = make_event_queue(event_queue, origin=self._now)
+        #: Pending set: a ``heapq`` list of ``(time, priority, eid, event)``.
+        self._queue: list[tuple[float, int, int, Event]] = []
         self._eid = 0
         self._active_process: Process | None = None
         if sanitize is None:
@@ -452,25 +433,12 @@ class Environment:
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
-        return self._queue.next_time()
+        queue = self._queue
+        return queue[0][0] if queue else float("inf")
 
     @property
     def queue_size(self) -> int:
         return len(self._queue)
-
-    @property
-    def event_queue_backend(self) -> str:
-        """Name of the active scheduling backend (``heap``/``calendar``)."""
-        return self._queue.backend
-
-    def queue_stats(self) -> dict[str, Any]:
-        """Backend-specific queue statistics (bucket occupancy, etc.).
-
-        Unlike :meth:`kernel_counters` — which is byte-identical across
-        backends — this snapshot describes the backend's internal
-        layout and is only comparable between runs on the same backend.
-        """
-        return self._queue.stats()
 
     def kernel_counters(self) -> dict[str, int]:
         """Snapshot of the kernel's scheduling counters."""
@@ -557,7 +525,7 @@ class Environment:
         self._eid += 1
         self.events_scheduled += 1
         queue = self._queue
-        queue.push((self._now + delay, priority, self._eid, event))
+        heappush(queue, (self._now + delay, priority, self._eid, event))
         if len(queue) > self.peak_heap_size:
             self.peak_heap_size = len(queue)
         if self._sanitizer is not None:
@@ -573,7 +541,7 @@ class Environment:
         """
         if not self._queue:
             raise SimulationError("no scheduled events")
-        when, _prio, eid, event = self._queue.pop()
+        when, _prio, eid, event = heappop(self._queue)
         self._now = when
         if self._sanitizer is not None:
             self._sanitizer.on_consume(eid)
@@ -619,15 +587,16 @@ class Environment:
             stop_event.callbacks.append(_stop)
         else:
             deadline = float(until)
-            if deadline < self._now:
+            if not deadline >= self._now:  # also rejects NaN
                 raise ValueError(
-                    f"until={deadline} is in the past (now={self._now})"
+                    f"until={deadline} must be >= now ({self._now})"
                 )
             stop_event = None
 
+        queue = self._queue
         try:
-            while self._queue:
-                if self._queue.next_time() > deadline:
+            while queue:
+                if queue[0][0] > deadline:
                     self._now = deadline
                     return None
                 self.step()

@@ -8,8 +8,9 @@ re-heapify, at the cost of every consumer having to skip dead heads
 correctly — historically each site re-implemented that loop by hand
 (:class:`~repro.sim.resources.PriorityResource`'s heap,
 :class:`~repro.sim.stores.PriorityStore`'s item heap, the FIFO waiter
-deques).  The calendar queue inlines its (purely defensive) bucket-key
-skip loop for speed; everything else goes through here.
+deques).  The kernel's event heap skips its tombstones inline in
+:meth:`~repro.sim.core.Environment.step`; everything else goes through
+here.
 
 This module is the single audited implementation of the skip loop.  The
 contract all callers rely on:

@@ -124,8 +124,10 @@ class TestFacilitySpec:
             ("concurrency", 0),  # no worker ever takes a task
             ("period", 0.0),  # the monitor loop never leaves one timestamp
             ("period", -5.0),
+            ("period", float("nan")),  # NaN passes `<= 0`; the run would hang
             ("shards", 0),
             ("admission_rate", 0.0),
+            ("admission_rate", float("nan")),
         ],
     )
     def test_invalid_field_rejected_by_name(self, field, value):

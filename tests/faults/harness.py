@@ -7,8 +7,8 @@ is deterministic — the same (seed, plan) pair yields byte-identical
 trace and SOMA metric streams.
 
 :func:`run_digest` is the one fingerprint every differential test
-compares (heap vs calendar, seed sweeps, telemetry on vs off, sharded
-vs single SOMA): two runs are the same run when their digests match.
+compares (seed sweeps, telemetry on vs off, sharded vs single SOMA):
+two runs are the same run when their digests match.
 """
 
 from __future__ import annotations

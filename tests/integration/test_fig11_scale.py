@@ -2,14 +2,12 @@
 
 The paper's Scaling B runs top out at 512 nodes; this test pushes the
 same monitored bag-of-tasks shape to a four-digit node count and a
-six-digit task count — the population regime the calendar queue was
-built for — and pins the kernel-level evidence:
+six-digit task count and pins the kernel-level evidence:
 
 * the run finishes under a wall-clock ceiling (the event kernel, not
   the workload, is the scaling risk),
 * the pending-set peak actually reached event-kernel scale,
-* the calendar backend absorbed that population in its bucket layout
-  (occupancy/advance counters are live and sane).
+* dead timeout clocks were skipped as tombstones, not executed.
 
 The default lane runs a reduced configuration to keep the suite
 responsive; set ``REPRO_FULL_SCALE=1`` for the paper-scale 1024-node,
@@ -71,15 +69,10 @@ def test_fig11_scale_event_kernel():
     ), "not every task completed"
 
     counters = result.session.env.kernel_counters()
-    stats = result.session.env.queue_stats()
 
-    # The run must actually have exercised event-kernel scale...
+    # The run must actually have exercised event-kernel scale.
     assert counters["events_executed"] > TASKS * 10
     assert counters["peak_heap_size"] >= PEAK_FLOOR, counters
-    # ...through the calendar layout, not a degenerate single bucket.
-    assert stats["backend"] == "calendar"
-    assert stats["advances"] > 0
-    assert 0 < stats["max_bucket_occupancy"] <= counters["peak_heap_size"]
     # Dead retry/timeout clocks must be reaped lazily, not executed.
     assert counters["tombstones_skipped"] > 0
 

@@ -30,6 +30,10 @@ class TestEnvironmentBasics:
         with pytest.raises(ValueError):
             env.run(until=5.0)
 
+    def test_run_until_nan_raises(self, env):
+        with pytest.raises(ValueError):
+            env.run(until=float("nan"))
+
 
 class TestTimeout:
     def test_timeout_fires_at_right_time(self, env):
@@ -53,6 +57,10 @@ class TestTimeout:
     def test_negative_delay_rejected(self, env):
         with pytest.raises(ValueError):
             env.timeout(-1)
+
+    def test_nan_delay_rejected(self, env):
+        with pytest.raises(ValueError):
+            env.timeout(float("nan"))
 
     def test_zero_delay_allowed(self, env):
         def proc(env):

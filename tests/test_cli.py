@@ -91,6 +91,7 @@ def test_facility_smoke(capsys):
         (["why", "--top", "0"], "--top"),
         (["trace", "ddmd", "--top", "0"], "--top"),
         (["trace", "ddmd", "--top", "many"], "--top"),
+        (["facility", "--period", "nan"], "period"),
     ],
 )
 def test_bad_arguments_exit_2_with_one_line(capsys, argv, option):
