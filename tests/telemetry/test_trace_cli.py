@@ -9,6 +9,8 @@ import pytest
 from repro.cli import build_parser, main
 from repro.telemetry import component_tracks, validate_chrome_trace
 
+from tests.golden.helpers import check_golden
+
 
 def test_trace_requires_known_experiment():
     with pytest.raises(SystemExit):
@@ -72,6 +74,14 @@ def test_trace_ddmd_covers_the_whole_stack(tmp_path, capsys):
     entk_rooted = [c for c in execute_chains if c[-1] == "entk"]
     assert entk_rooted, "EnTK-submitted tasks trace back to the pipeline"
     assert all(len(set(c)) >= 3 for c in entk_rooted)
+
+    # The run's counters ride along as "C" events, pinned name by name.
+    counters = "".join(
+        f"{e['name']} {e['args']['value']!r}\n"
+        for e in document["traceEvents"]
+        if e.get("ph") == "C"
+    )
+    check_golden("trace_counters_ddmd_seed7.txt", counters)
 
 
 def _sweep_argv(tmp_path, tag):
