@@ -17,9 +17,9 @@ Usage::
     PYTHONPATH=src python benchmarks/perf/bench_store_query.py
     PYTHONPATH=src python benchmarks/perf/bench_store_query.py --quick --out BENCH_perf.json
 
-When ``--out`` already holds a perf-suite JSON (e.g. written by
-``bench_kernel.py``), this bench merges into its ``benches`` map
-instead of clobbering it.
+When ``--out`` already holds a results JSON (e.g. written by
+``benchmarks/e2e/bench_e2e.py``), this bench merges into its
+``benches`` map instead of clobbering it.
 """
 
 from __future__ import annotations
@@ -32,12 +32,9 @@ import os
 import sys
 import time
 
-sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-
-from perf_common import best_of, write_results
-
 from repro.conduit import Node
 from repro.soma.storage import NamespaceStore
+from repro.sweep.journal import atomic_write_text
 
 
 class LegacyNamespaceStore(NamespaceStore):
@@ -64,6 +61,17 @@ class LegacyNamespaceStore(NamespaceStore):
             if record.source == source:
                 return record
         return None
+
+
+def best_of(fn, repeats: int = 3) -> tuple[float, object]:
+    """Best wall time of ``fn`` over ``repeats`` runs, and its result."""
+    best = float("inf")
+    result = None
+    for _ in range(repeats):
+        start = time.perf_counter()
+        result = fn()
+        best = min(best, time.perf_counter() - start)
+    return best, result
 
 
 def _payload() -> Node:
@@ -191,7 +199,7 @@ def main(argv: list[str] | None = None) -> int:
             merged = results
         else:
             merged.setdefault("benches", {}).update(results["benches"])
-    write_results(args.out, merged)
+    atomic_write_text(args.out, json.dumps(merged, indent=2, sort_keys=True) + "\n")
 
     bench = results["benches"]["store_source_query"]
     print(

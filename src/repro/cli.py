@@ -14,6 +14,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Sequence
 
@@ -30,6 +31,17 @@ def _at_least_one(text: str) -> int:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _positive_finite(text: str) -> float:
+    """argparse type for factors: a finite number > 0, else a one-line usage error."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text}")
     return value
 
 
@@ -212,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
         "instead of running detectors",
     )
     p_bneck.add_argument(
-        "--margin", type=float, default=None, metavar="FACTOR",
+        "--margin", type=_positive_finite, default=None, metavar="FACTOR",
         help="calibration safety margin (default: 1.5; only with "
         "--calibrate)",
     )
@@ -567,14 +579,13 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from .telemetry import (
-        MetricsRegistry,
-        absorb_session,
         chrome_trace,
         component_tracks,
         drain_telemetries,
         flame_summary,
         merge_chrome_traces,
         render_span_table,
+        run_counters,
         save_chrome_trace,
         set_default_telemetry,
         top_critical_spans,
@@ -592,10 +603,12 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     if not hubs:
         print("no telemetry hubs recorded (nothing to export)")
         return 1
-    metrics = MetricsRegistry()
-    absorb_session(metrics, result.session, result.client, result.deployment)
     documents = [
-        chrome_trace(hub, metrics=metrics if index == 0 else None, pid=index + 1)
+        chrome_trace(
+            hub,
+            counters=run_counters(result) if index == 0 else None,
+            pid=index + 1,
+        )
         for index, hub in enumerate(hubs)
     ]
     document = merge_chrome_traces(documents)
@@ -628,7 +641,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bottleneck(args: argparse.Namespace) -> int:
+def _cmd_bottleneck(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     import json
 
     from .analysis.bottleneck import (
@@ -642,7 +655,7 @@ def _cmd_bottleneck(args: argparse.Namespace) -> int:
     from .analysis.bottleneck.calibrate import DEFAULT_MARGIN
 
     if args.calibrate:
-        report = calibrate(margin=args.margin or DEFAULT_MARGIN)
+        report = calibrate(margin=DEFAULT_MARGIN if args.margin is None else args.margin)
         if args.json:
             print(
                 json.dumps(
@@ -660,7 +673,7 @@ def _cmd_bottleneck(args: argparse.Namespace) -> int:
             print(report.render())
         return 0
     if args.margin is not None:
-        raise SystemExit("--margin only makes sense with --calibrate")
+        parser.error("bottleneck: --margin only makes sense with --calibrate")
 
     names = (
         list(SCENARIOS) if args.experiment == "battery" else [args.experiment]
@@ -786,7 +799,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.command == "why":
         return _cmd_why(args)
     if args.command == "bottleneck":
-        return _cmd_bottleneck(args)
+        return _cmd_bottleneck(args, parser)
     if args.command == "facility":
         return _cmd_facility(args, parser)
     if args.command == "lint":

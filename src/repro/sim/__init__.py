@@ -3,8 +3,7 @@
 Public surface::
 
     from repro.sim import Environment, Interrupt, AllOf, AnyOf
-    from repro.sim import Resource, PriorityResource
-    from repro.sim import Store, FilterStore, PriorityStore, PriorityItem
+    from repro.sim import Resource, Store
     from repro.sim import Tracer
 
 Every simulated subsystem in this repository is a set of generator
@@ -37,8 +36,8 @@ from .events import (
     TimeoutExpired,
     with_timeout,
 )
-from .resources import PriorityResource, Release, Request, Resource
-from .stores import FilterStore, PriorityItem, PriorityStore, Store
+from .resources import Release, Request, Resource
+from .stores import Store
 from .trace import TraceRecord, Tracer
 
 __all__ = [
@@ -62,13 +61,9 @@ __all__ = [
     "ConditionValue",
     "TimeoutExpired",
     "with_timeout",
-    "PriorityResource",
     "Release",
     "Request",
     "Resource",
-    "FilterStore",
-    "PriorityItem",
-    "PriorityStore",
     "Store",
     "TraceRecord",
     "Tracer",

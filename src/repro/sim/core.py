@@ -19,15 +19,16 @@ Design notes
   yielded event fires, the process is resumed with the event's value (or
   the exception, if the event failed).
 * Interrupts are delivered by throwing :class:`Interrupt` into the
-  generator, mirroring the semantics used by preemptive resources.
+  generator, as in SimPy; shutdowns, task cancels and deadlines use
+  them to stop a process mid-wait.
 * Scheduled events can be *dismissed* (:meth:`Event.cancel_scheduled`):
   the heap entry is left in place as a tombstone and skipped when it
   reaches the head, which is O(1) instead of an O(n) removal plus
   re-heapify.  Rate-sharing pools re-arm their completion timers this
   way on every membership change.
 * The environment keeps lightweight kernel counters (events scheduled,
-  peak heap size, tombstones skipped, longest waiter queue) so the perf
-  benchmarks in ``benchmarks/perf/`` can observe regressions.
+  peak heap size, tombstones skipped, longest waiter queue) so the
+  end-to-end ledger in ``benchmarks/e2e`` can observe regressions.
 """
 
 from __future__ import annotations

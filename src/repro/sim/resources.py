@@ -8,31 +8,24 @@ slots.  Requests are events; they succeed once a slot is free.  A
         yield req
         ...  # critical section
 
-:class:`PriorityResource` serves requests lowest-priority-value first.
-These are used for, e.g., serializing access to the simulated batch
-system and the RPC server worker pools.
+Requests are served first come, first served.  These are used for,
+e.g., serializing access to the simulated batch system and the RPC
+server worker pools.
 
 The FIFO wait queue is a ``deque`` and the holder set a hash set, so
-request, grant, and release are all O(1) (O(log n) for the priority
-variant).  Withdrawn requests are tombstoned in place and skipped
-lazily when they reach the head — no list scans, no re-heapify.
+request, grant, and release are all O(1).  Withdrawn requests are
+tombstoned in place and skipped lazily when they reach the head — no
+list scans.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from typing import Any
 
 from .core import Environment, Event, NORMAL, URGENT
-from .heaptools import drain_deque, drain_heap, pop_live_heap
 
-__all__ = ["Request", "Release", "Resource", "PriorityRequest", "PriorityResource"]
-
-
-def _is_withdrawn(request: "Request") -> bool:
-    """Tombstone predicate shared by the FIFO deque and priority heap."""
-    return request._withdrawn
+__all__ = ["Request", "Release", "Resource"]
 
 
 class Request(Event):
@@ -110,21 +103,14 @@ class Resource:
         if self.env._sanitizer is not None:
             self.env._sanitizer.on_request(request)
 
-    def _next_request(self) -> Request | None:
-        waiting = self._waiting
-        drain_deque(waiting, _is_withdrawn)
-        return waiting[0] if waiting else None
-
-    def _pop_request(self) -> Request:
-        return self._waiting.popleft()
-
     def _trigger_requests(self) -> None:
-        while len(self._users) < self._capacity:
-            request = self._next_request()
-            if request is None:
-                break
-            self._pop_request()
-            self._users.add(request)
+        waiting = self._waiting
+        users = self._users
+        while waiting and len(users) < self._capacity:
+            request = waiting.popleft()
+            if request._withdrawn:
+                continue  # tombstone left by _cancel
+            users.add(request)
             if self.env._sanitizer is not None:
                 self.env._sanitizer.on_grant(request)
             request.succeed(priority=NORMAL)
@@ -138,56 +124,3 @@ class Resource:
         else:
             # Tombstone: dropped lazily when it reaches the queue head.
             request._withdrawn = True
-
-
-class PriorityRequest(Request):
-    """A request with an explicit priority (lower value served first)."""
-
-    __slots__ = ("priority", "time", "_key")
-
-    def __init__(self, resource: "PriorityResource", priority: int = 0) -> None:
-        self.priority = priority
-        self.time = resource.env.now
-        self._key = (priority, self.time, resource._tiebreak())
-        super().__init__(resource)
-
-    def __lt__(self, other: "PriorityRequest") -> bool:
-        return self._key < other._key
-
-
-class PriorityResource(Resource):
-    """A resource whose wait queue is ordered by request priority."""
-
-    def __init__(self, env: Environment, capacity: int = 1) -> None:
-        super().__init__(env, capacity)
-        self._heap: list[PriorityRequest] = []
-        self._seq = 0
-
-    def _tiebreak(self) -> int:
-        self._seq += 1
-        return self._seq
-
-    def request(self, priority: int = 0) -> PriorityRequest:  # type: ignore[override]
-        return PriorityRequest(self, priority)
-
-    @property
-    def queue(self) -> list[Request]:
-        return sorted(r for r in self._heap if not r._withdrawn)
-
-    def _queue_request(self, request: Request) -> None:
-        assert isinstance(request, PriorityRequest)
-        heapq.heappush(self._heap, request)
-        self.env._note_waiters(len(self._heap))
-        if self.env._sanitizer is not None:
-            self.env._sanitizer.on_request(request)
-
-    def _next_request(self) -> Request | None:
-        heap = self._heap
-        drain_heap(heap, _is_withdrawn)
-        return heap[0] if heap else None
-
-    def _pop_request(self) -> Request:
-        # Pops through the shared audited drain so the result is the
-        # live minimum regardless of whether a peek pre-drained the
-        # heap — the pop must never hand out a withdrawn request.
-        return pop_live_heap(self._heap, _is_withdrawn)

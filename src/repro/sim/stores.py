@@ -1,47 +1,24 @@
 """Message stores: the building block for queues and channels.
 
-A :class:`Store` holds items; ``put`` and ``get`` are events.  This is
-the substrate for the ZeroMQ-style component queues inside the simulated
-RADICAL-Pilot and for the RPC engine's mailboxes.
+A :class:`Store` is a FIFO of arbitrary items, unbounded or bounded;
+``put`` and ``get`` are events.  This is the substrate for the
+ZeroMQ-style component queues inside the simulated RADICAL-Pilot and for
+the RPC engine's mailboxes.
 
-Variants:
-
-* :class:`Store` — unbounded-or-bounded FIFO of arbitrary items.
-* :class:`PriorityStore` — items retrieved lowest-first.
-* :class:`FilterStore` — ``get(filter)`` retrieves the first item
-  matching a predicate.
-
-All waiter queues and the plain FIFO item buffer are ``deque``-backed so
-every hot-path operation (enqueue, dequeue, waiter dispatch) is O(1);
+The item buffer and both waiter queues are ``deque``-backed so every
+hot-path operation (enqueue, dequeue, waiter dispatch) is O(1);
 cancelled waiters are tombstoned in place and dropped lazily when they
 reach the head of their queue.
-
-:class:`FilterStore` dispatches incrementally: a new get is vetted
-against the buffered items exactly once, and a new item is offered to
-the blocked waiters exactly once, under the invariant that every
-blocked waiter has already failed every buffered item.  The historical
-implementation instead rescanned every blocked waiter against every
-buffered item on every store operation, which made a deep waiter
-backlog quadratic.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
-from typing import Any, Callable
+from typing import Any
 
 from .core import Environment, Event, NORMAL
-from .heaptools import drain_deque, pop_live_heap
 
-__all__ = [
-    "StorePut",
-    "StoreGet",
-    "Store",
-    "PriorityStore",
-    "PriorityItem",
-    "FilterStore",
-]
+__all__ = ["StorePut", "StoreGet", "Store"]
 
 
 class StorePut(Event):
@@ -81,23 +58,6 @@ class StoreGet(Event):
             self._cancelled = True
 
 
-class FilterStoreGet(StoreGet):
-    """Pending retrieval of the first item matching ``predicate``."""
-
-    __slots__ = ("predicate",)
-
-    def __init__(
-        self, store: "FilterStore", predicate: Callable[[Any], bool]
-    ) -> None:
-        self.predicate = predicate
-        super().__init__(store)
-
-
-def _is_dead_waiter(event: "StorePut | StoreGet") -> bool:
-    """Tombstone predicate for waiter queues (settled or withdrawn)."""
-    return event.triggered or event._cancelled
-
-
 class Store:
     """FIFO store of items with optional capacity bound."""
 
@@ -106,7 +66,7 @@ class Store:
             raise ValueError("capacity must be positive")
         self.env = env
         self._capacity = capacity
-        self.items: Any = self._new_items()
+        self.items: deque[Any] = deque()
         self._put_waiters: deque[StorePut] = deque()
         self._get_waiters: deque[StoreGet] = deque()
 
@@ -139,15 +99,6 @@ class Store:
         self.env._note_waiters(len(waiters))
         self._dispatch()
 
-    def _new_items(self) -> Any:
-        return deque()
-
-    def _insert(self, item: Any) -> None:
-        self.items.append(item)
-
-    def _extract(self) -> Any:
-        return self.items.popleft()
-
     def _dispatch(self) -> None:
         # Alternate put/get matching until no more progress can be made.
         puts = self._put_waiters
@@ -163,7 +114,7 @@ class Store:
                     puts.popleft()
                     continue
                 if len(items) < capacity:
-                    self._insert(put.item)
+                    items.append(put.item)
                     put.succeed(priority=NORMAL)
                     puts.popleft()
                     progress = True
@@ -175,135 +126,8 @@ class Store:
                     gets.popleft()
                     continue
                 if items:
-                    get.succeed(self._extract(), priority=NORMAL)
+                    get.succeed(items.popleft(), priority=NORMAL)
                     gets.popleft()
                     progress = True
                 else:
                     break
-
-
-class PriorityItem:
-    """Wrapper pairing a sortable priority with an arbitrary payload."""
-
-    __slots__ = ("priority", "item")
-
-    def __init__(self, priority: Any, item: Any) -> None:
-        self.priority = priority
-        self.item = item
-
-    def __lt__(self, other: "PriorityItem") -> bool:
-        return self.priority < other.priority
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PriorityItem):
-            return NotImplemented
-        return self.priority == other.priority and self.item == other.item
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"PriorityItem({self.priority!r}, {self.item!r})"
-
-
-class PriorityStore(Store):
-    """Store retrieving the smallest item first (heap-ordered)."""
-
-    def _new_items(self) -> Any:
-        return []
-
-    def _insert(self, item: Any) -> None:
-        heapq.heappush(self.items, item)
-
-    def _extract(self) -> Any:
-        # Items enter this heap only through already-succeeded puts, so
-        # no tombstone can exist among them (a put cancelled before
-        # success never inserts; cancel() after success is a no-op).
-        # The shared helper documents and enforces that audit.
-        return pop_live_heap(self.items, is_dead=None)
-
-
-class FilterStore(Store):
-    """Store supporting predicate-based retrieval.
-
-    Note that a blocked get at the queue head does *not* block gets
-    behind it whose predicates match available items.
-
-    Dispatch is incremental.  Invariant between operations: every
-    blocked get-waiter has already been tested against (and failed)
-    every buffered item.  A new get therefore only scans the buffer,
-    and a newly admitted item is only offered to the waiter list —
-    nothing is ever rescanned, so a deep waiter backlog costs O(1)
-    per unrelated operation instead of O(waiters).
-    """
-
-    def __init__(self, env: Environment, capacity: float = float("inf")) -> None:
-        super().__init__(env, capacity)
-        # Needs mid-queue removal when a later waiter matches first.
-        self._get_waiters: list[StoreGet] = []  # type: ignore[assignment]
-
-    def _new_items(self) -> Any:
-        return []
-
-    def get(  # type: ignore[override]
-        self, predicate: Callable[[Any], bool] = lambda item: True
-    ) -> FilterStoreGet:
-        return FilterStoreGet(self, predicate)
-
-    def _enqueue_put(self, event: StorePut) -> None:
-        puts = self._put_waiters
-        drain_deque(puts, _is_dead_waiter)
-        if not puts and len(self.items) < self._capacity:
-            self._admit(event)
-        else:
-            puts.append(event)
-            self.env._note_waiters(len(puts))
-
-    def _enqueue_get(self, event: StoreGet) -> None:
-        assert isinstance(event, FilterStoreGet)
-        items = self.items
-        predicate = event.predicate
-        for idx, item in enumerate(items):
-            if predicate(item):
-                del items[idx]
-                event.succeed(item, priority=NORMAL)
-                self._admit_blocked_puts()
-                return
-        waiters = self._get_waiters
-        waiters.append(event)
-        self.env._note_waiters(len(waiters))
-
-    def _admit(self, put: StorePut) -> None:
-        """Store ``put``'s item, offering it to blocked waiters first.
-
-        Succeeds the put, then hands the item to the first blocked
-        waiter (FIFO) whose predicate matches; only if none match does
-        the item enter the buffer.  The invariant guarantees no waiter
-        can match any *older* buffered item, so this single offer pass
-        is equivalent to the historical full rescan.
-        """
-        put.succeed(priority=NORMAL)
-        item = put.item
-        waiters = self._get_waiters
-        dead = 0
-        for idx, get in enumerate(waiters):
-            if get.triggered or get._cancelled:
-                dead += 1
-                continue
-            if get.predicate(item):  # type: ignore[attr-defined]
-                del waiters[idx]
-                get.succeed(item, priority=NORMAL)
-                return
-        if dead > 64 and dead * 2 > len(waiters):
-            # Piggy-back tombstone compaction on the full scan we
-            # just paid for.
-            self._get_waiters = [
-                g for g in waiters if not (g.triggered or g._cancelled)
-            ]
-        self.items.append(item)
-
-    def _admit_blocked_puts(self) -> None:
-        puts = self._put_waiters
-        items = self.items
-        while puts and len(items) < self._capacity:
-            put = puts.popleft()
-            if put.triggered or put._cancelled:
-                continue
-            self._admit(put)

@@ -1,9 +1,9 @@
-"""repro.telemetry — causal span tracing, metrics, and exporters.
+"""repro.telemetry — causal span tracing, run counters, and exporters.
 
 First-class observability for the simulated stack itself: spans with
 cross-component context propagation (the single causal tree of one
-task's lifecycle across EnTK, RP, raptor, and SOMA), a metrics registry
-absorbing the stack's ad-hoc counters, and exporters to Chrome
+task's lifecycle across EnTK, RP, raptor, and SOMA), one read of a
+finished run's counters (:func:`run_counters`), and exporters to Chrome
 trace-event JSON (Perfetto-loadable), a plain-text flame summary, and a
 top-spans table.
 
@@ -23,18 +23,10 @@ from .export import (
     flame_summary,
     merge_chrome_traces,
     render_span_table,
+    run_counters,
     save_chrome_trace,
     top_critical_spans,
     validate_chrome_trace,
-)
-from .metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    absorb_kernel_counters,
-    absorb_session,
-    geometric_bounds,
 )
 from .spans import (
     Span,
@@ -54,14 +46,8 @@ __all__ = [
     "default_telemetry",
     "active_telemetries",
     "drain_telemetries",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "geometric_bounds",
-    "absorb_kernel_counters",
-    "absorb_session",
     "chrome_trace",
+    "run_counters",
     "merge_chrome_traces",
     "save_chrome_trace",
     "validate_chrome_trace",

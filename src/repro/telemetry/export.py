@@ -4,8 +4,9 @@ The Chrome trace-event format is the lingua franca of timeline viewers:
 the emitted JSON loads directly in Perfetto (ui.perfetto.dev) and
 ``chrome://tracing``.  Spans become ``X`` (complete) events on one
 thread track per component, the records of the hub's tracer become
-``i`` (instant) events, and metric scalars become ``C`` (counter)
-events; ``M`` metadata events name the process and the tracks.
+``i`` (instant) events, and the run's counters (:func:`run_counters`)
+become ``C`` (counter) events; ``M`` metadata events name the process
+and the tracks.
 
 Instant events are a view of the tracer, derived here at export time:
 a record named after a task uid lands on the track of that task's
@@ -24,15 +25,16 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Mapping
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..experiments.harness import WorkflowResult
     from ..sim.trace import Tracer
-    from .metrics import MetricsRegistry
     from .spans import Span, Telemetry
 
 __all__ = [
     "chrome_trace",
+    "run_counters",
     "merge_chrome_traces",
     "save_chrome_trace",
     "validate_chrome_trace",
@@ -56,11 +58,14 @@ def _component_order(spans: "list[Span]") -> dict[str, int]:
 
 def chrome_trace(
     telemetry: "Telemetry",
-    metrics: "MetricsRegistry | None" = None,
+    counters: Mapping[str, float] | None = None,
     pid: int = 1,
     process_name: str = "repro-sim",
 ) -> dict[str, Any]:
-    """Export one hub's spans (+ optional metrics) as a trace document.
+    """Export one hub's spans (+ optional counters) as a trace document.
+
+    Each ``counters`` entry becomes one ``C`` event at ``env.now``, in
+    the mapping's order.
 
     Open spans are clamped to ``env.now`` for display — the span object
     itself is *not* mutated — and flagged ``unfinished`` in their args.
@@ -113,8 +118,8 @@ def chrome_trace(
         )
     if telemetry.tracer is not None:
         events.extend(_instant_events(telemetry.spans, telemetry.tracer, tids, pid))
-    if metrics is not None:
-        for name, value in metrics.scalar_values().items():
+    if counters is not None:
+        for name, value in counters.items():
             events.append(
                 {
                     "name": name,
@@ -126,6 +131,77 @@ def chrome_trace(
                 }
             )
     return {"traceEvents": events, "displayTimeUnit": "ms"}
+
+
+def run_counters(result: "WorkflowResult") -> dict[str, float]:
+    """A finished run's counters as floats, sorted by name.
+
+    Kernel scheduling counters (``kernel.*``), tracer records per
+    category, RP profile-store, updater, scheduler and executor counts,
+    and SOMA client and service accounting.  ``soma.client.*`` sums the
+    hardware-monitor and RP-monitor clients only; the TAU-plugin and
+    application-API clients are not counted.
+
+    Reads attributes only, so it never changes the run and may be
+    called at any point after it.
+    """
+    counters: dict[str, float] = {}
+
+    def add(name: str, amount: float) -> None:
+        counters[name] = counters.get(name, 0.0) + amount
+
+    session = result.session
+    for key, value in session.env.kernel_counters().items():
+        counters[f"kernel.{key}"] = float(value)
+    for category in session.tracer.categories():
+        add(f"trace.records.{category}", session.tracer.count(category))
+    profiles = session.profiles
+    add("rp.profiles.records", len(profiles))
+    add("rp.profiles.reads", profiles.reads)
+    add("rp.profiles.writes", profiles.writes)
+    add("rp.profiles.rejected", profiles.rejected)
+    client = result.client
+    agent = None
+    if client.pilot is not None:
+        agent = client.pilot_manager.agents.get(client.pilot.uid)
+    if agent is not None:
+        add("rp.updater.dropped_records", agent.updater.dropped_records)
+        if agent.scheduler is not None:
+            add("rp.scheduler.scheduled", agent.scheduler.scheduled_count)
+        if agent.executor is not None:
+            add("rp.executor.launched", agent.executor.launched)
+            add("rp.executor.completed", agent.executor.completed)
+            add("rp.executor.failed", agent.executor.failed)
+    deployment = result.deployment
+    if deployment.enabled:
+        models = list(deployment.hw_monitor_models())
+        if deployment.rp_monitor_model is not None:
+            models.append(deployment.rp_monitor_model)
+        for model in models:
+            soma = model.client
+            if soma is None:
+                continue
+            add("soma.client.published", soma.published)
+            add("soma.client.dropped", soma.dropped)
+            add("soma.client.gaps", soma.gaps)
+            add("soma.client.gap_seconds", soma.gap_seconds)
+            rpc = soma._rpc
+            add("soma.client.rpc.calls", rpc.calls)
+            add("soma.client.rpc.failures", rpc.failures)
+            add("soma.client.rpc.retries", rpc.retries)
+            add("soma.client.rpc.timeouts", rpc.timeouts)
+        service = deployment.service_model
+        if service is not None:
+            add("soma.service.publishes", service.publishes)
+            for namespace, server in service.servers.items():
+                stats = server.stats
+                prefix = f"soma.service.{namespace}"
+                add(f"{prefix}.calls", stats.calls)
+                add(f"{prefix}.errors", stats.errors)
+                add(f"{prefix}.bytes", stats.bytes)
+                counters[f"{prefix}.busy_time"] = float(stats.busy_time)
+                counters[f"{prefix}.queue_time"] = float(stats.queue_time)
+    return dict(sorted(counters.items()))
 
 
 def _instant_events(

@@ -1,16 +1,12 @@
-"""Resource and PriorityResource semantics."""
+"""Resource semantics."""
 
 import pytest
 
-from repro.sim import PriorityResource, Resource
+from repro.sim import Resource
 
 
-def holder(env, resource, hold, log, tag, priority=None):
-    if priority is None:
-        request = resource.request()
-    else:
-        request = resource.request(priority=priority)
-    with request as req:
+def holder(env, resource, hold, log, tag):
+    with resource.request() as req:
         yield req
         log.append((tag, env.now))
         yield env.timeout(hold)
@@ -83,45 +79,3 @@ class TestResource:
             return res.count
 
         assert env.run(env.process(proc(env))) == 0
-
-
-class TestPriorityResource:
-    def test_lower_priority_value_served_first(self, env):
-        res = PriorityResource(env, capacity=1)
-        log = []
-
-        def blocker(env):
-            with res.request(priority=0) as req:
-                yield req
-                yield env.timeout(5)
-
-        env.process(blocker(env))
-
-        def late(env):
-            yield env.timeout(1)
-            env.process(holder(env, res, 1, log, "low", priority=10))
-            env.process(holder(env, res, 1, log, "high", priority=-10))
-
-        env.process(late(env))
-        env.run()
-        assert [tag for tag, _ in log] == ["high", "low"]
-
-    def test_fifo_within_same_priority(self, env):
-        res = PriorityResource(env, capacity=1)
-        log = []
-
-        def blocker(env):
-            with res.request(priority=0) as req:
-                yield req
-                yield env.timeout(5)
-
-        env.process(blocker(env))
-
-        def late(env):
-            yield env.timeout(1)
-            for tag in ("first", "second"):
-                env.process(holder(env, res, 1, log, tag, priority=5))
-
-        env.process(late(env))
-        env.run()
-        assert [tag for tag, _ in log] == ["first", "second"]

@@ -1,13 +1,8 @@
-"""Store / PriorityStore / FilterStore semantics."""
+"""Store semantics."""
 
 import pytest
 
-from repro.sim import (
-    FilterStore,
-    PriorityItem,
-    PriorityStore,
-    Store,
-)
+from repro.sim import Store
 
 
 class TestStore:
@@ -108,80 +103,3 @@ class TestCancellation:
         put.cancel()
         env.run()
         assert len(store) == 1
-
-
-class TestPriorityStore:
-    def test_smallest_first(self, env):
-        store = PriorityStore(env)
-        for v in (5, 1, 3):
-            store.put(v)
-        env.run()
-
-        def consumer(env):
-            out = []
-            for _ in range(3):
-                out.append((yield store.get()))
-            return out
-
-        assert env.run(env.process(consumer(env))) == [1, 3, 5]
-
-    def test_priority_item_wrapper(self, env):
-        store = PriorityStore(env)
-        store.put(PriorityItem(2, "low"))
-        store.put(PriorityItem(1, "high"))
-        env.run()
-
-        def consumer(env):
-            item = yield store.get()
-            return item.item
-
-        assert env.run(env.process(consumer(env))) == "high"
-
-    def test_priority_item_equality(self):
-        assert PriorityItem(1, "x") == PriorityItem(1, "x")
-        assert PriorityItem(1, "x") != PriorityItem(2, "x")
-        assert PriorityItem(1, "a") < PriorityItem(2, "b")
-
-
-class TestFilterStore:
-    def test_predicate_selects(self, env):
-        store = FilterStore(env)
-        for v in (1, 2, 3, 4):
-            store.put(v)
-        env.run()
-
-        def consumer(env):
-            item = yield store.get(lambda x: x % 2 == 0)
-            return item
-
-        assert env.run(env.process(consumer(env))) == 2
-
-    def test_nonmatching_get_does_not_block_others(self, env):
-        store = FilterStore(env)
-        log = []
-
-        def want(env, predicate, tag):
-            item = yield store.get(predicate)
-            log.append((tag, item))
-
-        env.process(want(env, lambda x: x == "never", "blocked"))
-        env.process(want(env, lambda x: x == "yes", "served"))
-
-        def producer(env):
-            yield env.timeout(1)
-            yield store.put("yes")
-
-        env.process(producer(env))
-        env.run()
-        assert log == [("served", "yes")]
-
-    def test_default_predicate_is_fifo(self, env):
-        store = FilterStore(env)
-        store.put("a")
-        store.put("b")
-        env.run()
-
-        def consumer(env):
-            return (yield store.get())
-
-        assert env.run(env.process(consumer(env))) == "a"

@@ -1,106 +1,38 @@
-"""The shared tombstone-drain helpers and their call sites.
+"""Lazy tombstones in the kernel's waiter queues.
 
-``repro.sim.heaptools`` is the single audited skip loop for lazily
-tombstoned heaps and deques; these tests pin its contract directly and
-then exercise the two historical hand-rolled sites it replaced
-(:class:`PriorityResource`'s wait heap and the store waiter queues)
-through their cancel edge cases.
+A withdrawn :class:`Resource` request or store waiter is flagged in
+place and dropped when it reaches the head of its ``deque``.  These
+tests pin the cancel edge cases of that skip: a withdrawn head never
+receives a slot or an item, a duplicate cancel is a no-op, and the
+``queue`` view hides tombstones.
 """
 
-from collections import deque
-
-import pytest
-
-from repro.sim import Environment, PriorityResource, PriorityStore, Store
-from repro.sim.heaptools import (
-    drain_deque,
-    drain_heap,
-    peek_live_deque,
-    peek_live_heap,
-    pop_live_heap,
-)
+from repro.sim import Environment, Resource, Store
 
 
-def is_dead(entry):
-    return entry[1]
+# -- Resource cancel edge cases ------------------------------------------
 
 
-# -- helper contract -----------------------------------------------------
-
-
-def test_drain_heap_drops_only_dead_prefix():
-    heap = [(1, True), (2, True), (3, False), (4, True)]
-    skipped = []
-    drain_heap(heap, is_dead, on_skip=skipped.append)
-    assert heap[0] == (3, False)
-    # The interior tombstone (4, True) stays until it reaches the head.
-    assert (4, True) in heap
-    assert skipped == [(1, True), (2, True)]
-
-
-def test_drain_heap_empties_fully_dead_heap():
-    heap = [(1, True), (2, True)]
-    drain_heap(heap, is_dead)
-    assert heap == []
-
-
-def test_peek_live_heap_returns_none_when_empty():
-    assert peek_live_heap([], is_dead) is None
-    heap = [(5, False)]
-    assert peek_live_heap(heap, is_dead) == (5, False)
-    assert heap  # peek does not pop the live head
-
-
-def test_pop_live_heap_skips_dead_and_counts():
-    heap = [(1, True), (2, False), (3, True)]
-    skipped = []
-    assert pop_live_heap(heap, is_dead, on_skip=skipped.append) == (2, False)
-    assert skipped == [(1, True)]
-
-
-def test_pop_live_heap_plain_mode_and_empty():
-    heap = [(2, False), (5, False)]
-    assert pop_live_heap(heap) == (2, False)
-    with pytest.raises(IndexError):
-        pop_live_heap([])
-    with pytest.raises(IndexError):
-        pop_live_heap([(1, True)], is_dead)
-
-
-def test_drain_and_peek_deque():
-    queue = deque([(1, True), (2, False), (3, True)])
-    skipped = []
-    assert peek_live_deque(queue, is_dead, on_skip=skipped.append) == (2, False)
-    assert skipped == [(1, True)]
-    assert list(queue) == [(2, False), (3, True)]
-    drain_deque(queue, is_dead)
-    assert queue[0] == (2, False)
-    assert peek_live_deque(deque(), is_dead) is None
-
-
-# -- PriorityResource cancel edge cases ----------------------------------
-
-
-def test_priority_resource_cancel_then_grant_skips_tombstone():
+def test_resource_cancel_then_grant_skips_tombstone():
     env = Environment(sanitize=False)
-    resource = PriorityResource(env, capacity=1)
+    resource = Resource(env, capacity=1)
     granted = []
 
     def holder(env):
-        with resource.request(priority=0) as req:
+        with resource.request() as req:
             yield req
             granted.append("holder")
             yield env.timeout(10.0)
 
     def cancelled_waiter(env):
-        req = resource.request(priority=1)
+        req = resource.request()
         yield env.timeout(1.0)
         req.cancel()  # withdraw while still queued
         req.cancel()  # duplicate cancel must be a no-op
         granted.append("withdrew")
 
     def patient_waiter(env):
-        with resource.request(priority=2) as req:
+        with resource.request() as req:
             yield req
             granted.append("patient")
 
@@ -108,17 +40,18 @@ def test_priority_resource_cancel_then_grant_skips_tombstone():
     env.process(cancelled_waiter(env))
     env.process(patient_waiter(env))
     env.run()
-    # The withdrawn higher-priority request never gets the slot.
+    # The withdrawn request was queued first but never gets the slot.
     assert granted == ["holder", "withdrew", "patient"]
+    assert resource.count == 0
 
 
-def test_priority_resource_duplicate_cancel_after_grant_releases_once():
+def test_resource_duplicate_cancel_after_grant_releases_once():
     env = Environment(sanitize=False)
-    resource = PriorityResource(env, capacity=1)
+    resource = Resource(env, capacity=1)
     log = []
 
     def first(env):
-        req = resource.request(priority=0)
+        req = resource.request()
         yield req
         log.append("got")
         req.cancel()
@@ -126,7 +59,7 @@ def test_priority_resource_duplicate_cancel_after_grant_releases_once():
         log.append("released")
 
     def second(env):
-        with resource.request(priority=5) as req:
+        with resource.request() as req:
             yield req
             log.append("second")
 
@@ -138,27 +71,29 @@ def test_priority_resource_duplicate_cancel_after_grant_releases_once():
     assert resource.queue == []
 
 
-def test_priority_resource_queue_view_hides_tombstones():
+def test_resource_queue_view_hides_tombstones():
     env = Environment(sanitize=False)
-    resource = PriorityResource(env, capacity=1)
-    holder = resource.request(priority=0)
+    resource = Resource(env, capacity=1)
+    holder = resource.request()
     env.run()
     assert holder.triggered
-    live = resource.request(priority=2)
-    dead = resource.request(priority=1)
+    dead = resource.request()
+    live = resource.request()
     dead.cancel()
     assert resource.queue == [live]
     resource.release(holder)
     env.run()
+    # The release skips the withdrawn head and grants the next request.
     assert live.triggered
+    assert not dead.triggered
 
 
 # -- store cancel edge cases ---------------------------------------------
 
 
-def test_priority_store_cancel_get_then_get():
+def test_store_cancel_get_then_get():
     env = Environment(sanitize=False)
-    store = PriorityStore(env)
+    store = Store(env)
     abandoned = store.get()
     abandoned.cancel()
     abandoned.cancel()  # duplicate cancel is a no-op
@@ -167,10 +102,10 @@ def test_priority_store_cancel_get_then_get():
     env.run()
     taken = store.get()
     env.run()
-    # The cancelled get never consumed anything; retrieval is
-    # lowest-first.
+    # The cancelled get never consumed anything; the later get receives
+    # the first item put.
     assert not abandoned.triggered
-    assert taken.value == 1
+    assert taken.value == 3
     assert len(store) == 1
 
 

@@ -6,7 +6,6 @@ import json
 
 from repro.sim import Environment, Tracer
 from repro.telemetry import (
-    MetricsRegistry,
     Telemetry,
     chrome_trace,
     component_tracks,
@@ -137,10 +136,7 @@ def test_hub_without_tracer_exports_no_instant_events():
 
 
 def test_metrics_become_counter_events():
-    reg = MetricsRegistry()
-    reg.counter("soma.client.published").inc(5)
-    reg.histogram("ignored").observe(1.0)
-    doc = chrome_trace(_hub(), metrics=reg)
+    doc = chrome_trace(_hub(), counters={"soma.client.published": 5.0})
     (counter,) = _events(doc, "C")
     assert counter["name"] == "soma.client.published"
     assert counter["args"] == {"value": 5.0}

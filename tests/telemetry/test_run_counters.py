@@ -1,0 +1,22 @@
+"""``run_counters``: one read of a finished run's counters."""
+
+from __future__ import annotations
+
+from repro.telemetry import run_counters
+
+
+def test_run_counters_is_a_repeatable_read_of_the_run(traced_ddmd):
+    result, _hub = traced_ddmd
+    env = result.session.env
+    kernel = env.kernel_counters()
+
+    counters = run_counters(result)
+    assert run_counters(result) == counters
+    assert env.kernel_counters() == kernel
+    assert list(counters) == sorted(counters)
+    assert all(type(value) is float for value in counters.values())
+    assert {
+        name.removeprefix("kernel."): value
+        for name, value in counters.items()
+        if name.startswith("kernel.")
+    } == kernel

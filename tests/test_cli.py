@@ -92,6 +92,10 @@ def test_facility_smoke(capsys):
         (["trace", "ddmd", "--top", "0"], "--top"),
         (["trace", "ddmd", "--top", "many"], "--top"),
         (["facility", "--period", "nan"], "period"),
+        (["bottleneck", "--calibrate", "--margin", "0"], "--margin"),
+        (["bottleneck", "--calibrate", "--margin", "nan"], "--margin"),
+        (["bottleneck", "--calibrate", "--margin", "-1"], "--margin"),
+        (["bottleneck", "clean", "--margin", "2.0"], "--margin"),
     ],
 )
 def test_bad_arguments_exit_2_with_one_line(capsys, argv, option):
@@ -210,8 +214,3 @@ def test_bottleneck_json(capsys):
 def test_bottleneck_unknown_scenario_rejected():
     with pytest.raises(SystemExit):
         main(["bottleneck", "no-such-scenario"])
-
-
-def test_bottleneck_margin_requires_calibrate():
-    with pytest.raises(SystemExit):
-        main(["bottleneck", "clean", "--margin", "2.0"])
