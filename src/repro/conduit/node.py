@@ -13,11 +13,21 @@ Example (the workflow-namespace model of Listing 1)::
     root = Node()
     root["RP/task.000000/1698435412.606"] = "launch_start"
     root["RP/task.000000/1698435412.964"] = "exec_start"
+
+Layout: an object node maps each child name to either a :class:`Node`
+or, for a leaf, the bare value.  Most of a monitoring tree is leaves,
+so a leaf costs one dict slot instead of a ``Node`` and its empty child
+dict, and names are interned on first insert, because every sample
+repeats the same few.  A leaf gets a ``Node`` only when someone takes a
+handle to it (:meth:`Node.fetch`, :meth:`Node.children`); the handle
+replaces the bare value in its parent, so writes through it and through
+the parent's paths stay one leaf, exactly as when every leaf was boxed.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from typing import Any, Iterator
 
 __all__ = ["Node", "PathError"]
@@ -27,6 +37,8 @@ _LEAF_TYPES = (int, float, str, bool, bytes, type(None))
 #: Exact leaf types that ``set`` stores as is (subclasses take the
 #: validating path).
 _PLAIN_TYPES = frozenset(_LEAF_TYPES)
+
+_intern = sys.intern
 
 
 class PathError(KeyError):
@@ -56,7 +68,8 @@ class Node:
     __slots__ = ("_children", "_value", "_has_value")
 
     def __init__(self, value: Any = None) -> None:
-        self._children: dict[str, Node] = {}
+        #: name -> child, an exact ``Node`` or a leaf's bare value.
+        self._children: dict[str, Any] = {}
         self._value: Any = None
         self._has_value = False
         if value is not None:
@@ -86,36 +99,21 @@ class Node:
 
     def set(self, value: Any) -> None:
         """Make this node a leaf holding ``value``."""
-        if type(value) in _PLAIN_TYPES:
-            if self._children:
-                raise PathError("cannot assign a value to an object node")
-            self._value = value
-            self._has_value = True
-            return
-        if isinstance(value, Node):
-            clone = value.copy()
-            self._children = clone._children
-            self._value = clone._value
-            self._has_value = clone._has_value
-            return
-        if isinstance(value, dict):
-            self._children.clear()
-            self._has_value = False
-            self._value = None
-            for key, sub in value.items():
-                self[str(key)] = sub
-            return
-        if isinstance(value, (list, tuple)):
-            value = list(value)
-            for item in value:
-                if not isinstance(item, _LEAF_TYPES):
-                    raise TypeError(
-                        f"list leaves must hold scalars, got {type(item).__name__}"
-                    )
-        elif not isinstance(value, _LEAF_TYPES):
-            raise TypeError(
-                f"unsupported leaf type {type(value).__name__}: {value!r}"
-            )
+        if type(value) not in _PLAIN_TYPES:
+            if isinstance(value, Node):
+                clone = value.copy()
+                self._children = clone._children
+                self._value = clone._value
+                self._has_value = clone._has_value
+                return
+            if isinstance(value, dict):
+                self._children.clear()
+                self._has_value = False
+                self._value = None
+                for key, sub in value.items():
+                    self[str(key)] = sub
+                return
+            value = _leaf_value(value)
         if self._children:
             raise PathError("cannot assign a value to an object node")
         self._value = value
@@ -124,7 +122,11 @@ class Node:
     # -- path access -------------------------------------------------------
 
     def fetch(self, path: str) -> "Node":
-        """Get the node at ``path``, creating object nodes on the way."""
+        """Get the node at ``path``, creating object nodes on the way.
+
+        A leaf stored inline is boxed in place, so the returned handle
+        and the tree keep sharing it.
+        """
         if type(path) is str and path and "/" not in path:
             parts: "tuple[str] | list[str]" = (path,)  # one name: no split
         else:
@@ -133,57 +135,94 @@ class Node:
         for part in parts:
             if node._has_value:
                 raise PathError(f"cannot descend through leaf at {part!r}")
-            child = node._children.get(part)
-            if child is None:
-                child = Node()
-                node._children[part] = child
+            kids = node._children
+            child = kids.get(part, _MISSING)
+            if child is _MISSING:
+                child = kids[_intern(part)] = Node()
+            elif type(child) is not Node:
+                child = kids[part] = _boxed(child)
             node = child
         return node
 
     def get(self, path: str, default: Any = None) -> Any:
         """Value at ``path``, or ``default`` if missing / not a leaf."""
         try:
-            node = self._descend(path)
+            child = self._lookup(path)
         except PathError:
             return default
-        if node is None or not node._has_value:
-            return default
-        return node._value
+        if type(child) is Node:
+            return child._value if child._has_value else default
+        return default if child is _MISSING else child
 
-    def _descend(self, path: str) -> "Node | None":
+    def _lookup(self, path: str) -> Any:
+        """The child ``Node`` or bare leaf at ``path``, or ``_MISSING``."""
+        parts = _split(path)
+        name = parts.pop()
         node = self
-        for part in _split(path):
-            child = node._children.get(part)
-            if child is None:
-                return None
-            node = child
-        return node
+        for part in parts:
+            node = node._children.get(part)
+            if type(node) is not Node:  # missing, or a leaf
+                return _MISSING
+        return node._children.get(name, _MISSING)
 
     def __getitem__(self, path: str) -> Any:
-        node = self._descend(path)
-        if node is None:
+        child = self._lookup(path)
+        if child is _MISSING:
             raise PathError(path)
-        if node._has_value:
-            return node._value
-        return node
+        if type(child) is Node and child._has_value:
+            return child._value
+        return child
 
     def __setitem__(self, path: str, value: Any) -> None:
-        self.fetch(path).set(value)
+        if type(value) not in _PLAIN_TYPES:
+            if isinstance(value, (Node, dict)):
+                self.fetch(path).set(value)  # a subtree needs its Node
+                return
+            value = _leaf_value(value)
+        node = self
+        if type(path) is str and path and "/" not in path:
+            name = path  # one name: no split
+        else:
+            parts = _split(path)
+            name = parts.pop()
+            for part in parts:
+                if node._has_value:
+                    raise PathError(f"cannot descend through leaf at {part!r}")
+                kids = node._children
+                child = kids.get(part, _MISSING)
+                if child is _MISSING:
+                    child = kids[_intern(part)] = Node()
+                elif type(child) is not Node:
+                    raise PathError(f"cannot descend through leaf at {part!r}")
+                node = child
+        if node._has_value:
+            raise PathError(f"cannot descend through leaf at {name!r}")
+        kids = node._children
+        child = kids.get(name, _MISSING)
+        if child is _MISSING:
+            kids[_intern(name)] = value
+        elif type(child) is Node:
+            child.set(value)  # keeps a taken handle live
+        else:
+            kids[name] = value
 
     def __contains__(self, path: str) -> bool:
-        return self._descend(path) is not None
+        try:
+            return self._lookup(path) is not _MISSING
+        except PathError:
+            return False
 
     def __delitem__(self, path: str) -> None:
         parts = _split(path)
+        name = parts.pop()
         node = self
-        for part in parts[:-1]:
-            child = node._children.get(part)
-            if child is None:
+        for part in parts:
+            node = node._children.get(part)
+            if type(node) is not Node:
                 raise PathError(path)
-            node = child
-        if parts[-1] not in node._children:
+        if name not in node._children:
             raise PathError(path)
-        del node._children[parts[-1]]
+        del node._children[name]
 
     def remove(self, path: str) -> None:
         del self[path]
@@ -194,7 +233,12 @@ class Node:
         return list(self._children)
 
     def children(self) -> Iterator[tuple[str, "Node"]]:
-        return iter(self._children.items())
+        """Yield ``(name, child)``; inline leaves are boxed as they go."""
+        kids = self._children
+        for name, child in kids.items():
+            if type(child) is not Node:
+                child = kids[name] = _boxed(child)
+            yield name, child
 
     def __iter__(self) -> Iterator[str]:
         return iter(self._children)
@@ -212,7 +256,10 @@ class Node:
             return
         for name, child in self._children.items():
             sub = f"{prefix}/{name}" if prefix else name
-            yield from child.leaves(sub)
+            if type(child) is Node:
+                yield from child.leaves(sub)
+            else:
+                yield sub, child
 
     def paths(self) -> list[str]:
         """All leaf paths under this node."""
@@ -221,29 +268,46 @@ class Node:
     # -- structural operations ----------------------------------------------
 
     def update(self, other: "Node") -> None:
-        """Merge ``other`` into this node (other wins on conflicts)."""
+        """Merge ``other`` into this node (other wins on conflicts).
+
+        Leaf values are copied, never shared with ``other``.
+        """
         if other._has_value:
-            if self._children:
-                raise PathError("cannot merge a leaf onto an object node")
-            self._value = other._value
-            self._has_value = True
+            self._merge_leaf(other._value)
             return
         if self._has_value and other._children:
             raise PathError("cannot merge an object onto a leaf node")
-        for name, child in other._children.items():
-            mine = self._children.get(name)
-            if mine is None:
-                self._children[name] = child.copy()
+        kids = self._children
+        for name, theirs in other._children.items():
+            mine = kids.get(name, _MISSING)
+            if type(theirs) is Node and not theirs._has_value:
+                if mine is _MISSING:
+                    kids[name] = theirs.copy()
+                elif type(mine) is Node:
+                    mine.update(theirs)
+                elif theirs._children:
+                    raise PathError("cannot merge an object onto a leaf node")
+                continue
+            value = theirs._value if type(theirs) is Node else theirs
+            if type(mine) is Node:
+                mine._merge_leaf(value)
             else:
-                mine.update(child)
+                kids[name] = _copy_value(value)
+
+    def _merge_leaf(self, value: Any) -> None:
+        if self._children:
+            raise PathError("cannot merge a leaf onto an object node")
+        self._value = _copy_value(value)
+        self._has_value = True
 
     def copy(self) -> "Node":
         node = Node()
-        node._value = (
-            list(self._value) if isinstance(self._value, list) else self._value
-        )
+        node._value = _copy_value(self._value)
         node._has_value = self._has_value
-        node._children = {k: v.copy() for k, v in self._children.items()}
+        node._children = {
+            name: child.copy() if type(child) is Node else _copy_value(child)
+            for name, child in self._children.items()
+        }
         return node
 
     def diff(self, other: "Node") -> list[str]:
@@ -252,7 +316,7 @@ class Node:
         mine = dict(self.leaves())
         theirs = dict(other.leaves())
         for path in sorted(set(mine) | set(theirs)):
-            if mine.get(path, _MISSING) != theirs.get(path, _MISSING):
+            if not _same(mine.get(path, _MISSING), theirs.get(path, _MISSING)):
                 result.append(path)
         return result
 
@@ -267,7 +331,10 @@ class Node:
         """Plain-Python mirror of the tree (leaves become values)."""
         if self._has_value:
             return self._value
-        return {name: child.to_dict() for name, child in self._children.items()}
+        return {
+            name: child.to_dict() if type(child) is Node else child
+            for name, child in self._children.items()
+        }
 
     @classmethod
     def from_dict(cls, data: Any) -> "Node":
@@ -281,12 +348,18 @@ class Node:
                 return {"__bytes__": value.hex()}
             return value
 
+        def leaf(value: Any) -> Any:
+            if isinstance(value, list):
+                return [encode(v) for v in value]
+            return encode(value)
+
         def walk(node: "Node") -> Any:
             if node._has_value:
-                if isinstance(node._value, list):
-                    return [encode(v) for v in node._value]
-                return encode(node._value)
-            return {name: walk(child) for name, child in node._children.items()}
+                return leaf(node._value)
+            return {
+                name: walk(child) if type(child) is Node else leaf(child)
+                for name, child in node._children.items()
+            }
 
         return json.dumps(walk(self), sort_keys=False)
 
@@ -295,20 +368,26 @@ class Node:
         def decode(value: Any) -> Any:
             if isinstance(value, dict) and set(value) == {"__bytes__"}:
                 return bytes.fromhex(value["__bytes__"])
+            if isinstance(value, list):
+                return [decode(v) for v in value]
             return value
 
-        def build(data: Any, node: "Node") -> None:
-            if isinstance(data, dict) and set(data) != {"__bytes__"}:
-                for key, sub in data.items():
+        def is_object(data: Any) -> bool:
+            return isinstance(data, dict) and set(data) != {"__bytes__"}
+
+        def build(data: dict, node: "Node") -> None:
+            for key, sub in data.items():
+                if is_object(sub):
                     build(sub, node.fetch(key))
-            elif isinstance(data, list):
-                node.set([decode(v) for v in data])
-            else:
-                node.set(decode(data))
+                else:
+                    node[key] = decode(sub)
 
         node = cls()
         raw = json.loads(payload)
-        build(raw, node)
+        if is_object(raw):
+            build(raw, node)
+        else:
+            node.set(decode(raw))
         return node
 
     # -- size accounting ---------------------------------------------------------
@@ -330,19 +409,19 @@ class Node:
             node, length = stack.pop()
             for name, child in node._children.items():
                 sub = length + 1 + len(name)
-                if not child._has_value:
-                    stack.append((child, sub))
-                    continue
-                value = child._value
-                kind = type(value)
+                kind = type(child)
                 # Exact floats, ints and strings (most monitoring leaves)
                 # skip the isinstance chain.
                 if kind is float or kind is int:
                     total += sub + 8
                 elif kind is str:
-                    total += sub + len(value)
+                    total += sub + len(child)
+                elif kind is not Node:
+                    total += sub + _value_nbytes(child)
+                elif child._has_value:
+                    total += sub + _value_nbytes(child._value)
                 else:
-                    total += sub + _value_nbytes(value)
+                    stack.append((child, sub))
         return total
 
     def num_leaves(self) -> int:
@@ -360,7 +439,9 @@ class Node:
             return f"{pad}{self._value!r}"
         lines = []
         for name, child in self._children.items():
-            if child._has_value:
+            if type(child) is not Node:
+                lines.append(f"{pad}{name}: {child!r}")
+            elif child._has_value:
                 lines.append(f"{pad}{name}: {child._value!r}")
             else:
                 lines.append(f"{pad}{name}:")
@@ -369,6 +450,43 @@ class Node:
 
 
 _MISSING = object()
+
+
+def _boxed(value: Any) -> Node:
+    """A leaf ``Node`` holding ``value`` itself (a list is not copied)."""
+    node = Node()
+    node._value = value
+    node._has_value = True
+    return node
+
+
+def _leaf_value(value: Any) -> Any:
+    """``value`` as a stored leaf: a checked list copy, or a scalar."""
+    if isinstance(value, (list, tuple)):
+        value = list(value)
+        for item in value:
+            if not isinstance(item, _LEAF_TYPES):
+                raise TypeError(
+                    f"list leaves must hold scalars, got {type(item).__name__}"
+                )
+    elif not isinstance(value, _LEAF_TYPES):
+        raise TypeError(f"unsupported leaf type {type(value).__name__}: {value!r}")
+    return value
+
+
+def _copy_value(value: Any) -> Any:
+    return list(value) if type(value) is list else value  # stored lists are exact
+
+
+def _same(a: Any, b: Any) -> bool:
+    """Leaf equality under which NaN equals NaN, so a tree equals itself."""
+    if a == b:
+        return True
+    if isinstance(a, float) and isinstance(b, float):
+        return a != a and b != b
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(map(_same, a, b))
+    return False
 
 
 def _value_nbytes(value: Any) -> int:

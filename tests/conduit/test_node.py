@@ -1,5 +1,7 @@
 """Conduit Node: paths, leaves, merge, diff, serialization, size."""
 
+import gc
+
 import pytest
 
 from repro.conduit import Node, PathError
@@ -62,6 +64,13 @@ class TestPathAccess:
         n = Node()
         with pytest.raises(PathError):
             del n["ghost"]
+
+    def test_contains_malformed_path_is_false(self):
+        n = Node()
+        n["a"] = 1
+        for path in ("", "/", "//", 5):
+            assert path not in n
+            assert n.get(path, "default") == "default"
 
 
 class TestLeafTypes:
@@ -161,6 +170,23 @@ class TestMerge:
         b["k/v2"] = 2
         assert "k/v2" not in a
 
+    def test_update_copies_overwritten_list_leaf(self):
+        a, b = Node(), Node()
+        a["k/v"] = [1.0]
+        b["k/v"] = [2.0]
+        a.update(b)
+        a["k/v"].append(3.0)
+        assert b["k/v"] == [2.0]
+
+    def test_update_copies_leaf_onto_a_handle(self):
+        a, b = Node(), Node()
+        handle = a.fetch("k")
+        b["k"] = [2.0]
+        a.update(b)
+        handle.value.append(3.0)
+        assert b["k"] == [2.0]
+        assert a["k"] == [2.0, 3.0]
+
 
 class TestDiffEquality:
     def test_equal_trees(self):
@@ -183,6 +209,20 @@ class TestDiffEquality:
         a["k"] = 1
         b["k"] = 2
         assert a.diff(b) == ["k"]
+
+    def test_nan_leaf_equals_itself(self):
+        n = Node()
+        n["x"] = float("nan")
+        n["y/z"] = [1.0, float("nan")]
+        assert n.diff(n) == []
+        assert n == n.copy()
+        assert Node.from_json(n.to_json()) == n
+
+    def test_nan_differs_from_a_number(self):
+        a, b = Node(), Node()
+        a["x"] = float("nan")
+        b["x"] = 1.0
+        assert a.diff(b) == ["x"]
 
 
 class TestSerialization:
@@ -254,3 +294,64 @@ class TestSize:
         n = Node()
         n["task/event"] = "launch_start"
         assert "launch_start" in n.render()
+
+
+def _live_nodes():
+    return sum(1 for obj in gc.get_objects() if type(obj) is Node)
+
+
+class TestLayout:
+    """Leaves live inline in their parent; a handle boxes one in place."""
+
+    def test_scalar_writes_build_one_node_per_object_node(self):
+        gc.collect()
+        before = _live_nodes()
+        n = Node()
+        for host in ("h0", "h1"):
+            for stamp in ("1.000000", "2.000000", "3.000000"):
+                n[f"PROC/{host}/{stamp}/Uptime"] = 1.5
+                n[f"PROC/{host}/{stamp}/stat/ncores"] = 42
+                n[f"PROC/{host}/{stamp}/state"] = "up"
+                n[f"PROC/{host}/{stamp}/flag"] = None
+        # root, PROC, 2 hosts, 6 samples, 6 stat nodes
+        assert _live_nodes() - before == 1 + 1 + 2 + 6 + 6
+        assert n.num_leaves() == 24
+
+    def test_child_names_are_interned(self):
+        a, b = Node(), Node()
+        a["/".join(["RP", "t000", "completed"])] = 1
+        b["/".join(["RP", "t000", "completed"])] = 2
+        (name_a,) = a["RP/t000"].child_names()
+        (name_b,) = b["RP/t000"].child_names()
+        assert name_a is name_b
+
+    def test_fetch_handle_stays_live(self):
+        n = Node()
+        n["a/b"] = 1
+        handle = n.fetch("a/b")
+        assert handle.is_leaf and handle.value == 1
+        handle.set(2)
+        assert n["a/b"] == 2
+        n["a/b"] = 3
+        assert handle.value == 3
+        assert n.fetch("a/b") is handle
+
+    def test_children_handle_stays_live(self):
+        n = Node()
+        n["a/x"] = [1.0]
+        n["a/y"] = "s"
+        kids = dict(n["a"].children())
+        assert kids["x"].value == [1.0] and kids["y"].value == "s"
+        kids["y"].set("t")
+        assert n["a/y"] == "t"
+        n["a/x"].append(2.0)
+        assert kids["x"].value == [1.0, 2.0]
+
+    def test_rejected_write_leaves_no_trace(self):
+        n = Node()
+        with pytest.raises(TypeError):
+            n["bad/leaf"] = [[1]]
+        with pytest.raises(TypeError):
+            n["bad/leaf"] = object()
+        assert "bad" not in n
+        assert n.to_json() == "{}"

@@ -1,5 +1,6 @@
 """Property-based tests for the Conduit data model."""
 
+import math
 import string
 
 from hypothesis import given, settings
@@ -21,6 +22,8 @@ scalar = st.one_of(
     st.booleans(),
     st.binary(max_size=16),
 )
+#: ``scalar`` plus NaN and the infinities.
+any_scalar = st.one_of(scalar, st.sampled_from([math.nan, math.inf, -math.inf]))
 
 
 def build(pairs):
@@ -62,7 +65,7 @@ def test_json_round_trip_preserves_tree(pairs):
     assert restored.diff(node) == []
 
 
-@given(st.lists(st.tuples(path, scalar), max_size=10))
+@given(st.lists(st.tuples(path, any_scalar), max_size=10))
 @settings(max_examples=100)
 def test_copy_is_independent(pairs):
     node, inserted = build(pairs)
@@ -92,7 +95,7 @@ def test_update_union_of_leaves(pairs_a, pairs_b):
         assert merged_leaves.get(p) == v or (v != v)
 
 
-@given(st.lists(st.tuples(path, scalar), max_size=10))
+@given(st.lists(st.tuples(path, any_scalar), max_size=10))
 @settings(max_examples=100)
 def test_diff_self_is_empty(pairs):
     node, _ = build(pairs)

@@ -68,6 +68,18 @@ def test_merged_source_filter(store):
     assert store.merged(source="ghost").is_empty
 
 
+def test_merged_does_not_share_leaves_with_stored_records():
+    s = NamespaceStore("hardware")
+    for at, gpu in ((1.0, [1.0]), (2.0, [2.0, 3.0])):
+        data = Node()
+        data["PROC/h0/gpu"] = gpu
+        s.append(at, "hwmon@h0", data)
+    before = [(r.data.to_json(), r.nbytes) for r in s]
+    s.merged()["PROC/h0/gpu"].append(99.0)
+    assert [(r.data.to_json(), r.nbytes) for r in s] == before
+    assert all(r.nbytes == r.data.nbytes() for r in s)
+
+
 def test_out_of_order_insert_keeps_time_order():
     s = NamespaceStore("x")
     s.append(5.0, "a", tree(v=1))
