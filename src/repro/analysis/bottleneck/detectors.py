@@ -28,6 +28,7 @@ from ...soma.analysis import (
     workflow_summary_series,
 )
 from ...soma.namespaces import HARDWARE, PERFORMANCE, WORKFLOW
+from ...soma.sharding import registry_name
 from .context import DetectionContext
 from .findings import Finding
 from .thresholds import DEFAULT_THRESHOLDS, Thresholds
@@ -192,7 +193,7 @@ class RpcQueueingDetector(Detector):
         self, ctx: DetectionContext, thresholds: Thresholds
     ) -> list[Finding]:
         findings = []
-        for namespace, stats in sorted(ctx.server_stats.items()):
+        for key, stats in sorted(ctx.server_stats.items()):
             calls = stats.get("calls", 0)
             if not calls:
                 continue
@@ -203,7 +204,7 @@ class RpcQueueingDetector(Detector):
                 Finding(
                     kind=self.kind,
                     detector=self.name,
-                    where=f"soma.{namespace}",
+                    where=registry_name(key),
                     start=0.0,
                     end=ctx.now,
                     severity=mean_queue / thresholds.rpc_mean_queue_seconds,

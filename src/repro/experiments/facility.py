@@ -1,14 +1,14 @@
 """The facility scenario: hundreds of pilots, one shared SOMA service.
 
-The paper deploys SOMA per workflow; ROADMAP item 2 asks what happens
+The paper deploys SOMA per workflow; this module asks what happens
 when a leadership-class facility runs it as *shared infrastructure* —
 hundreds of concurrent pilots (the RP Summit characterization's
-many-task regime) publishing into one sharded deployment.  This module
-is that scenario:
+many-task regime) publishing into one sharded deployment:
 
-* a :class:`ShardedSomaServiceModel` brought up on a handful of
-  service nodes (no RP pilot machinery — the service is the facility's,
-  not any workflow's);
+* the same :class:`~repro.soma.service.SomaServiceModel` RP runs, with
+  ``shards`` instances, brought up directly on a handful of service
+  nodes (no RP pilot machinery — the service is the facility's, not
+  any workflow's);
 * one *tenant* per pilot: a bag-of-tasks engine (``concurrency``
   workers draining ``tasks_per_pilot`` task durations drawn from the
   OpenFOAM/DDMD workload scales) plus a monitor process publishing a
@@ -37,7 +37,7 @@ from ..platform import summit_like
 from ..rp.session import Session
 from ..sim.core import Event
 from ..soma.namespaces import PERFORMANCE, WORKFLOW
-from ..soma.service import ShardedSomaServiceModel, SomaConfig
+from ..soma.service import SomaConfig, SomaServiceModel
 from ..soma.sharding import DEFAULT_VNODES, shard_key
 from ..workloads.ddmd import DDMDParams
 from ..workloads.openfoam import OpenFOAMParams
@@ -86,9 +86,12 @@ class FacilitySpec:
     def __post_init__(self) -> None:
         # Rejected here, not deep in the run: with no task slot no
         # worker ever runs a task, and a zero period never advances the
-        # monitor loop, so either would hang instead of failing.
-        if self.concurrency < 1:
-            raise ValueError(f"concurrency must be >= 1, got {self.concurrency}")
+        # monitor loop, so either would hang instead of failing; with no
+        # pilot, task or service node there is nothing to run.
+        for name in ("pilots", "service_nodes", "tasks_per_pilot", "concurrency"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
         if not self.period > 0:  # also rejects NaN
             raise ValueError(f"period must be > 0, got {self.period}")
         if self.shards < 1:
@@ -350,12 +353,12 @@ def run_facility(
 ) -> FacilityResult:
     """Run one facility scenario to completion and report the manifest."""
     session = Session(
-        cluster_spec=summit_like(max(1, spec.service_nodes), name="facility"),
+        cluster_spec=summit_like(spec.service_nodes, name="facility"),
         seed=seed,
     )
     env = session.env
     config = spec.soma_config()
-    model = ShardedSomaServiceModel(session, config)
+    model = SomaServiceModel(session, config)
     injector = None
     if fault_plan is not None:
         injector = FaultInjector(session, fault_plan, name="facility-chaos")
@@ -368,8 +371,7 @@ def run_facility(
     clients: "list[SomaClient]" = []
 
     def main() -> Generator[Event, None, None]:
-        nodes = list(session.cluster.nodes[: max(1, spec.service_nodes)])
-        model.bring_up(nodes, session.cluster.network)
+        model.bring_up(list(session.cluster.nodes), session.cluster.network)
         pilots = []
         for state in states:
             proc = env.process(

@@ -7,8 +7,8 @@ the fault hooks exposed by the lower layers:
 * rack partition → :meth:`Network.sever` / :meth:`Network.heal`;
 * message drop/delay/duplicate → a :class:`MessageFaults` gate attached
   to ``network.message_faults`` and consulted by every RPC client;
-* SOMA service outage → ``shutdown()``/``restart()`` on the namespace
-  servers found through the session's RPC registry;
+* SOMA service or shard outage → ``shutdown()``/``restart()`` on the
+  SOMA servers found through the session's RPC registry;
 * profile-store outage → ``session.profiles.set_available(...)``.
 
 All randomness (which messages a probabilistic fault hits, retry
@@ -22,6 +22,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Generator
 
 from ..sim.core import Event
+from ..soma.sharding import REGISTRY_PREFIX, registry_name, server_keys, split_key
 from .plan import (
     FaultEvent,
     FaultPlan,
@@ -197,11 +198,8 @@ class FaultInjector:
             self.message_faults.delay_seconds = event.delay
         elif event.kind == RPC_DUPLICATE:
             self.message_faults.duplicate_probability = event.probability
-        elif event.kind == SERVICE_OUTAGE:
-            for server in self._service_servers(event):
-                server.shutdown()
-        elif event.kind == SHARD_OUTAGE:
-            for server in self._shard_servers(event):
+        elif event.kind in (SERVICE_OUTAGE, SHARD_OUTAGE):
+            for server in self._soma_servers(event):
                 server.shutdown()
         elif event.kind == TENANT_FLOOD:
             self.env.process(
@@ -230,11 +228,8 @@ class FaultInjector:
             self.message_faults.delay_seconds = 0.0
         elif event.kind == RPC_DUPLICATE:
             self.message_faults.duplicate_probability = 0.0
-        elif event.kind == SERVICE_OUTAGE:
-            for server in self._service_servers(event):
-                server.restart()
-        elif event.kind == SHARD_OUTAGE:
-            for server in self._shard_servers(event):
+        elif event.kind in (SERVICE_OUTAGE, SHARD_OUTAGE):
+            for server in self._soma_servers(event):
                 server.restart()
         # TENANT_FLOOD needs no restore action: the flood process
         # stops itself when the window closes.
@@ -257,36 +252,24 @@ class FaultInjector:
             return cluster.node_by_name(ref)
         raise TypeError(f"cannot resolve node reference {ref!r}")
 
-    def _service_servers(self, event: FaultEvent):
-        """Registered servers a service outage touches.
+    def _soma_servers(self, event: FaultEvent):
+        """Registered SOMA servers an outage or flood targets.
 
-        Resolved at apply time through the session's RPC registry, so
-        the injector needs no handle on the SOMA deployment itself.
+        The event's namespaces (all when None) on its shard, or on every
+        instance when it names none.  Resolved at apply time through the
+        session's RPC registry, so the injector needs no handle on the
+        SOMA deployment itself.
         """
         registry = self.session.rpc_registry
-        prefix = f"{event.registry_prefix}."
-        if event.namespaces is not None:
-            names = [f"{prefix}{ns}" for ns in event.namespaces]
-        else:
-            names = [n for n in sorted(registry.names()) if n.startswith(prefix)]
-        servers = [registry.try_lookup(name) for name in names]
-        return [s for s in servers if s is not None]
-
-    def _shard_servers(self, event: FaultEvent):
-        """Registered servers of one shard instance.
-
-        Sharded deployments register ``<prefix>.<instance>.<namespace>``;
-        scoping by the instance segment keeps the blast radius to one
-        shard by construction.
-        """
-        registry = self.session.rpc_registry
-        prefix = f"{event.registry_prefix}.{event.shard}."
-        if event.namespaces is not None:
-            names = [f"{prefix}{ns}" for ns in event.namespaces]
-        else:
-            names = [n for n in sorted(registry.names()) if n.startswith(prefix)]
-        servers = [registry.try_lookup(name) for name in names]
-        return [s for s in servers if s is not None]
+        servers = []
+        for key in server_keys(registry.names()):
+            instance, namespace = split_key(key)
+            if event.shard is not None and instance != event.shard:
+                continue
+            if event.namespaces is not None and namespace not in event.namespaces:
+                continue
+            servers.append(registry.try_lookup(registry_name(key)))
+        return servers
 
     def _flood(self, event: FaultEvent) -> Generator[Event, None, None]:
         """Synthetic-tenant overload: hammer one shard's ingest path.
@@ -302,7 +285,7 @@ class FaultInjector:
         from ..messaging.protocol import RPCError
         from ..messaging.rpc import RPCClient
 
-        servers = self._shard_servers(event)
+        servers = self._soma_servers(event)
         if not servers:
             return
         tenant = event.tenant or "flood"
@@ -345,12 +328,12 @@ class FaultInjector:
             return f"racks:{event.racks[0]}-{event.racks[1]}"
         if event.kind == SERVICE_OUTAGE:
             scope = ",".join(event.namespaces) if event.namespaces else "*"
-            return f"{event.registry_prefix}:{scope}"
+            return f"{REGISTRY_PREFIX}:{scope}"
         if event.kind == SHARD_OUTAGE:
-            return f"{event.registry_prefix}:{event.shard}"
+            return f"{REGISTRY_PREFIX}:{event.shard}"
         if event.kind == TENANT_FLOOD:
             return (
-                f"{event.registry_prefix}:{event.shard}"
+                f"{REGISTRY_PREFIX}:{event.shard}"
                 f"<-{event.tenant}@{event.rate:g}/s"
             )
         if event.probability > 0:

@@ -101,10 +101,9 @@ class FaultEvent:
     #: Extra latency (rpc_delay) or client stall before a dropped
     #: message is declared lost (rpc_drop; 0 keeps the gate's default).
     delay: float = 0.0
-    #: Namespaces hit by a service outage; None = all under the prefix.
+    #: Namespaces a SOMA outage or flood targets, on every instance
+    #: or only on ``shard``; None = all of them.
     namespaces: tuple[str, ...] | None = None
-    #: Registry prefix of the service to take down.
-    registry_prefix: str = "soma"
     #: Target shard instance (e.g. "s01") for shard_outage / the shard
     #: a tenant_flood aims its publishes at.
     shard: str | None = None
@@ -239,16 +238,17 @@ class FaultPlan:
         at: float,
         duration: float | None = None,
         namespaces: "tuple[str, ...] | None" = None,
-        registry_prefix: str = "soma",
     ) -> "FaultPlan":
         """Shut the SOMA namespace servers down, restarting after
-        ``duration`` (None leaves them down for the rest of the run)."""
+        ``duration`` (None leaves them down for the rest of the run).
+
+        ``namespaces`` scopes the outage to those namespaces' servers on
+        every instance, sharded or not."""
         return self._add(
             time=at,
             kind=SERVICE_OUTAGE,
             duration=duration,
             namespaces=tuple(namespaces) if namespaces is not None else None,
-            registry_prefix=registry_prefix,
         )
 
     def profile_outage(
@@ -263,7 +263,6 @@ class FaultPlan:
         shard: str,
         duration: float | None = None,
         namespaces: "tuple[str, ...] | None" = None,
-        registry_prefix: str = "soma",
     ) -> "FaultPlan":
         """Shut one shard instance's namespace servers down.
 
@@ -278,7 +277,6 @@ class FaultPlan:
             shard=shard,
             duration=duration,
             namespaces=tuple(namespaces) if namespaces is not None else None,
-            registry_prefix=registry_prefix,
         )
 
     def tenant_flood(
@@ -289,7 +287,6 @@ class FaultPlan:
         rate: float,
         duration: float,
         namespaces: "tuple[str, ...] | None" = None,
-        registry_prefix: str = "soma",
     ) -> "FaultPlan":
         """Flood ``shard`` with ``rate`` publishes/s from a synthetic
         ``tenant`` for ``duration`` seconds (admission-control chaos:
@@ -303,7 +300,6 @@ class FaultPlan:
             rate=rate,
             duration=duration,
             namespaces=tuple(namespaces) if namespaces is not None else None,
-            registry_prefix=registry_prefix,
         )
 
     # -- access -------------------------------------------------------

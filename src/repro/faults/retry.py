@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Callable, Generator
 
 from ..sim.core import Environment, Event
-from ..sim.events import AnyOf, TimeoutExpired
+from ..sim.events import TimeoutExpired, with_timeout
 from ..messaging.protocol import RPCError, RPCTimeout, ServiceUnavailable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -153,32 +153,11 @@ class RetryPolicy:
             elif remaining is not None:
                 per_attempt = min(per_attempt, remaining)
             attempts += 1
-            # The race below is with_timeout() inlined: identical event
-            # structure (child process, clock, AnyOf — in that order),
-            # but without the extra delegating generator frame, which
-            # on the persist/RPC hot path is one frame per attempt.
             try:
-                child = env.process(make_attempt(), name=f"{name}#{attempt}")
-                if per_attempt is None:
-                    result = yield child
-                    return result
-                clock = env.timeout(per_attempt)
-                try:
-                    # A failed child fails the AnyOf, re-raising here.
-                    yield AnyOf(env, [child, clock])
-                finally:
-                    if child.triggered:
-                        # Child finished first: tombstone the losing
-                        # clock so it stops occupying the pending set.
-                        clock.cancel_scheduled()
-                if child.triggered:
-                    if child.ok:
-                        return child.value
-                    raise child.value
-                child.interrupt("timeout")
-                raise TimeoutExpired(
-                    f"{name}#{attempt}: no result within {per_attempt}s",
-                    per_attempt,
+                return (
+                    yield from with_timeout(
+                        env, make_attempt(), per_attempt, name=f"{name}#{attempt}"
+                    )
                 )
             except retry_on as exc:
                 last_error = exc

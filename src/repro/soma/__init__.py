@@ -33,7 +33,6 @@ from .namespaces import (
     namespace_root,
 )
 from .service import (
-    ShardedSomaServiceModel,
     SomaConfig,
     SomaServiceModel,
     soma_service_description,
@@ -41,7 +40,6 @@ from .service import (
 from .sharding import (
     AdmissionController,
     HashRing,
-    ShardRouter,
     TokenBucket,
     shard_key,
 )
@@ -59,8 +57,6 @@ __all__ = [
     "NamespaceStore",
     "PERFORMANCE",
     "PublishedRecord",
-    "ShardRouter",
-    "ShardedSomaServiceModel",
     "SomaClient",
     "SomaConfig",
     "SomaDeployment",

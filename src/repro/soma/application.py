@@ -24,11 +24,9 @@ from typing import TYPE_CHECKING, Generator
 from ..conduit import Node as ConduitNode
 from ..rp.model import ExecutionContext, TaskModel, TaskResult
 from ..sim.core import Event
-from .client import SomaClient
 from .namespaces import APPLICATION
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..faults.retry import RetryPolicy
     from ..rp.session import Session
     from .service import SomaConfig
     from .storage import NamespaceStore
@@ -55,33 +53,18 @@ class ApplicationMetrics:
 
     The application records named figures of merit; ``flush`` publishes
     everything recorded since the previous flush as one Conduit tree
-    under ``APP/<task uid>/``.
+    under ``APP/<task uid>/`` through a client of the deployment
+    ``config`` describes.
     """
 
     def __init__(
-        self,
-        session: "Session",
-        task_uid: str,
-        registry_prefix: str = "soma",
-        retry: "RetryPolicy | None" = None,
-        config: "SomaConfig | None" = None,
+        self, session: "Session", task_uid: str, config: "SomaConfig"
     ) -> None:
         self.session = session
         self.task_uid = task_uid
-        if config is not None:
-            # Deployment-aware path: inherits sharding routing and
-            # tenancy from the config.
-            self._client = config.make_client(
-                session, name=f"app@{task_uid}", node=None
-            )
-        else:
-            self._client = SomaClient(
-                session,
-                name=f"app@{task_uid}",
-                node=None,
-                registry_prefix=registry_prefix,
-                retry=retry,
-            )
+        self._client = config.make_client(
+            session, name=f"app@{task_uid}", node=None
+        )
         self._pending: list[MetricSample] = []
         self.published_samples = 0
         self._seq = 0
@@ -142,11 +125,7 @@ class InstrumentedModel(TaskModel):
         self.default_metric = default_metric
 
     def execute(self, ctx: ExecutionContext):
-        metrics = ApplicationMetrics(
-            self.session,
-            ctx.task.uid,
-            config=self.config,
-        )
+        metrics = ApplicationMetrics(self.session, ctx.task.uid, self.config)
         ctx.task.description.metadata["app_metrics"] = metrics
         start = ctx.env.now
         result: TaskResult = yield from self.inner.execute(ctx)

@@ -28,7 +28,7 @@ from ..conduit import Node as ConduitNode
 from ..messaging.protocol import AdmissionRejected
 from ..messaging.rpc import RPCClient, RPCError, RPCServer
 from ..sim.core import Event
-from .sharding import ShardRouter
+from .sharding import HashRing, registry_name, route
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..faults.retry import RetryPolicy
@@ -46,10 +46,9 @@ class SomaClient:
         session: "Session",
         name: str,
         node: "Node | None" = None,
-        registry_prefix: str = "soma",
         retry: "RetryPolicy | None" = None,
         tenant: str = "default",
-        router: ShardRouter | None = None,
+        ring: HashRing | None = None,
         degrade: str = "drop",
     ) -> None:
         if degrade not in ("drop", "summarize"):
@@ -58,18 +57,14 @@ class SomaClient:
         self.env = session.env
         self.name = name
         self.node = node
-        self.registry_prefix = registry_prefix
         #: Policy applied to every publish/query RPC (None = single shot).
         self.retry = retry
         #: Tenant stamped on every RPC; the facility's admission
         #: controllers budget per tenant.
         self.tenant = tenant
-        #: Shard routing; None routes to the classic per-namespace name.
-        self.router = (
-            router
-            if router is not None
-            else ShardRouter(registry_prefix=registry_prefix)
-        )
+        #: The sharded deployment's ring; None routes to the paper's
+        #: one server per namespace.
+        self.ring = ring
         #: What to do with a sample the service refuses under
         #: backpressure: "drop" forgets it, "summarize" folds cumulative
         #: counts of the refused data into the next accepted publish.
@@ -112,7 +107,7 @@ class SomaClient:
         if server is not None:
             return server
         server = yield from self.session.rpc_registry.lookup(
-            self.router.registry_name(self.tenant, namespace)
+            registry_name(route(self.ring, self.tenant, namespace))
         )
         self._servers[namespace] = server
         return server

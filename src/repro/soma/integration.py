@@ -27,6 +27,7 @@ from ..rp.description import TaskDescription
 from ..rp.task import Task
 from ..sim.core import Event
 from .service import SomaConfig, SomaServiceModel, soma_service_description
+from .sharding import registry_name
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..rp.client import Client
@@ -119,22 +120,10 @@ def deploy_soma(
     (service_task,) = client.submit_tasks([service_td])
     service_model: SomaServiceModel = service_td.metadata["soma_model"]
 
-    # Wait until every namespace instance is reachable.  A sharded
-    # deployment registers instance-qualified names; wait for all of
-    # them so clients never race the slowest shard's bring-up.
-    if config.sharded:
-        names = [
-            f"{config.registry_prefix}.{instance}.{namespace}"
-            for instance in config.instance_names
-            for namespace in config.namespaces
-        ]
-    else:
-        names = [
-            f"{config.registry_prefix}.{namespace}"
-            for namespace in config.namespaces
-        ]
-    for name in names:
-        yield from session.rpc_registry.lookup(name)
+    # Wait until every server of the layout is reachable, so clients
+    # never race the slowest instance's bring-up.
+    for key, _instance, _namespace, _slot in config.layout():
+        yield from session.rpc_registry.lookup(registry_name(key))
 
     # Step 4: the RP monitoring client, one per workflow, on the agent
     # node.

@@ -1,4 +1,4 @@
-"""The SOMA service: per-namespace instances behind Mochi-style RPC.
+"""The SOMA service: namespace servers behind Mochi-style RPC.
 
 SOMA "enables the partitioning of monitoring service resources into one
 or more independent instances, each of which is responsible for
@@ -7,9 +7,14 @@ an RP *service task*: scheduled before any application task, resident
 for the whole workflow, shut down by RP at the end.
 
 ``SomaServiceModel`` is the :class:`~repro.rp.model.ServiceModel` RP
-executes; its ``setup`` brings up one RPC server per namespace (with
-the configured number of ranks each) and publishes their addresses in
-the session's RPC registry so clients can connect.
+executes, and the only service class.  Its servers and stores come
+from :meth:`SomaConfig.layout`: the paper's service is one unnamed
+instance with one server per namespace, spread round-robin over the
+service nodes; a sharded facility service runs instances ``s00``,
+``s01``, ..., each serving every namespace on one node.  ``bring_up``
+starts that layout and publishes the servers in the session's RPC
+registry under the names :mod:`repro.soma.sharding` gives them, both
+from RP's ``setup`` and, without a pilot, from the facility scenario.
 """
 
 from __future__ import annotations
@@ -26,9 +31,10 @@ from .sharding import (
     DEFAULT_VNODES,
     AdmissionController,
     HashRing,
-    ShardRouter,
     instance_names,
-    shard_key,
+    registry_name,
+    route,
+    server_key,
 )
 from .storage import NamespaceStore
 
@@ -40,7 +46,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .client import SomaClient
 
 __all__ = [
-    "ShardedSomaServiceModel",
     "SomaConfig",
     "SomaServiceModel",
     "soma_service_description",
@@ -65,9 +70,6 @@ class SomaConfig:
     #: Per-call CPU service time parameters of the instance servers.
     base_service_time: float = 2e-4
     per_byte_service_time: float = 2e-9
-    #: Registry name prefix; clients look up "<prefix>.<namespace>"
-    #: (single instance) or "<prefix>.<instance>.<namespace>" (sharded).
-    registry_prefix: str = "soma"
     #: Retry policy handed to every monitor's SOMA client (None = each
     #: publish is a single attempt, as in the failure-free paper runs).
     retry: "RetryPolicy | None" = None
@@ -79,7 +81,7 @@ class SomaConfig:
     #: Tenant this deployment's own clients publish as (facility runs
     #: override per pilot via :meth:`make_client`).
     tenant: str = "default"
-    #: Per-tenant publish budget, tokens/second, enforced per shard
+    #: Per-tenant publish budget, tokens/second, enforced per service
     #: instance; None disables admission control (the differential
     #: battery requires the disabled path to be byte-identical to the
     #: unsharded service).
@@ -97,28 +99,36 @@ class SomaConfig:
         )
 
     @property
-    def sharded(self) -> bool:
-        return self.shards > 0
-
-    @property
-    def instance_names(self) -> tuple[str, ...]:
-        return instance_names(self.shards) if self.sharded else ()
-
-    @property
     def total_ranks(self) -> int:
         return self.ranks_per_namespace * len(self.namespaces) * max(
             1, self.shards
         )
 
-    def make_ring(self) -> HashRing:
-        if not self.sharded:
-            raise ValueError("single-instance SOMA config has no ring")
-        return HashRing(self.instance_names, vnodes=self.ring_vnodes)
+    def layout(self) -> tuple[tuple[str, str | None, str, int], ...]:
+        """Every server of the deployment: ``(key, instance, namespace, slot)``.
 
-    def make_router(self) -> ShardRouter:
-        """The client-side router matching this deployment's layout."""
-        ring = self.make_ring() if self.sharded else None
-        return ShardRouter(registry_prefix=self.registry_prefix, ring=ring)
+        Unsharded, the one unnamed instance (``None``) runs a server
+        per namespace, namespace *i* on service node *i* mod N; sharded,
+        instance *i* (``s00``, ``s01``, ...) runs every namespace on
+        node *i* mod N.  ``slot`` is that *i*; ``key`` names the server
+        and its store.
+        """
+        if not self.shards:
+            return tuple(
+                (server_key(None, ns), None, ns, i)
+                for i, ns in enumerate(self.namespaces)
+            )
+        return tuple(
+            (server_key(instance, ns), instance, ns, i)
+            for i, instance in enumerate(instance_names(self.shards))
+            for ns in self.namespaces
+        )
+
+    def make_ring(self) -> HashRing | None:
+        """The sharded deployment's ring; None for a single instance."""
+        if not self.shards:
+            return None
+        return HashRing(instance_names(self.shards), vnodes=self.ring_vnodes)
 
     def make_client(
         self,
@@ -138,10 +148,9 @@ class SomaConfig:
             session,
             name=name,
             node=node,
-            registry_prefix=self.registry_prefix,
             retry=self.retry,
             tenant=tenant if tenant is not None else self.tenant,
-            router=self.make_router(),
+            ring=self.make_ring(),
         )
 
     def with_updates(self, **kwargs: Any) -> "SomaConfig":
@@ -149,60 +158,85 @@ class SomaConfig:
 
 
 class SomaServiceModel(ServiceModel):
-    """The long-running SOMA service task."""
+    """The long-running SOMA service: every server of ``config.layout()``.
+
+    Each instance is independent: its own stores, RPC servers and, when
+    ``admission_rate`` is set, admission controller.  Clients route
+    themselves (:func:`~repro.soma.sharding.route`), so a shard outage
+    is contained by construction; the chaos battery pins that.
+    """
 
     def __init__(self, session: "Session", config: SomaConfig) -> None:
         self.session = session
         self.config = config
-        # Namespace maps are written by the service process and read by
-        # every monitor/client process; opted in to the kernel's
+        # Server and store maps are written by the service process and
+        # read by every monitor/client process; opted in to the kernel's
         # write-between-yields race detection under sanitize=True.
         env = session.env
         self.servers: "dict[str, RPCServer]" = env.shared_dict("soma.servers")
         self.stores: "dict[str, NamespaceStore]" = env.shared_dict("soma.stores")
+        #: The sharded deployment's ring; None for the paper's service.
+        self.ring = config.make_ring()
+        #: Per-instance admission controllers (empty when disabled).
+        self.admission: dict[str | None, AdmissionController] = {}
         prov = getattr(session.telemetry, "provenance", None)
-        for ns in config.namespaces:
-            store = NamespaceStore(ns)
+        for key, _instance, namespace, _slot in config.layout():
+            store = NamespaceStore(namespace)
             if prov is not None:
-                prov.watch_store(store, name=ns)
-            self.stores[ns] = store
+                prov.watch_store(store, name=key)
+            self.stores[key] = store
         self.publishes = 0
         self.started_at: float | None = None
 
-    # -- RP service lifecycle -----------------------------------------------
+    # -- lifecycle ----------------------------------------------------------
 
-    def setup(self, ctx: ExecutionContext):
-        """Bring up one RPC server per namespace on our node(s)."""
-        self.started_at = ctx.env.now
-        for i, namespace in enumerate(self.config.namespaces):
-            # Namespace instances are spread round-robin over the
-            # service task's nodes.
-            node = ctx.placements[i % len(ctx.placements)].node
+    def bring_up(self, nodes: "list[Node]", network: "Network") -> None:
+        """Start every server of the layout on ``nodes``.
+
+        RP's :meth:`setup` passes the service task's nodes; the facility
+        scenario, which has no pilot, passes its service nodes directly.
+        """
+        env = self.session.env
+        config = self.config
+        self.started_at = env.now
+        for key, instance, namespace, slot in config.layout():
+            node = nodes[slot % len(nodes)]
+            controller = self.admission.get(instance)
+            if controller is None and config.admission_rate is not None:
+                controller = AdmissionController(
+                    env, rate=config.admission_rate, burst=config.admission_burst
+                )
+                self.admission[instance] = controller
             server = RPCServer(
-                env=ctx.env,
-                network=ctx.network,
+                env=env,
+                network=network,
                 node=node,
-                name=f"{self.config.registry_prefix}.{namespace}",
-                ranks=self.config.ranks_per_namespace,
-                base_service_time=self.config.base_service_time,
-                per_byte_service_time=self.config.per_byte_service_time,
+                name=registry_name(key),
+                ranks=config.ranks_per_namespace,
+                base_service_time=config.base_service_time,
+                per_byte_service_time=config.per_byte_service_time,
                 component="soma-service",
+                admission=controller,
             )
-            store = self.stores[namespace]
+            store = self.stores[key]
             server.register(
                 "publish", self._make_publish_handler(namespace, store)
             )
             server.register(
                 "query", self._make_query_handler(namespace, store)
             )
-            self.servers[namespace] = server
+            self.servers[key] = server
             self.session.rpc_registry.publish(server)
             self.session.tracer.record(
                 "soma.instance",
-                namespace,
+                key,
                 node=node.name,
-                ranks=self.config.ranks_per_namespace,
+                ranks=config.ranks_per_namespace,
             )
+
+    def setup(self, ctx: ExecutionContext):
+        """RP service-task entry: bring the layout up on the task's nodes."""
+        self.bring_up(list(dict.fromkeys(ctx.nodes)), ctx.network)
         return
         yield  # pragma: no cover - setup is synchronous here
 
@@ -270,9 +304,8 @@ class SomaServiceModel(ServiceModel):
     def queue_stats(self) -> dict[str, dict[str, float]]:
         """Per-server ingest statistics, detector-ready.
 
-        Keys match the server map (namespace, or instance.namespace
-        when sharded); values are the plain-data shape
-        :class:`~repro.analysis.bottleneck.DetectionContext` consumes,
+        Keys are the layout's server keys; values are the plain-data
+        shape :class:`~repro.analysis.bottleneck.DetectionContext` consumes,
         including the windowed burst peak so long quiet runs cannot
         dilute a saturation episode out of sight.
         """
@@ -290,109 +323,7 @@ class SomaServiceModel(ServiceModel):
             }
         return stats
 
-    # -- offline access (after the run) ---------------------------------------------
-
-    def store(self, namespace: str) -> NamespaceStore:
-        return self.stores[namespace]
-
-
-class ShardedSomaServiceModel(SomaServiceModel):
-    """N independent SOMA instances behind one consistent-hash ring.
-
-    Instance ``s<i>`` runs the full namespace set (its own stores and
-    RPC servers, registry names ``<prefix>.<instance>.<namespace>``)
-    and lands on ``nodes[i % len(nodes)]`` — distinct nodes when the
-    deployment has them, co-located when it does not (the differential
-    battery uses a single service node so sharded and single-instance
-    runs see identical network/CPU contention).
-
-    Routing lives entirely client-side (:class:`ShardRouter`); the
-    instances never talk to each other, so a shard outage is contained
-    by construction — the chaos battery pins that.
-    """
-
-    def __init__(self, session: "Session", config: SomaConfig) -> None:
-        if not config.sharded:
-            raise ValueError("ShardedSomaServiceModel needs config.shards > 0")
-        self.session = session
-        self.config = config
-        env = session.env
-        self.servers: "dict[str, RPCServer]" = env.shared_dict("soma.servers")
-        self.stores: "dict[str, NamespaceStore]" = env.shared_dict("soma.stores")
-        self.ring = config.make_ring()
-        #: Per-instance admission controllers (empty when disabled).
-        self.admission: dict[str, AdmissionController] = {}
-        prov = getattr(session.telemetry, "provenance", None)
-        for instance in config.instance_names:
-            for ns in config.namespaces:
-                store = NamespaceStore(ns)
-                if prov is not None:
-                    prov.watch_store(store, name=f"{instance}.{ns}")
-                self.stores[f"{instance}.{ns}"] = store
-        self.publishes = 0
-        self.started_at: float | None = None
-
-    def bring_up(self, nodes: "list[Node]", network: "Network") -> None:
-        """Start every instance's servers; callable without RP machinery.
-
-        The facility scenario boots the service directly on a node
-        list; the RP service-task path (:meth:`setup`) funnels through
-        here too so both deployments share one layout.
-        """
-        env = self.session.env
-        self.started_at = env.now
-        for i, instance in enumerate(self.config.instance_names):
-            node = nodes[i % len(nodes)]
-            controller = None
-            if self.config.admission_rate is not None:
-                controller = AdmissionController(
-                    env,
-                    rate=self.config.admission_rate,
-                    burst=self.config.admission_burst,
-                )
-                self.admission[instance] = controller
-            for namespace in self.config.namespaces:
-                key = f"{instance}.{namespace}"
-                server = RPCServer(
-                    env=env,
-                    network=network,
-                    node=node,
-                    name=f"{self.config.registry_prefix}.{key}",
-                    ranks=self.config.ranks_per_namespace,
-                    base_service_time=self.config.base_service_time,
-                    per_byte_service_time=self.config.per_byte_service_time,
-                    component="soma-service",
-                    admission=controller,
-                )
-                store = self.stores[key]
-                server.register(
-                    "publish", self._make_publish_handler(namespace, store)
-                )
-                server.register(
-                    "query", self._make_query_handler(namespace, store)
-                )
-                self.servers[key] = server
-                self.session.rpc_registry.publish(server)
-                self.session.tracer.record(
-                    "soma.instance",
-                    key,
-                    node=node.name,
-                    ranks=self.config.ranks_per_namespace,
-                )
-
-    def setup(self, ctx: ExecutionContext):
-        """RP service-task entry: spread instances over distinct nodes."""
-        nodes: "list[Node]" = []
-        for placement in ctx.placements:
-            if placement.node not in nodes:
-                nodes.append(placement.node)
-        self.bring_up(nodes, ctx.network)
-        return
-        yield  # pragma: no cover - setup is synchronous here
-
-    # -- observability ---------------------------------------------------------
-
-    def admission_counters(self) -> dict[str, dict[str, dict[str, int]]]:
+    def admission_counters(self) -> dict[str | None, dict[str, dict[str, int]]]:
         """Per-instance, per-tenant admitted/rejected counts."""
         return {
             instance: controller.counters()
@@ -402,17 +333,10 @@ class ShardedSomaServiceModel(SomaServiceModel):
     # -- offline access (after the run) ---------------------------------------------
 
     def store(self, namespace: str, tenant: str | None = None) -> NamespaceStore:
-        """The store owning ``(tenant, namespace)`` per the ring."""
+        """The store owning ``(tenant, namespace)``; the tenant defaults
+        to the deployment's own and only matters when sharded."""
         tenant = tenant if tenant is not None else self.config.tenant
-        owner = self.ring.owner(shard_key(tenant, namespace))
-        return self.stores[f"{owner}.{namespace}"]
-
-    def stores_for(self, namespace: str) -> dict[str, NamespaceStore]:
-        """Every instance's store for ``namespace`` (facility counts)."""
-        return {
-            instance: self.stores[f"{instance}.{namespace}"]
-            for instance in self.config.instance_names
-        }
+        return self.stores[route(self.ring, tenant, namespace)]
 
 
 def soma_service_description(
@@ -426,16 +350,8 @@ def soma_service_description(
     other regular RP application task" (Sec 2.3.1): one core per
     service rank, spreading over multiple service nodes when the rank
     count exceeds one node (Scaling B runs up to 1024 ranks).
-
-    A sharded config (``config.shards > 0``) yields the facility-style
-    :class:`ShardedSomaServiceModel` instead of the classic single
-    instance; the task shape is otherwise identical.
     """
-    model: SomaServiceModel = (
-        ShardedSomaServiceModel(session, config)
-        if config.sharded
-        else SomaServiceModel(session, config)
-    )
+    model = SomaServiceModel(session, config)
     return TaskDescription(
         name="soma-service",
         model=model,

@@ -1,10 +1,16 @@
-"""Consistent-hash sharding and tenancy for the SOMA facility service.
+"""Consistent-hash sharding, tenancy and server naming for SOMA.
 
 The paper deploys SOMA per workflow: one service instance, one set of
 namespace ranks.  A facility deployment shares *one* SOMA service
-across hundreds of concurrent pilots, which needs three things this
-module provides:
+across hundreds of concurrent pilots by running several instances of
+it.  This module holds what both need:
 
+* the naming rule — every SOMA server has a key, the namespace for the
+  paper's single unnamed instance or ``<instance>.<namespace>`` for a
+  shard instance (:func:`server_key`), registered as ``soma.<key>``
+  (:func:`registry_name`); :func:`route` picks the key owning a
+  ``(tenant, namespace)`` pair.  Clients, the service, the deployment
+  and the fault injector all name servers through these functions.
 * :class:`HashRing` — a consistent-hash ring with virtual nodes
   mapping ``(tenant, namespace)`` shard keys to service instances.
   Positions come from BLAKE2b over the vnode label, so placement is
@@ -15,8 +21,6 @@ module provides:
   publish ingest path.  Refill is pure arithmetic on the simulated
   clock (no kernel events), so arming admission control never
   perturbs event ordering.
-* :class:`ShardRouter` — the client-side view: resolves the registry
-  name of the instance that owns a given ``(tenant, namespace)``.
 
 Everything here is deliberately plain data + arithmetic: no sim
 processes, no RNG, no wall clock — the sharding layer must be exactly
@@ -35,18 +39,26 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "DEFAULT_VNODES",
+    "REGISTRY_PREFIX",
     "AdmissionController",
     "HashRing",
-    "ShardRouter",
     "TokenBucket",
     "instance_names",
+    "registry_name",
+    "route",
+    "server_key",
+    "server_keys",
     "shard_key",
+    "split_key",
 ]
 
 #: Default virtual nodes per instance.  128 vnodes keeps the max/mean
 #: shard-load ratio under ~1.25 for thousands of keys (pinned by the
 #: Hypothesis balance test) while keeping ring construction trivial.
 DEFAULT_VNODES = 128
+
+#: Registry namespace of every SOMA server name.
+REGISTRY_PREFIX = "soma"
 
 
 def shard_key(tenant: str, namespace: str) -> str:
@@ -57,6 +69,44 @@ def shard_key(tenant: str, namespace: str) -> str:
 def instance_names(count: int) -> tuple[str, ...]:
     """Canonical shard-instance names: ``s00``, ``s01``, ..."""
     return tuple(f"s{i:02d}" for i in range(count))
+
+
+def server_key(instance: str | None, namespace: str) -> str:
+    """Key of one SOMA server and its store in the service's maps.
+
+    The paper's single instance is unnamed (``None``) and keys its
+    servers by namespace; shard instance ``s01`` keys them
+    ``s01.<namespace>``.
+    """
+    return namespace if instance is None else f"{instance}.{namespace}"
+
+
+def split_key(key: str) -> tuple[str | None, str]:
+    """The ``(instance, namespace)`` a :func:`server_key` was made from."""
+    instance, _, namespace = key.rpartition(".")
+    return instance or None, namespace
+
+
+def registry_name(key: str) -> str:
+    """The RPC registry name a server key is published under."""
+    return f"{REGISTRY_PREFIX}.{key}"
+
+
+def server_keys(names: Iterable[str]) -> list[str]:
+    """The SOMA server keys among registry ``names``, sorted."""
+    prefix = f"{REGISTRY_PREFIX}."
+    return sorted(name[len(prefix):] for name in names if name.startswith(prefix))
+
+
+def route(ring: HashRing | None, tenant: str, namespace: str) -> str:
+    """Key of the server owning ``(tenant, namespace)``.
+
+    Without a ring (the paper's single instance) that is the namespace's
+    one server, and no hashing happens; with one, the ring picks the
+    instance.
+    """
+    owner = None if ring is None else ring.owner(shard_key(tenant, namespace))
+    return server_key(owner, namespace)
 
 
 def _position(label: str) -> int:
@@ -214,32 +264,3 @@ class AdmissionController:
             "admitted": dict(sorted(self.admitted.items())),
             "rejected": dict(sorted(self.rejected.items())),
         }
-
-
-class ShardRouter:
-    """Client-side routing: ``(tenant, namespace)`` → registry name.
-
-    A single-instance deployment routes every namespace to the classic
-    ``<prefix>.<namespace>`` name (``ring=None``); a sharded one routes
-    through the ring to ``<prefix>.<instance>.<namespace>``.  Clients
-    hold a router instead of a ring so the unsharded path stays free
-    of hashing entirely.
-    """
-
-    def __init__(
-        self, registry_prefix: str = "soma", ring: HashRing | None = None
-    ) -> None:
-        self.registry_prefix = registry_prefix
-        self.ring = ring
-
-    def owner(self, tenant: str, namespace: str) -> str | None:
-        """The owning instance name, or None when unsharded."""
-        if self.ring is None:
-            return None
-        return self.ring.owner(shard_key(tenant, namespace))
-
-    def registry_name(self, tenant: str, namespace: str) -> str:
-        owner = self.owner(tenant, namespace)
-        if owner is None:
-            return f"{self.registry_prefix}.{namespace}"
-        return f"{self.registry_prefix}.{owner}.{namespace}"

@@ -121,6 +121,12 @@ class TestFacilitySpec:
     @pytest.mark.parametrize(
         "field, value",
         [
+            ("pilots", 0),  # the chaos plan has no first tenant to aim at
+            ("pilots", -3),  # would silently run no tasks
+            ("service_nodes", 0),  # was clamped to one node
+            ("service_nodes", -2),
+            ("tasks_per_pilot", 0),
+            ("tasks_per_pilot", -1),  # would silently run no tasks
             ("concurrency", 0),  # no worker ever takes a task
             ("period", 0.0),  # the monitor loop never leaves one timestamp
             ("period", -5.0),

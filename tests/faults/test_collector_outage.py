@@ -127,3 +127,50 @@ def test_outage_scenario_is_deterministic():
     assert metric_signature(a[1]["deployment"]) == metric_signature(
         b[1]["deployment"]
     )
+
+
+def _down_during_outage(shards, plan_for):
+    """Keys of the SOMA servers down mid-window; all must be back after."""
+    soma = SomaConfig(
+        namespaces=(WORKFLOW, HARDWARE), monitors=(), shards=shards
+    )
+    session, client, box = boot(nodes=2, seed=3, soma=soma)
+    servers = box["deployment"].service_model.servers
+    env = session.env
+    t0 = env.now
+    arm(session, plan_for(t0))
+    env.run(until=t0 + 2.0)
+    down = sorted(key for key, server in servers.items() if not server.alive)
+    env.run(until=t0 + 7.0)
+    assert all(server.alive for server in servers.values())
+    client.close()
+    return down
+
+
+@pytest.mark.parametrize(
+    "shards, namespaces, expected",
+    [
+        (0, None, ["hardware", "workflow"]),
+        (0, (WORKFLOW,), ["workflow"]),
+        (2, None, ["s00.hardware", "s00.workflow", "s01.hardware", "s01.workflow"]),
+        (2, (WORKFLOW,), ["s00.workflow", "s01.workflow"]),
+    ],
+)
+def test_outage_hits_its_namespaces_on_every_instance(shards, namespaces, expected):
+    down = _down_during_outage(
+        shards,
+        lambda t0: FaultPlan().service_outage(
+            t0 + 1.0, duration=5.0, namespaces=namespaces
+        ),
+    )
+    assert down == expected
+
+
+def test_shard_outage_stays_on_its_shard():
+    down = _down_during_outage(
+        2,
+        lambda t0: FaultPlan().shard_outage(
+            t0 + 1.0, "s01", duration=5.0, namespaces=(WORKFLOW,)
+        ),
+    )
+    assert down == ["s01.workflow"]

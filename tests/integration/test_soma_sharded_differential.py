@@ -34,7 +34,6 @@ from repro.experiments.openfoam_exps import (
     OpenFOAMExperiment,
     run_openfoam_experiment,
 )
-from repro.soma.service import ShardedSomaServiceModel
 
 from tests.faults.harness import run_digest
 
@@ -64,7 +63,7 @@ DDMD_SHARDED = DDMD_BASE.with_updates(
 
 def assert_differential(baseline, sharded) -> None:
     model = sharded.deployment.service_model
-    assert isinstance(model, ShardedSomaServiceModel)
+    assert model.ring is not None
     # Non-vacuous: the default tenant's namespaces really spread over
     # both instances, and every serving store is instance-qualified.
     owners = {

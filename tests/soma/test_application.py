@@ -49,7 +49,7 @@ def test_record_and_flush(stack):
     env = session.env
 
     def main(env):
-        metrics = ApplicationMetrics(session, "task.999999")
+        metrics = ApplicationMetrics(session, "task.999999", deployment.config)
         metrics.record("fom", 1.5, unit="x/s")
         metrics.record("fom", 2.5, unit="x/s")
         ok = yield from metrics.flush()
@@ -69,7 +69,7 @@ def test_flush_empty_is_noop(stack):
     env = session.env
 
     def main(env):
-        metrics = ApplicationMetrics(session, "task.000042")
+        metrics = ApplicationMetrics(session, "task.000042", deployment.config)
         ok = yield from metrics.flush()
         return ok
 

@@ -10,6 +10,7 @@ from repro.soma import (
     HARDWARE,
     SomaClient,
     SomaConfig,
+    SomaServiceModel,
     WORKFLOW,
     deploy_soma,
     namespace_root,
@@ -165,6 +166,35 @@ class TestServiceDeployment:
         assert not ok
         assert failures == 1
 
+    @pytest.mark.parametrize("shards", [0, 1])
+    def test_admission_throttles_every_instance(self, stack, shards):
+        # The paper's unsharded service gets the same per-instance
+        # admission controller a shard does whenever a rate is set.
+        session, client = stack
+        config = SomaConfig(
+            namespaces=(WORKFLOW,),
+            monitors=(),
+            shards=shards,
+            admission_rate=0.001,
+            admission_burst=1.0,
+        )
+        deploy(session, client, config)
+        env = session.env
+
+        def proc(env):
+            soma = config.make_client(session, "a-client", tenant="t0")
+            outcomes = []
+            for i in range(5):
+                data = Node()
+                data["RP/x"] = i
+                outcomes.append((yield from soma.publish(WORKFLOW, data)))
+            return outcomes, soma.rejected
+
+        outcomes, rejected = env.run(env.process(proc(env)))
+        assert outcomes == [True, False, False, False, False]
+        assert rejected == 4
+        client.close()
+
     def test_store_raises_for_baseline(self):
         from repro.soma import no_soma
 
@@ -176,11 +206,10 @@ class TestServiceDeployment:
 
 
 class TestShardedService:
-    """The facility deployment path: bring_up on raw nodes, no pilot."""
+    """The facility-style path: bring_up on raw nodes, no pilot; sharded
+    unless a test asks for ``shards=0``."""
 
     def make_stack(self, shards=2, **config_kwargs):
-        from repro.soma import ShardedSomaServiceModel
-
         session = Session(cluster_spec=summit_like(2, name="fac"), seed=5)
         config = SomaConfig(
             namespaces=(WORKFLOW, HARDWARE),
@@ -188,22 +217,31 @@ class TestShardedService:
             shards=shards,
             **config_kwargs,
         )
-        model = ShardedSomaServiceModel(session, config)
+        model = SomaServiceModel(session, config)
         model.bring_up(
             list(session.cluster.nodes[:2]), session.cluster.network
         )
         return session, config, model
 
-    def test_requires_sharded_config(self):
-        from repro.soma import ShardedSomaServiceModel
-
-        session = Session(cluster_spec=summit_like(2))
-        with pytest.raises(ValueError):
-            ShardedSomaServiceModel(session, SomaConfig(monitors=()))
+    def test_unsharded_bring_up_registers_namespace_names(self):
+        session, config, model = self.make_stack(shards=0)
+        assert model.ring is None
+        for namespace in config.namespaces:
+            server = session.rpc_registry.try_lookup(f"soma.{namespace}")
+            assert server is model.servers[namespace]
+            assert model.store(namespace) is model.stores[namespace]
+        assert sorted(session.rpc_registry.names()) == [
+            "soma.hardware",
+            "soma.workflow",
+        ]
+        # Namespaces go round-robin over the service nodes.
+        assert [model.servers[ns].node.name for ns in config.namespaces] == [
+            node.name for node in session.cluster.nodes[:2]
+        ]
 
     def test_bring_up_registers_instance_qualified_names(self):
         session, config, model = self.make_stack()
-        for instance in config.instance_names:
+        for instance in ("s00", "s01"):
             for namespace in config.namespaces:
                 name = f"soma.{instance}.{namespace}"
                 assert session.rpc_registry.try_lookup(name) is not None
@@ -228,7 +266,47 @@ class TestShardedService:
                 model.store(namespace)
                 is model.stores[f"{owner}.{namespace}"]
             )
-        assert len(model.stores_for(WORKFLOW)) == 2
+        workflow_stores = {
+            id(model.stores[key])
+            for key, _instance, namespace, _slot in config.layout()
+            if namespace == WORKFLOW
+        }
+        assert len(workflow_stores) == 2
+
+    def test_deploy_soma_spreads_shards_over_service_nodes(self):
+        session = Session(cluster_spec=summit_like(4), seed=2)
+        client = Client(session)
+        config = SomaConfig(
+            namespaces=(WORKFLOW, HARDWARE), monitors=(), shards=2
+        )
+        env = session.env
+
+        def main(env):
+            pilot = yield from client.submit_pilot(
+                PilotDescription(nodes=1, agent_nodes=1, service_nodes=2)
+            )
+            deployment = yield from deploy_soma(client, pilot, config)
+            return pilot, deployment
+
+        pilot, deployment = env.run(env.process(main(env)))
+        model = deployment.service_model
+        assert sorted(session.rpc_registry.names()) == sorted(
+            f"soma.{key}" for key, _instance, _ns, _slot in config.layout()
+        )
+        hosts = {
+            instance: {
+                model.servers[f"{instance}.{ns}"].node.name
+                for ns in config.namespaces
+            }
+            for instance in ("s00", "s01")
+        }
+        # Each instance serves every namespace from one node, and the
+        # two instances sit on the pilot's two distinct service nodes.
+        assert all(len(nodes) == 1 for nodes in hosts.values())
+        assert hosts["s00"] | hosts["s01"] == {
+            node.name for node in pilot.service_nodes
+        }
+        client.close()
 
     def test_publish_lands_in_owning_shard_only(self):
         session, config, model = self.make_stack()

@@ -32,10 +32,13 @@ from repro.messaging.rpc import ServerStats
 from repro.soma.sharding import (
     AdmissionController,
     HashRing,
-    ShardRouter,
     TokenBucket,
     instance_names,
+    registry_name,
+    route,
+    server_keys,
     shard_key,
+    split_key,
 )
 
 #: Configurable balance bound: max/mean shard load over 10³ keys.  128
@@ -180,19 +183,25 @@ def test_ring_edge_cases():
 
 
 def test_router_names():
-    unsharded = ShardRouter(registry_prefix="soma")
-    assert unsharded.owner("t0", "workflow") is None
-    assert unsharded.registry_name("t0", "workflow") == "soma.workflow"
+    # No ring: the paper's one server per namespace, for every tenant.
+    assert route(None, "t0", "workflow") == "workflow"
+    assert registry_name(route(None, "t0", "workflow")) == "soma.workflow"
     ring = HashRing(instance_names(2))
-    sharded = ShardRouter(registry_prefix="soma", ring=ring)
-    owner = sharded.owner("t0", "workflow")
+    owner = ring.owner(shard_key("t0", "workflow"))
     assert owner in ("s00", "s01")
+    assert route(ring, "t0", "workflow") == f"{owner}.workflow"
     assert (
-        sharded.registry_name("t0", "workflow") == f"soma.{owner}.workflow"
+        registry_name(route(ring, "t0", "workflow"))
+        == f"soma.{owner}.workflow"
     )
     # Same tenant, different namespace may land elsewhere — but the
     # name is always instance-qualified under sharding.
-    assert sharded.registry_name("t0", "hardware").startswith("soma.s")
+    assert registry_name(route(ring, "t0", "hardware")).startswith("soma.s")
+    # The fault injector reads the keys back out of the registry.
+    names = ["soma.workflow", "soma.s01.hardware", "flood.x"]
+    assert server_keys(names) == ["s01.hardware", "workflow"]
+    assert split_key("s01.hardware") == ("s01", "hardware")
+    assert split_key("workflow") == (None, "workflow")
 
 
 # -- admission control ----------------------------------------------
