@@ -16,22 +16,31 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 __all__ = ["main", "build_parser"]
 
 
-def _at_least_one(text: str) -> int:
-    """argparse type for counts: an integer >= 1, else a one-line usage error."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(minimum: int) -> Callable[[str], int]:
+    """argparse type: an integer >= ``minimum``, else a one-line usage error."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    return parse
+
+
+#: Counts are at least 1; seeds at least 0, since numpy rejects negative seeds.
+_at_least_one = _int_at_least(1)
+_seed = _int_at_least(0)
 
 
 def _positive_finite(text: str) -> float:
@@ -61,13 +70,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_open.add_argument(
         "--experiment", choices=("tuning", "overload"), default="tuning"
     )
-    p_open.add_argument("--seed", type=int, default=11)
+    p_open.add_argument("--seed", type=_seed, default=11)
 
     p_ddmd = sub.add_parser("ddmd", help="run a DDMD mini-app experiment")
     p_ddmd.add_argument(
         "--experiment", choices=("tuning", "adaptive"), default="tuning"
     )
-    p_ddmd.add_argument("--seed", type=int, default=7)
+    p_ddmd.add_argument("--seed", type=_seed, default=7)
 
     p_scale = sub.add_parser(
         "scaling", help="run a Scaling-B style comparison"
@@ -80,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["none", "shared", "exclusive"],
     )
     p_scale.add_argument("--frequent", action="store_true")
-    p_scale.add_argument("--seed", type=int, default=5)
+    p_scale.add_argument("--seed", type=_seed, default=5)
 
     p_sweep = sub.add_parser(
         "sweep",
@@ -148,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("ddmd", "ddmd-adaptive", "openfoam", "openfoam-overload"),
         help="which experiment to trace",
     )
-    p_trace.add_argument("--seed", type=int, default=7)
+    p_trace.add_argument("--seed", type=_seed, default=7)
     p_trace.add_argument(
         "--out", default=None, metavar="PATH",
         help="trace JSON path (default: traces/<experiment>.trace.json)",
@@ -183,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="ddmd-adaptive",
         help="which experiment to run (default: ddmd-adaptive)",
     )
-    p_why.add_argument("--seed", type=int, default=7)
+    p_why.add_argument("--seed", type=_seed, default=7)
     p_why.add_argument(
         "--top", type=_at_least_one, default=20,
         help="costliest hops kept in the chain rendering (default: 20)",
@@ -213,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="a scenario name, or 'battery' for all of them "
         "(default: battery; see repro.analysis.bottleneck.SCENARIOS)",
     )
-    p_bneck.add_argument("--seed", type=int, default=42)
+    p_bneck.add_argument("--seed", type=_seed, default=42)
     p_bneck.add_argument(
         "--json", action="store_true",
         help="emit findings as JSON instead of rendered text",
@@ -246,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fac.add_argument("--tasks-per-pilot", type=int, default=500)
     p_fac.add_argument("--concurrency", type=int, default=8)
     p_fac.add_argument("--period", type=float, default=60.0)
-    p_fac.add_argument("--seed", type=int, default=3)
+    p_fac.add_argument("--seed", type=_seed, default=3)
     p_fac.add_argument(
         "--admission-rate", type=float, default=None, metavar="TOKENS_PER_S",
         help="per-tenant publish budget (default: no admission control)",
@@ -768,7 +777,9 @@ def _cmd_facility(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     return 0 if payload["stalled_tasks"] == 0 else 1
 
 
-def _cmd_lint(args: argparse.Namespace) -> int:
+def _cmd_lint(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    from pathlib import Path
+
     from .sanitize import simlint
 
     if args.list_rules:
@@ -776,6 +787,9 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         for rule in simlint.RULES.values():
             print(f"{rule.id}  {rule.name:<{width}}  {rule.summary}")
         return 0
+    for path in args.paths:
+        if not Path(path).exists():
+            parser.error(f"lint: no such file or directory: {path}")
     return simlint.main(
         args.paths, fmt=args.fmt, show_suppressed=args.show_suppressed
     )
@@ -803,7 +817,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.command == "facility":
         return _cmd_facility(args, parser)
     if args.command == "lint":
-        return _cmd_lint(args)
+        return _cmd_lint(args, parser)
     return 2  # pragma: no cover - argparse enforces choices
 
 

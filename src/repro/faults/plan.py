@@ -115,16 +115,19 @@ class FaultEvent:
     def __post_init__(self) -> None:
         if self.kind not in FAULT_KINDS:
             raise ValueError(f"unknown fault kind {self.kind!r}")
-        if self.time < 0:
+        # Negated comparisons, so that NaN is rejected too.
+        if not self.time >= 0:
             raise ValueError(f"fault time must be non-negative, got {self.time}")
-        if self.duration is not None and self.duration <= 0:
+        if self.duration is not None and not self.duration > 0:
             raise ValueError("duration must be positive (or None)")
         if self.duration is not None and self.kind not in WINDOWED_KINDS:
             raise ValueError(f"{self.kind} cannot carry a duration")
         if not 0.0 <= self.probability <= 1.0:
             raise ValueError("probability must be in [0, 1]")
-        if self.factor <= 0:
+        if not self.factor > 0:
             raise ValueError("factor must be positive")
+        if not self.delay >= 0:
+            raise ValueError("delay must be non-negative")
         if self.kind == NODE_CRASH and self.node is None:
             raise ValueError("node_crash needs a target node")
         if self.kind == NODE_SLOWDOWN and self.node is None:
@@ -141,7 +144,7 @@ class FaultEvent:
                 raise ValueError("tenant_flood needs a target shard instance")
             if self.tenant is None:
                 raise ValueError("tenant_flood needs a tenant name")
-            if self.rate <= 0:
+            if not self.rate > 0:
                 raise ValueError("tenant_flood needs a positive rate")
             if self.duration is None or not math.isfinite(self.duration):
                 raise ValueError("tenant_flood needs a finite duration")

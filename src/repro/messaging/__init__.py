@@ -1,22 +1,21 @@
-"""Communication substrates: ZeroMQ-style queues and Mochi-style RPC."""
+"""Mochi-style RPC, the communication substrate of SOMA's services.
+
+RP's own component pipes are modelled inside the agent, as the
+scheduler's and executor's ``sim.Store`` inboxes.
+"""
 
 from .protocol import (
     AdmissionRejected,
-    Message,
     RPCError,
     RPCRequest,
     RPCResponse,
     RPCTimeout,
     ServiceUnavailable,
 )
-from .queues import ComponentQueue, QueueRegistry
 from .rpc import RPCClient, RPCRegistry, RPCServer, ServerStats
 
 __all__ = [
     "AdmissionRejected",
-    "ComponentQueue",
-    "Message",
-    "QueueRegistry",
     "RPCClient",
     "RPCError",
     "RPCRegistry",

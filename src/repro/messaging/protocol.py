@@ -1,4 +1,4 @@
-"""Message envelopes shared by the queue and RPC layers."""
+"""RPC envelopes and the errors a call can raise."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ from dataclasses import dataclass, field
 from typing import Any
 
 __all__ = [
-    "Message",
     "RPCRequest",
     "RPCResponse",
     "RPCError",
@@ -20,20 +19,6 @@ _msg_ids = itertools.count()
 
 
 @dataclass(slots=True)
-class Message:
-    """A message on a component queue (RP's ZeroMQ-style pipes)."""
-
-    topic: str
-    body: Any
-    sender: str = ""
-    sent_at: float = 0.0
-    uid: int = field(default_factory=lambda: next(_msg_ids))
-    #: Telemetry baggage (a SpanContext) stamped at send time; pure
-    #: data, never consulted by the simulation itself.
-    ctx: Any = None
-
-
-@dataclass(slots=True)
 class RPCRequest:
     """A remote procedure call in flight."""
 
@@ -43,7 +28,8 @@ class RPCRequest:
     client: str
     sent_at: float
     uid: int = field(default_factory=lambda: next(_msg_ids))
-    #: Telemetry baggage (a SpanContext); see :class:`Message`.
+    #: Telemetry baggage (a SpanContext) stamped at send time; pure
+    #: data, never consulted by the simulation itself.
     ctx: Any = None
     #: Tenant the calling client acts for; admission control keys its
     #: per-tenant token buckets on this.

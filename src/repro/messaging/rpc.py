@@ -18,7 +18,6 @@ the shared-node contention domain — this is exactly what makes the
 
 from __future__ import annotations
 
-import itertools
 from typing import TYPE_CHECKING, Any, Callable, Generator
 
 from ..sim.core import Environment, Event, Interrupt
@@ -189,8 +188,6 @@ class RPCServer:
         Number of concurrent worker processes.
     """
 
-    _ids = itertools.count()
-
     def __init__(
         self,
         env: Environment,
@@ -211,7 +208,6 @@ class RPCServer:
         self.name = name
         #: Telemetry track this server's serve spans appear on.
         self.component = component
-        self.address = f"ofi+verbs://{name}.{next(RPCServer._ids)}"
         self.ranks = ranks
         self.base_service_time = base_service_time
         self.per_byte_service_time = per_byte_service_time
@@ -316,7 +312,6 @@ class RPCServer:
                         cores=1,
                         work=service_time * self.node.spec.core_speed,
                         mem_intensity=0.2,
-                        tag=f"rpc:{self.name}",
                     )
                     yield act.done
                 elif service_time > 0:

@@ -118,8 +118,6 @@ class RPMonitorModel(ServiceModel):
         #: Online series of (time, summary dict).
         self.summary_series: list[tuple[float, dict[str, object]]] = []
         self.client: SomaClient | None = None
-        #: Sampling periods skipped because the profile store was out.
-        self.skipped_reads = 0
         #: Running summary; its cursor also marks the first profile
         #: record not yet published.
         self._fold = ProfileFold()
@@ -145,7 +143,6 @@ class RPMonitorModel(ServiceModel):
                         # Profile store is out: skip this period rather
                         # than stall the daemon; the gap shows up as a
                         # missing sample in the workflow namespace.
-                        self.skipped_reads += 1
                         self.session.tracer.record(
                             "rp.monitor_skip", "profile_store", source="rpmon"
                         )

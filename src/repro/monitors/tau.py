@@ -68,7 +68,6 @@ class TAUWrappedModel(TaskModel):
         self.config = config
         self.inner = inner
         self.sampling_overhead = sampling_overhead
-        self.published_profiles = 0
 
     def execute(self, ctx: ExecutionContext):
         env = ctx.env
@@ -86,7 +85,5 @@ class TAUWrappedModel(TaskModel):
                 self.session, name=f"tau@{ctx.task.uid}", node=None
             )
             tree = profiles_to_conduit(ctx.task.uid, result.rank_profiles)
-            ok = yield from client.publish(PERFORMANCE, tree)
-            if ok:
-                self.published_profiles += len(result.rank_profiles)
+            yield from client.publish(PERFORMANCE, tree)
         return result

@@ -8,7 +8,7 @@ need from the machine.
 
 from .batch import BatchError, BatchSystem, JobAllocation, JobRequest
 from .cluster import Cluster
-from .metering import EventCounter, StepIntegrator
+from .metering import StepIntegrator
 from .network import Network, TransferStats
 from .node import Allocation, AllocationError, Node, NodeFailure
 from .procfs import ProcFS, ProcSnapshot
@@ -24,7 +24,6 @@ __all__ = [
     "Cluster",
     "ClusterSpec",
     "ContentionDomain",
-    "EventCounter",
     "FairShareChannel",
     "JobAllocation",
     "JobRequest",

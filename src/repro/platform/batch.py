@@ -11,7 +11,6 @@ is granted even while the queue head waits.
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass
 from typing import Generator
@@ -39,12 +38,9 @@ class JobRequest:
 class JobAllocation:
     """A granted job: a set of whole nodes plus lifetime bookkeeping."""
 
-    _ids = itertools.count()
-
     def __init__(
         self, env: Environment, request: JobRequest, nodes: list[Node]
     ) -> None:
-        self.uid = f"job.{next(JobAllocation._ids):06d}"
         self.env = env
         self.request = request
         self.nodes = nodes
@@ -81,7 +77,6 @@ class BatchSystem:
         self._free: deque[Node] = deque(nodes)
         self._pending: deque[tuple[JobRequest, Event]] = deque()
         self.backfill = backfill
-        self.submitted = 0
         self.completed = 0
         self.backfilled = 0
 
@@ -102,7 +97,6 @@ class BatchSystem:
                 f"job wants {request.nodes} nodes, machine has "
                 f"{len(self._nodes)}"
             )
-        self.submitted += 1
         granted = self.env.event()
         self._pending.append((request, granted))
         self._try_grant()

@@ -3,13 +3,15 @@
 A :class:`StepIntegrator` tracks a step function (e.g. "busy cores on
 node 7") and can report its time integral — exactly what a /proc-style
 sampler needs to turn cumulative jiffies into interval utilization.
+Only signals whose integral is read are metered this way; a node keeps
+the rest (memory in use, process count) as plain values.
 """
 
 from __future__ import annotations
 
 from ..sim.core import Environment
 
-__all__ = ["StepIntegrator", "EventCounter"]
+__all__ = ["StepIntegrator"]
 
 
 class StepIntegrator:
@@ -48,27 +50,3 @@ class StepIntegrator:
         self._advance()
         return self._integral
 
-
-class EventCounter:
-    """Counts events and remembers their timestamps (bounded)."""
-
-    __slots__ = ("env", "count", "timestamps", "_keep")
-
-    def __init__(self, env: Environment, keep: int = 100000) -> None:
-        self.env = env
-        self.count = 0
-        self.timestamps: list[float] = []
-        self._keep = keep
-
-    def hit(self) -> None:
-        self.count += 1
-        if len(self.timestamps) < self._keep:
-            self.timestamps.append(self.env.now)
-
-    def rate(self, window: float) -> float:
-        """Events per second over the trailing ``window`` seconds."""
-        if window <= 0:
-            return 0.0
-        cutoff = self.env.now - window
-        recent = sum(1 for t in self.timestamps if t >= cutoff)
-        return recent / window

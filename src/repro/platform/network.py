@@ -30,7 +30,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Generator
 
 from ..sim.core import Environment, Event
-from .metering import EventCounter
 from .node import Node
 from .rateshare import FairShareChannel
 from .specs import NetworkSpec
@@ -77,7 +76,6 @@ class Network:
         bisection = spec.link_bandwidth * max(1, nodes) ** spec.taper_exponent
         self.fabric = FairShareChannel(env, capacity=bisection)
         self.stats = TransferStats()
-        self.messages = EventCounter(env, keep=0)
         #: Nodes per rack for the partition model (mutable: small test
         #: clusters set 1 so every node is its own rack).
         self.rack_size = rack_size
@@ -156,7 +154,6 @@ class Network:
             self.blocked_transfers += 1
             yield from self.await_path(src, dst)  # type: ignore[arg-type]
         self.stats.record(tag, nbytes)
-        self.messages.hit()
         overhead = self.spec.latency + self.spec.message_overhead * max(1, messages)
         if overhead > 0:
             yield self.env.timeout(overhead)
@@ -164,7 +161,6 @@ class Network:
             act = self.fabric.execute(
                 work=float(nbytes),
                 weight=1.0,
-                tag=tag,
                 rate_cap=self.spec.link_bandwidth,
             )
             yield act.done

@@ -3,13 +3,12 @@
 Carries all the state the paper's experiments observe: a core map and a
 GPU map (what the RP agent scheduler allocates), a memory-bandwidth
 contention domain (what makes co-located memory-bound ranks slow each
-other down), and busy-time meters (what the synthetic /proc exposes to
-the SOMA hardware monitor).
+other down), and the busy-time meters, memory in use and process count
+that the synthetic /proc exposes to the SOMA hardware monitor.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Any
 
 from ..sim.core import Environment, SimulationError
@@ -31,14 +30,11 @@ class NodeFailure(SimulationError):
 class Allocation:
     """A claim on cores (and optionally GPUs) of one node."""
 
-    _ids = itertools.count()
-
-    __slots__ = ("node", "cores", "gpus", "owner", "uid", "released")
+    __slots__ = ("node", "cores", "gpus", "owner", "released")
 
     def __init__(
         self, node: "Node", cores: list[int], gpus: list[int], owner: str
     ) -> None:
-        self.uid = next(Allocation._ids)
         self.node = node
         self.cores = cores
         self.gpus = gpus
@@ -85,15 +81,14 @@ class Node:
         self.free_gpus = spec.gpus
         #: Memory-bandwidth contention domain for CPU compute.
         self.domain = ContentionDomain(env, capacity=spec.memory_bandwidth)
-        #: Meters feeding the synthetic /proc.
+        #: Busy-time meters: the synthetic /proc reads their integrals.
         self.busy_cores = StepIntegrator(env)
         self.busy_gpus = StepIntegrator(env)
-        self.allocated_cores = StepIntegrator(env)
-        self.used_memory_mib = StepIntegrator(env)
+        self.used_memory_mib = 0.0
         #: False once the node has failed (failure injection).
         self.alive = True
         #: Count of processes "running" (tasks + monitors), for /proc.
-        self.num_processes = StepIntegrator(env)
+        self.num_processes = 0
         self.boot_time = env.now
 
     # -- allocation -------------------------------------------------------
@@ -132,7 +127,6 @@ class Node:
             self._gpu_owner[slot] = owner
         self.free_cores -= cores
         self.free_gpus -= gpus
-        self.allocated_cores.add(cores)
         return Allocation(self, core_slots, gpu_slots, owner)
 
     def free(self, allocation: Allocation) -> None:
@@ -144,7 +138,6 @@ class Node:
             self._gpu_owner[slot] = None
         self.free_cores += len(allocation.cores)
         self.free_gpus += len(allocation.gpus)
-        self.allocated_cores.add(-len(allocation.cores))
         allocation.released = True
 
     def owners(self) -> set[str]:
@@ -161,8 +154,6 @@ class Node:
         mem_intensity: float = 0.0,
         demand_per_core: float = 1.0,
         cpu_busy: bool = True,
-        tag: str = "",
-        payload: Any = None,
     ) -> Activity:
         """Run ``work`` units of per-rank CPU work on ``cores`` cores.
 
@@ -177,23 +168,21 @@ class Node:
             weight=self.spec.core_speed,
             demand=cores * demand_per_core,
             mem_intensity=mem_intensity,
-            tag=tag,
-            payload=payload,
         )
         if cpu_busy and cores > 0:
             self.busy_cores.add(cores)
-            self.num_processes.add(1)
+            self.num_processes += 1
 
             def _ended(_act: Any, cores: int = cores) -> None:
                 # On node failure the meters were already zeroed.
                 if self.alive:
                     self.busy_cores.add(-cores)
-                    self.num_processes.add(-1)
+                    self.num_processes -= 1
 
             act.on_end.append(_ended)
         return act
 
-    def run_gpu_compute(self, gpus: int, work: float, tag: str = "") -> Activity:
+    def run_gpu_compute(self, gpus: int, work: float) -> Activity:
         """Run GPU work: exclusive devices, no cross-GPU contention.
 
         Modeled as a contention-free activity at ``gpu_speed`` per GPU
@@ -206,7 +195,6 @@ class Node:
             weight=self.spec.gpu_speed,
             demand=0.0,
             mem_intensity=0.0,
-            tag=tag or "gpu",
         )
         if gpus > 0:
             self.busy_gpus.add(gpus)
@@ -231,25 +219,24 @@ class Node:
             mem_intensity=0.3,
             demand_per_core=mem_demand,
             cpu_busy=True,
-            tag="jitter",
         )
 
     # -- memory ---------------------------------------------------------------
 
     def reserve_memory(self, mib: float) -> None:
-        if self.used_memory_mib.value + mib > self.spec.memory_mib:
+        if self.used_memory_mib + mib > self.spec.memory_mib:
             raise AllocationError(
                 f"{self.name}: out of memory "
-                f"({self.used_memory_mib.value + mib} > {self.spec.memory_mib})"
+                f"({self.used_memory_mib + mib} > {self.spec.memory_mib})"
             )
-        self.used_memory_mib.add(mib)
+        self.used_memory_mib += mib
 
     def release_memory(self, mib: float) -> None:
-        self.used_memory_mib.add(-mib)
+        self.used_memory_mib -= mib
 
     @property
     def available_memory_mib(self) -> float:
-        return self.spec.memory_mib - self.used_memory_mib.value
+        return self.spec.memory_mib - self.used_memory_mib
 
     # -- observation ------------------------------------------------------------
 
@@ -265,7 +252,7 @@ class Node:
         self.alive = False
         self.busy_cores.set(0)
         self.busy_gpus.set(0)
-        self.num_processes.set(0)
+        self.num_processes = 0
         self.domain.fail_all(NodeFailure(f"{self.name} failed"))
 
     def set_speed_factor(self, factor: float) -> None:
@@ -284,9 +271,6 @@ class Node:
     def cpu_utilization(self) -> float:
         """Instantaneous fraction of usable cores that are busy."""
         return min(1.0, self.busy_cores.value / max(1, self.total_cores))
-
-    def gpu_utilization(self) -> float:
-        return min(1.0, self.busy_gpus.value / max(1, self.total_gpus))
 
     def uptime(self) -> float:
         return self.env.now - self.boot_time

@@ -115,7 +115,7 @@ class ProcFS:
             hostname=node.name,
             timestamp=node.env.now,
             uptime=uptime,
-            num_processes=int(node.num_processes.value),
+            num_processes=node.num_processes,
             available_ram_mib=node.available_memory_mib,
             cpu_total_jiffies=total_jiffies,
             cpu_busy_jiffies=busy_jiffies,

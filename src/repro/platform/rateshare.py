@@ -29,9 +29,7 @@ arithmetic plus n process spawns.
 
 from __future__ import annotations
 
-import itertools
 import math
-from typing import Any
 
 from ..sim.core import Environment, Event, Timeout
 
@@ -48,8 +46,6 @@ class Activity:
         the activity itself.
     """
 
-    _ids = itertools.count()
-
     __slots__ = (
         "pool",
         "work",
@@ -60,12 +56,8 @@ class Activity:
         "rate",
         "rate_cap",
         "done",
-        "started_at",
         "finished_at",
         "_last_update",
-        "tag",
-        "payload",
-        "uid",
         "on_end",
         "_ended",
     )
@@ -77,13 +69,10 @@ class Activity:
         weight: float = 1.0,
         demand: float = 0.0,
         mem_intensity: float = 0.0,
-        tag: str = "",
-        payload: Any = None,
         rate_cap: float = math.inf,
     ) -> None:
         if work < 0:
             raise ValueError(f"negative work {work}")
-        self.uid = next(Activity._ids)
         self.pool = pool
         self.work = float(work)
         self.remaining = float(work)
@@ -93,11 +82,8 @@ class Activity:
         self.rate = 0.0
         self.rate_cap = rate_cap
         self.done: Event = pool.env.event()
-        self.started_at = pool.env.now
         self.finished_at: float | None = None
         self._last_update = pool.env.now
-        self.tag = tag
-        self.payload = payload
         #: Callbacks invoked exactly once when the activity ends for
         #: any reason (completion, cancellation, node failure).
         self.on_end: list = []
@@ -144,8 +130,6 @@ class RatePool:
         self._total_demand = 0.0
         #: The pool's single pending completion timer, if any.
         self._timer: Timeout | None = None
-        #: Number of rate recomputations (perf observability).
-        self.reschedules = 0
 
     # -- public API -----------------------------------------------------
 
@@ -160,14 +144,10 @@ class RatePool:
         weight: float = 1.0,
         demand: float = 0.0,
         mem_intensity: float = 0.0,
-        tag: str = "",
-        payload: Any = None,
         rate_cap: float = math.inf,
     ) -> Activity:
         """Start an activity; returns it (wait on ``activity.done``)."""
-        act = Activity(
-            self, work, weight, demand, mem_intensity, tag, payload, rate_cap
-        )
+        act = Activity(self, work, weight, demand, mem_intensity, rate_cap)
         self._settle()
         self._active[act] = None
         self._total_weight += act.weight
@@ -223,8 +203,11 @@ class RatePool:
         self._total_demand = total_demand
 
     def _reschedule(self) -> None:
-        """Recompute all rates once and re-arm the pool's single timer."""
-        self.reschedules += 1
+        """Recompute all rates once and re-arm the pool's single timer.
+
+        Every caller has settled the pool at this instant, so the work
+        left on each activity is current.
+        """
         self._refresh_aggregates()
         now = self.env.now
         finished: list[Activity] = []
@@ -248,7 +231,6 @@ class RatePool:
             for act in finished:
                 self._finish(act)
             # Departures change rates for the survivors.
-            self._settle()
             self._reschedule()
         else:
             self._arm_timer(next_eta)
@@ -281,8 +263,8 @@ class RatePool:
             self._finish(act)
         # Float drift may leave a sliver of work on the nearest
         # activity; _reschedule re-arms for the remainder (and treats
-        # slivers below clock resolution as done).
-        self._settle()
+        # slivers below clock resolution as done).  Finishing takes no
+        # time, so the settle above still holds.
         self._reschedule()
 
     def _finish(self, act: Activity) -> None:
@@ -383,14 +365,3 @@ class ContentionDomain(RatePool):
         overload = max(1.0, self._total_demand / self.capacity)
         slowdown = (1.0 - act.mem_intensity) + act.mem_intensity * overload
         return self.speed_factor * act.weight / slowdown
-
-    def slowdown_of(self, act: Activity) -> float:
-        overload = max(1.0, self._total_demand / self.capacity)
-        return (1.0 - act.mem_intensity) + act.mem_intensity * overload
-
-
-def effective_time(work: float, rate: float) -> float:
-    """Helper: time to complete ``work`` at constant ``rate``."""
-    if rate <= 0:
-        return math.inf
-    return work / rate

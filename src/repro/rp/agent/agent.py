@@ -54,7 +54,6 @@ class Agent:
         pilot.agent_nodes = nodes[:a]
         pilot.service_nodes = nodes[a : a + s]
         pilot.compute_nodes = nodes[a + s :]
-        pilot.bootstrap_started_at = self.env.now
         with self.session.telemetry.span(
             "agent.bootstrap", component="rp-agent", uid=pilot.uid
         ):
@@ -68,7 +67,6 @@ class Agent:
             )
             self.scheduler = AgentScheduler(self)
             self.executor = AgentExecutor(self)
-            pilot.bootstrap_finished_at = self.env.now
             pilot.advance(PilotState.PMGR_ACTIVE)
             self.session.tracer.record(
                 "rp.pilot", pilot.uid, event="bootstrap_done"

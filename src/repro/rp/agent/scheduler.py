@@ -103,14 +103,9 @@ class AgentScheduler:
         if self._proc.is_alive:
             self._proc.interrupt("scheduler-stop")
 
-    @property
-    def num_waiting(self) -> int:
-        return len(self._waiting) + len(self._inbox)
-
     # -- main loop ----------------------------------------------------------
 
     def _run(self) -> Generator[Event, object, None]:
-        cfg = self.session.config
         try:
             while not self._stopped:
                 # Drain newly arrived tasks into the wait list.

@@ -52,7 +52,6 @@ class Updater:
         self.session = session
         self.env = session.env
         self.retry = retry
-        self.transitions = 0
         #: Profile records lost to an exhausted persistence retry.
         self.dropped_records = 0
 
@@ -61,7 +60,6 @@ class Updater:
     ) -> Generator[Event, None, None]:
         """Transition ``task`` and persist the profile record."""
         task.advance(state, **data)
-        self.transitions += 1
         self.session.tracer.record(
             "rp.state", task.uid, state=state, node=node
         )

@@ -103,11 +103,9 @@ class TaskManager:
         self.session = session
         self.env = session.env
         self.tasks: dict[str, Task] = {}
-        self._pilot: Pilot | None = None
         self._agent: Agent | None = None
 
-    def add_pilot(self, pilot: Pilot, agent: Agent) -> None:
-        self._pilot = pilot
+    def add_pilot(self, agent: Agent) -> None:
         self._agent = agent
 
     def submit_tasks(
@@ -218,9 +216,7 @@ class Client:
     ) -> Generator[Event, None, Pilot]:
         pilot = yield from self.pilot_manager.submit_pilot(description)
         self.pilot = pilot
-        self.task_manager.add_pilot(
-            pilot, self.pilot_manager.agent_of(pilot)
-        )
+        self.task_manager.add_pilot(self.pilot_manager.agent_of(pilot))
         return pilot
 
     @property

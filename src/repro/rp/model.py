@@ -147,7 +147,6 @@ class FixedDurationModel(TaskModel):
                     cores=p.num_cores,
                     work=self.duration * p.node.spec.core_speed,
                     mem_intensity=0.0,
-                    tag=ctx.task.uid,
                 )
                 for p in ctx.placements
             ]
@@ -182,7 +181,6 @@ class ComputeModel(TaskModel):
                 work=self.work_per_rank,
                 mem_intensity=self.mem_intensity,
                 demand_per_core=self.demand_per_core,
-                tag=ctx.task.uid,
             )
             for p in ctx.placements
         ]

@@ -47,8 +47,6 @@ class Pilot:
         self.active: Event = env.event()
         #: Fires when the pilot reaches a final state.
         self.completed: Event = env.event()
-        self.bootstrap_started_at: float | None = None
-        self.bootstrap_finished_at: float | None = None
 
     @property
     def nodes(self) -> "list[Node]":

@@ -96,7 +96,6 @@ class RaptorWorkerModel(ServiceModel):
                         cores=min(call.cores, placement.num_cores),
                         work=call.duration * placement.node.spec.core_speed,
                         mem_intensity=call.mem_intensity,
-                        tag=f"raptor-call-{call.uid}",
                     )
                     yield act.done
                     call.finished_at = ctx.env.now

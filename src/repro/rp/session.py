@@ -13,7 +13,6 @@ import itertools
 
 import numpy as np
 
-from ..messaging.queues import QueueRegistry
 from ..messaging.rpc import RPCRegistry
 from ..platform.cluster import Cluster
 from ..platform.specs import ClusterSpec, summit_like
@@ -29,8 +28,6 @@ __all__ = ["Session"]
 class Session:
     """One RP session == one workflow run on one simulated machine."""
 
-    _ids = itertools.count()
-
     def __init__(
         self,
         env: Environment | None = None,
@@ -41,7 +38,6 @@ class Session:
         trace: bool = True,
         telemetry: bool | None = None,
     ) -> None:
-        self.uid = f"session.{next(Session._ids):04d}"
         self.seed = seed
         self.env = env or Environment()
         if cluster is None:
@@ -61,7 +57,6 @@ class Session:
             read_time_base=self.config.profile_read_base,
             read_max_records=self.config.profile_read_max_records,
         )
-        self.queues = QueueRegistry(self.env)
         self.rpc_registry = RPCRegistry(self.env)
         self._uid_counters: dict[str, itertools.count] = {}
         self.closed = False
@@ -100,4 +95,4 @@ class Session:
         self.closed = True
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Session {self.uid} t={self.env.now:.1f}>"
+        return f"<Session seed={self.seed} t={self.env.now:.1f}>"

@@ -252,7 +252,3 @@ class SomaClient:
     def open_gaps(self) -> dict[str, float]:
         """Namespace → gap start time for gaps still open."""
         return dict(self._gap_since)
-
-    @property
-    def mean_rtt(self) -> float:
-        return self._rpc.mean_rtt

@@ -44,14 +44,12 @@ class SomaDeployment:
         self,
         session: "Session",
         config: SomaConfig,
-        service_task: Task | None,
         service_model: SomaServiceModel | None,
         rp_monitor_task: Task | None,
         hw_monitor_tasks: list[Task],
     ) -> None:
         self.session = session
         self.config = config
-        self.service_task = service_task
         self.service_model = service_model
         self.rp_monitor_task = rp_monitor_task
         self.hw_monitor_tasks = hw_monitor_tasks
@@ -113,11 +111,10 @@ def deploy_soma(
     RPC addresses, then submits the monitoring clients per ``config``.
     """
     session = client.session
-    env = session.env
 
     # Step 3 (Fig 2): the SOMA service, before anything else.
     service_td = soma_service_description(session, config)
-    (service_task,) = client.submit_tasks([service_td])
+    client.submit_tasks([service_td])
     service_model: SomaServiceModel = service_td.metadata["soma_model"]
 
     # Wait until every server of the layout is reachable, so clients
@@ -154,7 +151,6 @@ def deploy_soma(
     return SomaDeployment(
         session=session,
         config=config,
-        service_task=service_task,
         service_model=service_model,
         rp_monitor_task=rp_monitor_task,
         hw_monitor_tasks=hw_tasks,
@@ -166,7 +162,6 @@ def no_soma(session: "Session") -> SomaDeployment:
     return SomaDeployment(
         session=session,
         config=SomaConfig(monitors=()),
-        service_task=None,
         service_model=None,
         rp_monitor_task=None,
         hw_monitor_tasks=[],

@@ -186,7 +186,6 @@ class SomaServiceModel(ServiceModel):
                 prov.watch_store(store, name=key)
             self.stores[key] = store
         self.publishes = 0
-        self.started_at: float | None = None
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -198,7 +197,6 @@ class SomaServiceModel(ServiceModel):
         """
         env = self.session.env
         config = self.config
-        self.started_at = env.now
         for key, instance, namespace, slot in config.layout():
             node = nodes[slot % len(nodes)]
             controller = self.admission.get(instance)

@@ -121,7 +121,6 @@ class GPUStageTaskModel(TaskModel):
         gpu_act = node.run_gpu_compute(
             gpus=placement.num_gpus,
             work=self.gpu_seconds * noise * node.spec.gpu_speed,
-            tag=f"{self.stage}:{ctx.task.uid}",
         )
         cpu_act = None
         if self.cpu_seconds > 0 and placement.num_cores > 0:
@@ -130,7 +129,6 @@ class GPUStageTaskModel(TaskModel):
                 work=self.cpu_seconds * noise * node.spec.core_speed,
                 mem_intensity=self.mem_intensity,
                 demand_per_core=0.4,
-                tag=f"{self.stage}:{ctx.task.uid}",
             )
         try:
             yield gpu_act.done
@@ -194,7 +192,6 @@ class SelectionTaskModel(TaskModel):
             cores=placement.num_cores,
             work=self.cpu_seconds * noise * node.spec.core_speed,
             mem_intensity=self.mem_intensity,
-            tag=f"selection:{ctx.task.uid}",
         )
         yield act.done
         return TaskResult(exit_code=0, data={"stage": "selection"})

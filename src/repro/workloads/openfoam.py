@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+from ..platform.node import Allocation
 from ..rp.description import TaskDescription
 from ..rp.model import ExecutionContext, RankProfile, TaskModel, TaskResult
 from ..sim.core import Interrupt
@@ -134,10 +135,11 @@ class OpenFOAMTaskModel(TaskModel):
             mean=0.0, sigma=params.imbalance_sigma, size=ranks
         )
         rank_map = ctx.rank_map()
-        per_node_mult: dict[int, float] = {}
+        per_node_mult: dict[Allocation, float] = {}
         for (rank, placement), mult in zip(rank_map, multipliers):
-            key = placement.uid
-            per_node_mult[key] = max(per_node_mult.get(key, 0.0), float(mult))
+            per_node_mult[placement] = max(
+                per_node_mult.get(placement, 0.0), float(mult)
+            )
 
         compute_per_rank = params.compute_seconds_per_rank(ranks)
         comm_total = params.comm_seconds(ranks, nodes_used)
@@ -159,7 +161,7 @@ class OpenFOAMTaskModel(TaskModel):
                 work = (
                     compute_per_rank
                     / steps
-                    * per_node_mult.get(placement.uid, 1.0)
+                    * per_node_mult.get(placement, 1.0)
                     * node.spec.core_speed
                 )
                 acts.append(
@@ -168,7 +170,6 @@ class OpenFOAMTaskModel(TaskModel):
                         work=work,
                         mem_intensity=params.mem_intensity,
                         demand_per_core=params.demand_per_core,
-                        tag=ctx.task.uid,
                     )
                 )
             try:

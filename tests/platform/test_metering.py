@@ -1,8 +1,8 @@
-"""Step integrators and event counters."""
+"""Step integrators."""
 
 import pytest
 
-from repro.platform.metering import EventCounter, StepIntegrator
+from repro.platform.metering import StepIntegrator
 
 
 class TestStepIntegrator:
@@ -28,22 +28,3 @@ class TestStepIntegrator:
         assert meter.integral == pytest.approx(28.0)
         assert meter.value == 7.0
 
-
-class TestEventCounter:
-    def test_count(self, env):
-        counter = EventCounter(env)
-        for _ in range(5):
-            counter.hit()
-        assert counter.count == 5
-
-    def test_rate_window(self, env):
-        counter = EventCounter(env)
-        counter.hit()
-        env.run(until=100)
-        counter.hit()
-        counter.hit()
-        assert counter.rate(window=10.0) == pytest.approx(0.2)
-
-    def test_rate_zero_window(self, env):
-        counter = EventCounter(env)
-        assert counter.rate(0) == 0.0

@@ -38,7 +38,7 @@ def test_fail_zeroes_meters(env, node):
     node.fail()
     assert node.busy_cores.value == 0
     assert node.busy_gpus.value == 0
-    assert node.num_processes.value == 0
+    assert node.num_processes == 0
     env.run()  # no crash from the defused failures
 
 
@@ -66,7 +66,7 @@ def test_cancel_balances_meters(env, node):
     env.run(until=2)
     act.cancel()
     assert node.busy_cores.value == 0
-    assert node.num_processes.value == 0
+    assert node.num_processes == 0
     env.run()
     # Integral only covers the 2 seconds it actually ran.
     assert node.busy_cores.integral == pytest.approx(14.0)

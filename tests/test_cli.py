@@ -101,6 +101,14 @@ def test_facility_smoke(capsys):
         (["facility", "--tasks-per-pilot", "-1"], "tasks_per_pilot"),
         (["facility", "--service-nodes", "0"], "service_nodes"),
         (["facility", "--service-nodes", "-2"], "service_nodes"),
+        (["openfoam", "--seed", "-1"], "--seed"),
+        (["ddmd", "--seed", "-1"], "--seed"),
+        (["scaling", "--seed", "-1"], "--seed"),
+        (["trace", "ddmd", "--seed", "-1"], "--seed"),
+        (["why", "--seed", "-1"], "--seed"),
+        (["bottleneck", "--seed", "-1"], "--seed"),
+        (["facility", "--seed", "-1"], "--seed"),
+        (["lint", "nosuchpath"], "nosuchpath"),
     ],
 )
 def test_bad_arguments_exit_2_with_one_line(capsys, argv, option):
