@@ -44,7 +44,7 @@ _seed = _int_at_least(0)
 
 
 def _positive_finite(text: str) -> float:
-    """argparse type for factors: a finite number > 0, else a one-line usage error."""
+    """argparse type for factors and periods: a finite number > 0, else a one-line usage error."""
     try:
         value = float(text)
     except ValueError:
@@ -254,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fac.add_argument("--service-nodes", type=int, default=4)
     p_fac.add_argument("--tasks-per-pilot", type=int, default=500)
     p_fac.add_argument("--concurrency", type=int, default=8)
-    p_fac.add_argument("--period", type=float, default=60.0)
+    p_fac.add_argument("--period", type=_positive_finite, default=60.0)
     p_fac.add_argument("--seed", type=_seed, default=3)
     p_fac.add_argument(
         "--admission-rate", type=float, default=None, metavar="TOKENS_PER_S",

@@ -26,9 +26,9 @@ can cache and diff byte-for-byte.
 
 from __future__ import annotations
 
-from collections import deque
+import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Generator
+from typing import TYPE_CHECKING, Any, Generator, Iterator
 
 from ..conduit import Node as ConduitNode
 from ..faults.injector import FaultInjector
@@ -86,14 +86,17 @@ class FacilitySpec:
     def __post_init__(self) -> None:
         # Rejected here, not deep in the run: with no task slot no
         # worker ever runs a task, and a zero period never advances the
-        # monitor loop, so either would hang instead of failing; with no
-        # pilot, task or service node there is nothing to run.
+        # monitor loop, so either would hang instead of failing; an
+        # infinite one moves the clock to infinity; with no pilot, task
+        # or service node there is nothing to run.
         for name in ("pilots", "service_nodes", "tasks_per_pilot", "concurrency"):
             value = getattr(self, name)
             if value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")
-        if not self.period > 0:  # also rejects NaN
-            raise ValueError(f"period must be > 0, got {self.period}")
+        if not (math.isfinite(self.period) and self.period > 0):
+            raise ValueError(
+                f"period must be a finite number > 0, got {self.period}"
+            )
         if self.shards < 1:
             raise ValueError(f"shards must be >= 1, got {self.shards}")
         if self.admission_rate is not None and not self.admission_rate > 0:
@@ -212,11 +215,11 @@ class FacilityResult:
 
 
 def _worker(
-    env, state: _PilotState, queue: "deque[float]"
+    env, state: _PilotState, durations: Iterator[float]
 ) -> Generator[Event, None, None]:
     """One task slot: drain durations; never touches the RPC path."""
-    while queue:
-        duration = queue.popleft()
+    for draw in durations:
+        duration = float(draw)  # no numpy scalar reaches the clock
         started = env.now
         yield env.timeout(duration)
         # Float non-associativity makes (t0 + d) - t0 != d in general;
@@ -286,10 +289,8 @@ def _pilot(
     scale = _family_scale(state.family)
     # Uniform ±50% around the family scale: enough spread to desync
     # the pilots' monitors without modelling full workload pipelines.
-    durations = deque(
-        scale * (0.5 + float(rng.random()))
-        for _ in range(spec.tasks_per_pilot)
-    )
+    # One array, drained by every worker through one shared iterator.
+    durations = iter(scale * (0.5 + rng.random(spec.tasks_per_pilot)))
     client = config.make_client(
         session,
         name=f"mon@{state.tenant}",
@@ -331,7 +332,7 @@ def facility_chaos_plan(
     outage provably hits a shard with live traffic — with a windowed
     outage followed by a synthetic-tenant flood against that shard.
     """
-    ring = spec.soma_config().make_ring()
+    ring = spec.soma_config().ring
     victim = ring.owner(shard_key(spec.tenants()[0], spec.namespaces[0]))
     return (
         FaultPlan()

@@ -42,8 +42,9 @@ class Activity:
     Attributes
     ----------
     done:
-        Event that fires when all work has been performed.  Its value is
-        the activity itself.
+        Event that fires when all work has been performed.  It carries
+        no value, so a finished activity is freed by reference counting
+        rather than left in a cycle for the cyclic GC.
     """
 
     __slots__ = (
@@ -277,7 +278,7 @@ class RatePool:
             self._total_demand -= act.demand
         act._run_on_end()
         if not act.done.triggered:
-            act.done.succeed(act)
+            act.done.succeed()
 
     def fail_all(self, exc: BaseException) -> None:
         """Abort every active activity with ``exc`` (node failure).
@@ -309,7 +310,7 @@ class RatePool:
             act.finished_at = self.env.now
         act._run_on_end()
         if fire and not act.done.triggered:
-            act.done.succeed(act)
+            act.done.succeed()
         self._reschedule()
 
 

@@ -19,7 +19,7 @@ from RP's ``setup`` and, without a pilot, from the facility scenario.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any
 
 from ..conduit import Node as ConduitNode
@@ -89,6 +89,20 @@ class SomaConfig:
     #: Token-bucket depth: how large a publish burst a quiet tenant
     #: may land before the rate limit bites.
     admission_burst: float = 10.0
+    #: The sharded deployment's ring, built once here and shared
+    #: read-only by the service model and every client; None for the
+    #: paper's single instance.
+    ring: HashRing | None = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.shards < 0:
+            raise ValueError(f"shards must be >= 0, got {self.shards}")
+        ring = (
+            HashRing(instance_names(self.shards), vnodes=self.ring_vnodes)
+            if self.shards
+            else None
+        )
+        object.__setattr__(self, "ring", ring)
 
     @property
     def effective_hardware_frequency(self) -> float:
@@ -124,12 +138,6 @@ class SomaConfig:
             for ns in self.namespaces
         )
 
-    def make_ring(self) -> HashRing | None:
-        """The sharded deployment's ring; None for a single instance."""
-        if not self.shards:
-            return None
-        return HashRing(instance_names(self.shards), vnodes=self.ring_vnodes)
-
     def make_client(
         self,
         session: "Session",
@@ -150,7 +158,7 @@ class SomaConfig:
             node=node,
             retry=self.retry,
             tenant=tenant if tenant is not None else self.tenant,
-            ring=self.make_ring(),
+            ring=self.ring,
         )
 
     def with_updates(self, **kwargs: Any) -> "SomaConfig":
@@ -175,8 +183,8 @@ class SomaServiceModel(ServiceModel):
         env = session.env
         self.servers: "dict[str, RPCServer]" = env.shared_dict("soma.servers")
         self.stores: "dict[str, NamespaceStore]" = env.shared_dict("soma.stores")
-        #: The sharded deployment's ring; None for the paper's service.
-        self.ring = config.make_ring()
+        #: The deployment's shared ring; None for the paper's service.
+        self.ring = config.ring
         #: Per-instance admission controllers (empty when disabled).
         self.admission: dict[str | None, AdmissionController] = {}
         prov = getattr(session.telemetry, "provenance", None)

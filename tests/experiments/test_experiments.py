@@ -15,8 +15,15 @@ from repro.experiments import (
     run_workflow,
     tuning_experiment,
 )
-from repro.experiments.facility import FacilitySpec
-from repro.rp import FixedDurationModel, TaskDescription
+from repro.experiments.facility import (
+    FacilitySpec,
+    _family_scale,
+    facility_chaos_plan,
+    run_facility,
+)
+from repro.platform import summit_like
+from repro.rp import FixedDurationModel, Session, TaskDescription
+from repro.soma.sharding import HashRing
 
 
 class TestTable1Configs:
@@ -131,6 +138,7 @@ class TestFacilitySpec:
             ("period", 0.0),  # the monitor loop never leaves one timestamp
             ("period", -5.0),
             ("period", float("nan")),  # NaN passes `<= 0`; the run would hang
+            ("period", float("inf")),  # the clock would jump to infinity
             ("shards", 0),
             ("admission_rate", 0.0),
             ("admission_rate", float("nan")),
@@ -143,3 +151,39 @@ class TestFacilitySpec:
     def test_defaults_and_no_admission_control_are_valid(self):
         assert FacilitySpec().admission_rate is None
         assert FacilitySpec(admission_rate=0.5).admission_rate == 0.5
+
+
+@pytest.mark.parametrize("family", ["openfoam", "ddmd"])
+def test_facility_duration_array_equals_scalar_draws(family):
+    # A pilot draws its durations as one array; the reference is one
+    # scalar draw per task, which must give the same doubles.
+    scale = _family_scale(family)
+    session = Session(cluster_spec=summit_like(1), seed=3)
+    array_rng = session.stable_rng("facility:t000")
+    scalar_rng = session.stable_rng("facility:t000")
+    drawn = [float(d) for d in scale * (0.5 + array_rng.random(500))]
+    assert drawn == [scale * (0.5 + float(scalar_rng.random())) for _ in range(500)]
+
+
+def test_facility_run_builds_one_ring_per_config(monkeypatch):
+    # One ring for the chaos plan's config and one for the run's, shared
+    # by the service model and every pilot's client.
+    built = []
+    init = HashRing.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(HashRing, "__init__", counting_init)
+    spec = FacilitySpec(
+        pilots=6,
+        shards=2,
+        service_nodes=2,
+        tasks_per_pilot=4,
+        concurrency=2,
+        period=30.0,
+    )
+    result = run_facility(spec, seed=3, fault_plan=facility_chaos_plan(spec))
+    assert result.samples_generated == 24
+    assert len(built) == 2

@@ -54,7 +54,7 @@ def test_new_fault_kinds_validate():
 
 
 def victim_of(spec: FacilitySpec) -> str:
-    ring = spec.soma_config().make_ring()
+    ring = spec.soma_config().ring
     return ring.owner(shard_key(spec.tenants()[0], spec.namespaces[0]))
 
 

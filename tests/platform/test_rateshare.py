@@ -1,8 +1,10 @@
 """Rate-shared execution: fair channels and contention domains."""
 
+import gc
+
 import pytest
 
-from repro.platform.rateshare import ContentionDomain, FairShareChannel
+from repro.platform.rateshare import Activity, ContentionDomain, FairShareChannel
 
 
 def finish(env, pool_activity, box, key):
@@ -92,6 +94,21 @@ class TestFairShareChannel:
         act = channel.execute(work=30.0)
         env.run(act.done)
         assert channel.delivered == pytest.approx(30.0)
+
+    def test_finished_activities_are_freed_without_the_cyclic_gc(self, env):
+        # A finished activity is in no reference cycle, so it is freed
+        # as soon as nothing refers to it, not at the next GC pass.
+        channel = FairShareChannel(env, capacity=10.0)
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(50):
+                channel.execute(work=1.0)
+            env.run()
+            live = sum(1 for obj in gc.get_objects() if type(obj) is Activity)
+        finally:
+            gc.enable()
+        assert live == 0
 
 
 class TestContentionDomain:

@@ -1,5 +1,7 @@
 """SOMA service + client over the full RP stack."""
 
+import pickle
+
 import pytest
 
 from repro.conduit import Node
@@ -57,6 +59,32 @@ class TestConfig:
 
     def test_all_namespaces_covered(self):
         assert len(ALL_NAMESPACES) == 4
+
+    def test_negative_shards_rejected_by_name(self):
+        # -1 used to pass the `not shards` test: an empty layout, and
+        # every client routed to no server.
+        with pytest.raises(ValueError, match="shards"):
+            SomaConfig(shards=-1)
+
+    def test_sharded_ring_is_built_with_the_config(self):
+        with pytest.raises(ValueError, match="vnode"):
+            SomaConfig(shards=2, ring_vnodes=0)
+        assert SomaConfig(ring_vnodes=0).ring is None
+
+    def test_ring_is_not_part_of_config_identity(self):
+        config = SomaConfig(shards=2)
+        twin = SomaConfig(shards=2)
+        assert config.ring is not twin.ring
+        assert config == twin and hash(config) == hash(twin)
+        assert "ring=" not in repr(config)
+        copy = pickle.loads(pickle.dumps(config))
+        assert copy == config and copy.ring.instances == ("s00", "s01")
+        assert config.with_updates(shards=3).ring.instances == (
+            "s00",
+            "s01",
+            "s02",
+        )
+        assert config.with_updates(shards=0).ring is None
 
 
 class TestServiceDeployment:
@@ -248,6 +276,16 @@ class TestShardedService:
         # Classic unqualified names must NOT exist: a stale unsharded
         # client would otherwise silently talk past the ring.
         assert session.rpc_registry.try_lookup("soma.workflow") is None
+
+    def test_model_and_every_client_share_the_config_ring(self):
+        session, config, model = self.make_stack()
+        clients = [
+            config.make_client(session, name=f"mon@t{i}", tenant=f"t{i}")
+            for i in range(3)
+        ]
+        assert config.ring is not None
+        for client in clients:
+            assert client.ring is config.ring is model.ring
 
     def test_instances_on_distinct_nodes(self):
         session, config, model = self.make_stack()

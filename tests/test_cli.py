@@ -109,6 +109,22 @@ def test_facility_smoke(capsys):
         (["bottleneck", "--seed", "-1"], "--seed"),
         (["facility", "--seed", "-1"], "--seed"),
         (["lint", "nosuchpath"], "nosuchpath"),
+        (
+            [
+                "facility",
+                "--pilots",
+                "2",
+                "--tasks-per-pilot",
+                "2",
+                "--service-nodes",
+                "1",
+                "--shards",
+                "1",
+                "--period",
+                "inf",
+            ],
+            "period",
+        ),
     ],
 )
 def test_bad_arguments_exit_2_with_one_line(capsys, argv, option):
