@@ -23,8 +23,8 @@ import numpy as np
 
 from ...soma.analysis import (
     cpu_utilization_series,
-    load_imbalance,
-    rank_region_breakdown,
+    imbalance_ratio,
+    task_breakdowns,
     workflow_summary_series,
 )
 from ...soma.namespaces import HARDWARE, PERFORMANCE, WORKFLOW
@@ -236,8 +236,9 @@ class LoadImbalanceDetector(Detector):
 
     Fig 5's signature: total per-rank time is flat (fast ranks wait in
     MPI for stragglers) but the *compute* split is skewed.  The metric
-    is max/mean over per-rank compute seconds via
-    :func:`repro.soma.analysis.load_imbalance`.
+    is max/mean over per-rank compute seconds, as
+    :func:`repro.soma.analysis.load_imbalance` computes it.  Each call
+    merges the ``performance`` store once for all tasks.
     """
 
     name = "load-imbalance"
@@ -245,46 +246,51 @@ class LoadImbalanceDetector(Detector):
     metric_field = "imbalance_ratio"
     metric_floor = 1.3
 
-    def _task_uids(self, ctx: DetectionContext) -> list[str]:
+    def _breakdowns(self, ctx: DetectionContext) -> list[tuple[str, dict]]:
+        """(task uid, rank/region breakdown) for every TAU task, by uid."""
         store = ctx.store(PERFORMANCE)
         if store is None or not len(store):
             return []
-        merged = store.merged()
-        if "TAU" not in merged:
-            return []
-        return sorted(name for name, _node in merged["TAU"].children())
+        return sorted(task_breakdowns(store).items())
 
-    def _task_window(self, ctx, task_uid: str) -> tuple[float, float]:
-        store = ctx.store(PERFORMANCE)
-        times = [
-            r.time for r in store if f"TAU/{task_uid}" in r.data
-        ]
-        if not times:
-            return (0.0, ctx.now)
-        return (min(times), max(times))
+    @staticmethod
+    def _task_windows(ctx: DetectionContext) -> dict[str, list[float]]:
+        """Each TAU task's [first, last] publish time, in one pass.
+
+        Called only after every task's breakdown was read from the
+        merged store, so no record's ``TAU`` is a leaf: one would have
+        failed the merge or the breakdown.
+        """
+        windows: dict[str, list[float]] = {}
+        for record in ctx.store(PERFORMANCE):  # in time order
+            data = record.data
+            if "TAU" in data:
+                for uid in data["TAU"]:
+                    windows.setdefault(uid, [record.time, record.time])[1] = record.time
+        return windows
 
     def observe(self, ctx: DetectionContext) -> float:
-        store = ctx.store(PERFORMANCE)
         worst = 0.0
-        for uid in self._task_uids(ctx):
-            worst = max(worst, load_imbalance(store, uid))
+        for _uid, breakdown in self._breakdowns(ctx):
+            worst = max(worst, imbalance_ratio(breakdown))
         return worst
 
     def detect(
         self, ctx: DetectionContext, thresholds: Thresholds
     ) -> list[Finding]:
-        store = ctx.store(PERFORMANCE)
         findings = []
-        for uid in self._task_uids(ctx):
-            ratio = load_imbalance(store, uid)
+        windows = None
+        for uid, breakdown in self._breakdowns(ctx):
+            ratio = imbalance_ratio(breakdown)
             if ratio < thresholds.imbalance_ratio:
                 continue
-            breakdown = rank_region_breakdown(store, uid)
             compute = [
                 sum(v for k, v in regions.items() if not k.startswith("MPI_"))
                 for regions in breakdown.values()
             ]
-            start, end = self._task_window(ctx, uid)
+            if windows is None:
+                windows = self._task_windows(ctx)
+            start, end = windows[uid]
             findings.append(
                 Finding(
                     kind=self.kind,

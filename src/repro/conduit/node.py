@@ -22,6 +22,10 @@ repeats the same few.  A leaf gets a ``Node`` only when someone takes a
 handle to it (:meth:`Node.fetch`, :meth:`Node.children`); the handle
 replaces the bare value in its parent, so writes through it and through
 the parent's paths stay one leaf, exactly as when every leaf was boxed.
+
+The child name ``__bytes__`` is reserved: :meth:`Node.to_json` writes a
+``bytes`` leaf as an object with that one key, so a child of that name
+would serialize exactly like one.
 """
 
 from __future__ import annotations
@@ -39,6 +43,9 @@ _LEAF_TYPES = (int, float, str, bool, bytes, type(None))
 _PLAIN_TYPES = frozenset(_LEAF_TYPES)
 
 _intern = sys.intern
+#: The key ``to_json`` wraps a ``bytes`` leaf's hex in; no child has it.
+_BYTES_KEY = "__bytes__"
+_RESERVED = f"{_BYTES_KEY!r} is reserved: to_json() writes bytes leaves under it"
 
 
 class PathError(KeyError):
@@ -138,6 +145,8 @@ class Node:
             kids = node._children
             child = kids.get(part, _MISSING)
             if child is _MISSING:
+                if _BYTES_KEY in parts:  # before anything is created
+                    raise PathError(_RESERVED)
                 child = kids[_intern(part)] = Node()
             elif type(child) is not Node:
                 child = kids[part] = _boxed(child)
@@ -191,6 +200,8 @@ class Node:
                 kids = node._children
                 child = kids.get(part, _MISSING)
                 if child is _MISSING:
+                    if name == _BYTES_KEY or _BYTES_KEY in parts:
+                        raise PathError(_RESERVED)
                     child = kids[_intern(part)] = Node()
                 elif type(child) is not Node:
                     raise PathError(f"cannot descend through leaf at {part!r}")
@@ -200,6 +211,8 @@ class Node:
         kids = node._children
         child = kids.get(name, _MISSING)
         if child is _MISSING:
+            if name == _BYTES_KEY:
+                raise PathError(_RESERVED)
             kids[_intern(name)] = value
         elif type(child) is Node:
             child.set(value)  # keeps a taken handle live
@@ -342,10 +355,29 @@ class Node:
         node.set(data)
         return node
 
+    @staticmethod
+    def from_mirror(data: Any) -> "Node":
+        """A new tree whose :meth:`to_dict` is ``data``, trusting it.
+
+        ``data`` must be a ``to_dict`` result, or an unpickled copy of
+        one (as a SOMA store keeps each record), and is taken over, not
+        copied.  No path is split and no leaf re-checked; names are
+        interned as on insert.  Anything else goes through
+        :meth:`from_dict`.
+        """
+        if type(data) is not dict:
+            return _boxed(data)
+        node = Node()
+        node._children = {
+            _intern(name): Node.from_mirror(sub) if type(sub) is dict else sub
+            for name, sub in data.items()
+        }
+        return node
+
     def to_json(self) -> str:
         def encode(value: Any) -> Any:
             if isinstance(value, bytes):
-                return {"__bytes__": value.hex()}
+                return {_BYTES_KEY: value.hex()}
             return value
 
         def leaf(value: Any) -> Any:
@@ -366,14 +398,14 @@ class Node:
     @classmethod
     def from_json(cls, payload: str) -> "Node":
         def decode(value: Any) -> Any:
-            if isinstance(value, dict) and set(value) == {"__bytes__"}:
-                return bytes.fromhex(value["__bytes__"])
+            if isinstance(value, dict) and set(value) == {_BYTES_KEY}:
+                return bytes.fromhex(value[_BYTES_KEY])
             if isinstance(value, list):
                 return [decode(v) for v in value]
             return value
 
         def is_object(data: Any) -> bool:
-            return isinstance(data, dict) and set(data) != {"__bytes__"}
+            return isinstance(data, dict) and set(data) != {_BYTES_KEY}
 
         def build(data: dict, node: "Node") -> None:
             for key, sub in data.items():

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..conduit import Node
 from .storage import NamespaceStore
 
 __all__ = [
@@ -27,6 +28,8 @@ __all__ = [
     "workflow_summary_series",
     "task_throughput",
     "rank_region_breakdown",
+    "task_breakdowns",
+    "imbalance_ratio",
     "load_imbalance",
     "free_resource_estimate",
 ]
@@ -160,8 +163,23 @@ def rank_region_breakdown(
     merged = store.merged()
     if f"TAU/{task_uid}" not in merged:
         return {}
+    return _rank_regions(merged[f"TAU/{task_uid}"])
+
+
+def task_breakdowns(store: NamespaceStore) -> dict[str, dict[int, dict[str, float]]]:
+    """:func:`rank_region_breakdown` of every TAU task, from one merge.
+
+    Each stored record is rebuilt on read, so a reader that covers
+    every task merges the store once here instead of once per task.
+    """
+    merged = store.merged()
+    if "TAU" not in merged:
+        return {}
+    return {uid: _rank_regions(node) for uid, node in merged["TAU"].children()}
+
+
+def _rank_regions(task_node: Node) -> dict[int, dict[str, float]]:
     out: dict[int, dict[str, float]] = {}
-    task_node = merged[f"TAU/{task_uid}"]
     for _host, host_node in task_node.children():
         for rank_name, rank_node in host_node.children():
             rank = int(rank_name.replace("rank", ""))
@@ -181,7 +199,11 @@ def load_imbalance(store: NamespaceStore, task_uid: str) -> float:
     ranks wait for stragglers), so total time is flat by construction
     and only the compute split reveals the imbalance (Fig 5).
     """
-    breakdown = rank_region_breakdown(store, task_uid)
+    return imbalance_ratio(rank_region_breakdown(store, task_uid))
+
+
+def imbalance_ratio(breakdown: dict[int, dict[str, float]]) -> float:
+    """:func:`load_imbalance` of one task's rank/region breakdown."""
     if not breakdown:
         return 0.0
     compute = np.array(

@@ -222,8 +222,9 @@ class SomaClient:
         Only once something has gone wrong: a healthy client publishes
         byte-identical payloads with or without fault injection wired
         in, which is what the determinism regression pins down.  The
-        annotation goes on a copy, because the caller's tree may
-        already be stored and published trees are never mutated.
+        annotation goes on a copy, so the caller's tree stays as the
+        caller built it (a store keeps a serialized snapshot, which
+        nothing changes after the publish).
         """
         if self.dropped == 0 and self._rpc.retries == 0:
             return data

@@ -3,12 +3,19 @@
 Each namespace instance stores the Conduit trees its clients publish,
 keyed by arrival time and source.  Analysis code queries these stores
 online (through the service) or offline (after the run).
+
+At rest a record keeps its tree's pickled
+:meth:`~repro.conduit.Node.to_dict` mirror, one ``bytes`` object, not a
+live tree: a stored record is immutable by construction, its payload
+takes a fraction of the tree's memory, and the cyclic GC never walks
+it.
 """
 
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
+import pickle
+from dataclasses import dataclass, field
 from typing import Iterator
 
 from ..conduit import Node
@@ -18,12 +25,24 @@ __all__ = ["PublishedRecord", "NamespaceStore"]
 
 @dataclass(frozen=True, slots=True)
 class PublishedRecord:
-    """One published Conduit tree."""
+    """One published Conduit tree, kept serialized.
+
+    ``data`` is a fresh tree rebuilt on every read and owned by the
+    reader: changing it changes nothing stored, and two reads never
+    share a node or a list.  A reader that walks a record more than
+    once should read ``data`` once.
+    """
 
     time: float
     source: str
-    data: Node
+    #: The tree's pickled ``to_dict()`` mirror, written by
+    #: :meth:`NamespaceStore.append` (the only bytes ``data`` unpickles).
+    blob: bytes = field(repr=False)
     nbytes: float
+
+    @property
+    def data(self) -> Node:
+        return Node.from_mirror(pickle.loads(self.blob))
 
 
 class NamespaceStore:
@@ -51,16 +70,22 @@ class NamespaceStore:
     def append(
         self, time: float, source: str, data: Node, nbytes: float | None = None
     ) -> PublishedRecord:
-        """Store one published tree.
+        """Store a snapshot of one published tree.
 
-        ``nbytes`` is the size the publisher already charged for (the
-        service passes the request's ``payload_bytes``), so a publish
-        walks its tree once.  Offline and test appends leave it out and
-        the tree is sized here.
+        The tree is serialized here, so later changes to ``data`` do not
+        reach the store.  ``nbytes`` is the size the publisher already
+        charged for (the service passes the request's
+        ``payload_bytes``), so a publish walks its tree once.  Offline
+        and test appends leave it out and the tree is sized here.
         """
         if nbytes is None:
             nbytes = data.nbytes()
-        record = PublishedRecord(time=time, source=source, data=data, nbytes=nbytes)
+        record = PublishedRecord(
+            time=time,
+            source=source,
+            blob=pickle.dumps(data.to_dict(), 5),
+            nbytes=nbytes,
+        )
         # Publishes arrive in RPC-completion order, which is time order
         # within one environment; insort keeps us safe regardless.
         if self._times and time < self._times[-1]:

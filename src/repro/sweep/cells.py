@@ -45,7 +45,7 @@ from ..experiments.openfoam_exps import (
 from ..platform import SUMMIT
 from ..soma.analysis import (
     cpu_utilization_series,
-    load_imbalance,
+    imbalance_ratio,
     rank_region_breakdown,
     task_state_observations,
 )
@@ -135,7 +135,7 @@ def collect_openfoam(
                 str(rank): dict(regions)
                 for rank, regions in breakdown.items()
             },
-            "imbalance": load_imbalance(store, task.uid),
+            "imbalance": imbalance_ratio(breakdown),
         }
     task_starts: list[list] = []
     if result.deployment.enabled:

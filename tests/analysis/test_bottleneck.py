@@ -7,6 +7,8 @@ end and check the detectors agree with each scenario's planted truth
 kind on each fault run.
 """
 
+from collections import Counter
+
 import pytest
 
 from repro.analysis.bottleneck import (
@@ -29,7 +31,7 @@ from repro.analysis.bottleneck.detectors import (
     SchedulerStarvationDetector,
 )
 from repro.conduit import Node
-from repro.soma import NamespaceStore
+from repro.soma import NamespaceStore, PublishedRecord
 from repro.soma.namespaces import HARDWARE, PERFORMANCE, WORKFLOW
 
 
@@ -201,6 +203,33 @@ class TestLoadImbalanceDetector:
         store = tau_store([30.0, 10.0])  # totals are 35 for both ranks
         ctx = make_ctx(stores={PERFORMANCE: store})
         assert self.detector.observe(ctx) == pytest.approx(1.5)
+
+    def test_one_call_rebuilds_each_record_at_most_twice(self, monkeypatch):
+        # Every read of a stored record rebuilds its tree; detect merges
+        # the store once and finds every task's window in one more pass.
+        store = NamespaceStore(PERFORMANCE)
+        for i, ranks in enumerate(([40.0, 10.0, 10.0], [10.0, 10.5], [30.0, 2.0])):
+            uid = f"task.{i:06d}"
+            for rank, compute in enumerate(ranks):  # one record per rank
+                tree = Node()
+                tree[f"TAU/{uid}/cn0001/rank{rank:05d}/solve"] = compute
+                store.append(100.0 * i + rank, f"tau@{uid}", tree)
+        reads = Counter()
+        rebuild = PublishedRecord.data.fget
+
+        def counted(record):
+            reads[id(record)] += 1
+            return rebuild(record)
+
+        monkeypatch.setattr(PublishedRecord, "data", property(counted))
+        ctx = make_ctx(stores={PERFORMANCE: store})
+        findings = self.detector.detect(ctx, DEFAULT_THRESHOLDS)
+        assert [f.where for f in findings] == ["task.000000", "task.000002"]
+        assert [f.window for f in findings] == [(0.0, 2.0), (200.0, 201.0)]
+        assert len(reads) == len(store) and max(reads.values()) == 2
+        reads.clear()
+        assert self.detector.observe(ctx) == pytest.approx(2.0)
+        assert len(reads) == len(store) and max(reads.values()) == 1
 
 
 class TestSchedulerStarvationDetector:

@@ -235,10 +235,45 @@ class TestSerialization:
         restored = Node.from_json(n.to_json())
         assert restored == n
 
+    def test_bytes_key_is_reserved(self):
+        # A child "__bytes__" holding a hex string would serialize
+        # exactly like a bytes leaf, and come back from JSON as one.
+        n = Node()
+        with pytest.raises(PathError):
+            n["a/__bytes__"] = "ab"
+        with pytest.raises(PathError):
+            n.fetch("a/__bytes__/c")
+        with pytest.raises(PathError):
+            n["__bytes__"] = 1
+        with pytest.raises(PathError):
+            Node.from_dict({"__bytes__": "ab"})
+        with pytest.raises(PathError):
+            Node.from_json('{"a": {"__bytes__": "ab", "b": 1}}')
+        assert n.to_json() == "{}"  # a rejected path leaves no trace
+        assert "a/__bytes__" not in n and n.get("__bytes__") is None
+        n["a"] = b"\xab"
+        assert n.to_json() == '{"a": {"__bytes__": "ab"}}'
+        assert Node.from_json(n.to_json()) == n
+
     def test_to_dict(self):
         n = Node()
         n["a/b"] = 1
         assert n.to_dict() == {"a": {"b": 1}}
+
+    def test_from_mirror_inverts_to_dict(self):
+        n = Node()
+        n["a/b"] = [1.5, 2.5]
+        n["a/c"] = None
+        n.fetch("e")
+        n["raw"] = b"\x00"
+        mirror = n.to_dict()
+        rebuilt = Node.from_mirror(mirror)
+        assert rebuilt.to_json() == n.to_json() and rebuilt == n
+        assert rebuilt["a/b"] is mirror["a"]["b"]  # taken over, not copied
+        assert rebuilt.child_names()[0] is n.child_names()[0]  # interned
+        leaf = Node.from_mirror(None)
+        assert leaf.is_leaf and leaf.value is None
+        assert Node.from_mirror({}).is_empty
 
     def test_from_dict(self):
         n = Node.from_dict({"a": {"b": 2}, "c": 3})

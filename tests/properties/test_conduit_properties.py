@@ -3,10 +3,12 @@
 import math
 import string
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.conduit import Node
+from repro.conduit import Node, PathError
+from repro.soma import NamespaceStore
 
 # Path segments: nonempty, no slashes.
 segment = st.text(
@@ -160,3 +162,59 @@ def test_num_leaves_matches_iteration(pairs):
     node, _ = build(pairs)
     assert node.num_leaves() == len(list(node.leaves()))
     assert node.num_leaves() == len(node.paths())
+
+
+# What a SOMA store must keep exactly: every leaf kind above plus numpy
+# floats (NaN included) and bytes, root leaves (None too), and empty
+# object children.
+stored_leaf = st.one_of(
+    leaf,
+    any_scalar,
+    st.floats(width=32).map(np.float64),
+    st.binary(max_size=8),
+)
+
+
+def root_leaf(value):
+    node = Node()
+    node.set(value)
+    return node
+
+
+def with_empty_children(pairs, empty):
+    node, _ = build(pairs)
+    for p in empty:
+        try:
+            node.fetch(p)  # an empty object child, or a boxed leaf
+        except PathError:
+            continue  # under a leaf: a legal rejection
+    return node
+
+
+stored_tree = st.one_of(
+    stored_leaf.map(root_leaf),
+    st.builds(
+        with_empty_children,
+        st.lists(st.tuples(path, stored_leaf), max_size=12),
+        st.lists(path, max_size=3),
+    ),
+)
+
+
+def leaf_types(node):
+    return [
+        (p, type(v), [type(item) for item in v] if type(v) is list else None)
+        for p, v in node.leaves()
+    ]
+
+
+@given(stored_tree)
+@settings(max_examples=300)
+def test_store_round_trips_every_tree(tree):
+    record = NamespaceStore("x").append(1.0, "src", tree)
+    got = record.data
+    assert got.to_json() == tree.to_json()
+    assert got.nbytes() == tree.nbytes() == record.nbytes
+    assert leaf_types(got) == leaf_types(tree)
+    assert got == tree
+    assert (got.is_leaf, got.is_empty) == (tree.is_leaf, tree.is_empty)
