@@ -536,23 +536,15 @@ def _cmd_why(args: argparse.Namespace) -> int:
         render_why,
         report_violations,
         resolve_target,
-        set_default_provenance,
         validate_graph,
         why_chain,
     )
-    from .telemetry import drain_telemetries, set_default_telemetry
+    from .sim import observability
 
-    drain_telemetries()
-    prev_tel = set_default_telemetry(True)
-    prev_prov = set_default_provenance(True)
-    try:
+    with observability(telemetry=True, provenance=True):
         result = _run_traced_experiment(args.experiment, args.seed)
-    finally:
-        set_default_telemetry(prev_tel)
-        set_default_provenance(prev_prov)
 
     graph = build_graph(result)
-    drain_telemetries()
     violations = validate_graph(graph)
     if violations:
         report_violations(graph, violations)
@@ -587,27 +579,21 @@ def _cmd_why(args: argparse.Namespace) -> int:
 def _cmd_trace(args: argparse.Namespace) -> int:
     from pathlib import Path
 
+    from .sim import observability
     from .telemetry import (
         chrome_trace,
         component_tracks,
-        drain_telemetries,
         flame_summary,
         merge_chrome_traces,
         render_span_table,
         run_counters,
         save_chrome_trace,
-        set_default_telemetry,
         top_critical_spans,
         validate_chrome_trace,
     )
 
-    drain_telemetries()  # discard hubs any earlier in-process run left
-    previous = set_default_telemetry(True)
-    try:
+    with observability(telemetry=True) as hubs:
         result = _run_traced_experiment(args.experiment, args.seed)
-    finally:
-        set_default_telemetry(previous)
-        hubs = drain_telemetries()
 
     if not hubs:
         print("no telemetry hubs recorded (nothing to export)")

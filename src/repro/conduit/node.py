@@ -105,20 +105,22 @@ class Node:
         return self._value
 
     def set(self, value: Any) -> None:
-        """Make this node a leaf holding ``value``."""
+        """Make this node a leaf holding ``value``.
+
+        A ``Node`` or dict replaces the node's contents with a copy,
+        built in full first: a rejected leaf leaves the node as it was.
+        """
         if type(value) not in _PLAIN_TYPES:
-            if isinstance(value, Node):
-                clone = value.copy()
-                self._children = clone._children
-                self._value = clone._value
-                self._has_value = clone._has_value
-                return
-            if isinstance(value, dict):
-                self._children.clear()
-                self._has_value = False
-                self._value = None
-                for key, sub in value.items():
-                    self[str(key)] = sub
+            if isinstance(value, (Node, dict)):
+                if isinstance(value, Node):
+                    built = value.copy()
+                else:
+                    built = Node()
+                    for key, sub in value.items():
+                        built[str(key)] = sub
+                self._children = built._children
+                self._value = built._value
+                self._has_value = built._has_value
                 return
             value = _leaf_value(value)
         if self._children:
@@ -257,9 +259,6 @@ class Node:
         return iter(self._children)
 
     def __len__(self) -> int:
-        return len(self._children)
-
-    def number_of_children(self) -> int:
         return len(self._children)
 
     def leaves(self, prefix: str = "") -> Iterator[tuple[str, Any]]:

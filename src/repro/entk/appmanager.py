@@ -45,7 +45,17 @@ class AppManager:
     def run(
         self, pipelines: list[Pipeline]
     ) -> Generator[Event, None, list[Pipeline]]:
-        """Run all pipelines concurrently; returns when all are done."""
+        """Run all pipelines concurrently; returns when all are done.
+
+        Mints the uids from the run's environment first: each pipeline,
+        then its stages, in list order.
+        """
+        for pipeline in pipelines:
+            pipeline.uid = f"pipeline.{self.env.new_id('pipeline'):04d}"
+            pipeline.name = pipeline.name or pipeline.uid
+            for stage in pipeline.stages:
+                stage.uid = f"stage.{self.env.new_id('stage'):06d}"
+                stage.name = stage.name or stage.uid
         self.pipelines.extend(pipelines)
         procs = [
             self.env.process(

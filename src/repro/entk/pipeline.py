@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
-
 from .stage import Stage
 
 __all__ = ["Pipeline"]
@@ -14,33 +12,20 @@ class Pipeline:
 
     The paper uses EnTK "to schedule n number of phases in a row,
     within m number of concurrent pipelines" (Sec 3.2, Fig 3); a phase
-    is four consecutive stages appended to the pipeline.
+    is four consecutive stages appended to the pipeline.  The uid is
+    minted, and an unnamed pipeline named after it, when
+    :meth:`~repro.entk.appmanager.AppManager.run` receives it.
     """
 
-    _ids = itertools.count()
-
-    @classmethod
-    def reset_ids(cls) -> None:
-        """Restart uid minting (per-run, for in-process repeatability).
-
-        Uids land in trace records, so two identical runs in one
-        process must not keep counting where the previous run stopped
-        — the experiment harness resets the counter per workflow.
-        """
-        cls._ids = itertools.count()
-
     def __init__(self, name: str = "", stages: list[Stage] | None = None) -> None:
-        self.uid = f"pipeline.{next(Pipeline._ids):04d}"
-        self.name = name or self.uid
+        self.uid = ""
+        self.name = name
         self.stages: list[Stage] = list(stages or [])
         self.started_at: float | None = None
         self.finished_at: float | None = None
 
     def add_stage(self, stage: Stage) -> None:
         self.stages.append(stage)
-
-    def add_stages(self, stages: list[Stage]) -> None:
-        self.stages.extend(stages)
 
     @property
     def duration(self) -> float | None:

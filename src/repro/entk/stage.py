@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 from typing import TYPE_CHECKING, Callable
 
 from ..rp.description import TaskDescription
@@ -18,15 +17,9 @@ class Stage:
 
     Mirrors RADICAL-EnTK's Stage: "stages ... must be run in order"
     within a pipeline, with an implicit barrier between consecutive
-    stages.
+    stages.  Like a pipeline's, the uid (and an unnamed stage's name)
+    is set when the AppManager receives the pipeline.
     """
-
-    _ids = itertools.count()
-
-    @classmethod
-    def reset_ids(cls) -> None:
-        """Restart uid minting (see :meth:`Pipeline.reset_ids`)."""
-        cls._ids = itertools.count()
 
     def __init__(
         self,
@@ -34,8 +27,8 @@ class Stage:
         tasks: list[TaskDescription] | None = None,
         post_exec: Callable[["Stage"], None] | None = None,
     ) -> None:
-        self.uid = f"stage.{next(Stage._ids):06d}"
-        self.name = name or self.uid
+        self.uid = ""
+        self.name = name
         self.task_descriptions: list[TaskDescription] = list(tasks or [])
         #: Callback invoked (synchronously) when the stage completes —
         #: EnTK's post_exec hook, used for adaptive decisions.

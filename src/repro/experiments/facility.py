@@ -150,7 +150,6 @@ class _PilotState:
         "published_samples",
         "publishes_ok",
         "publishes_failed",
-        "client",
     )
 
     def __init__(self, tenant: str, family: str) -> None:
@@ -162,8 +161,6 @@ class _PilotState:
         self.published_samples = 0
         self.publishes_ok = 0
         self.publishes_failed = 0
-        #: The pilot's SOMA client, attached once the pilot finishes.
-        self.client: "SomaClient | None" = None
 
 
 @dataclass(slots=True)
@@ -312,8 +309,6 @@ def _pilot(
     for proc in workers:
         yield proc
     yield monitor
-    # Surface the client's degradation tallies on the shared state.
-    state.client = client
 
 
 def facility_chaos_plan(
@@ -369,7 +364,6 @@ def run_facility(
         _PilotState(tenant, spec.workload_mix[i % len(spec.workload_mix)])
         for i, tenant in enumerate(spec.tenants())
     ]
-    clients: "list[SomaClient]" = []
 
     def main() -> Generator[Event, None, None]:
         model.bring_up(list(session.cluster.nodes), session.cluster.network)
@@ -385,10 +379,7 @@ def run_facility(
 
     env.run(env.process(main(), name="facility-main"))
 
-    for state in states:
-        assert state.client is not None
-        clients.append(state.client)
-
+    clients = session.soma_clients
     store_records = {
         key: len(store) for key, store in sorted(dict(model.stores).items())
     }

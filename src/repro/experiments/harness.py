@@ -128,7 +128,6 @@ def run_workflow(
     rp_config: RPConfig | None = None,
     seed: int = 42,
     trace: bool = True,
-    telemetry: bool | None = None,
     drain_seconds: float = 0.0,
     fault_plan: Any = None,
 ) -> WorkflowResult:
@@ -137,33 +136,21 @@ def run_workflow(
     ``workload`` is a process generator receiving the active client and
     the SOMA deployment; whatever it returns becomes the result's
     ``payload``.  ``soma_config=None`` runs the baseline ("none")
-    configuration with no service and no monitors.  ``telemetry=None``
-    defers to the process default (``set_default_telemetry`` /
-    ``REPRO_TELEMETRY``); the simulated run is byte-identical either way.
-    ``fault_plan`` (a :class:`repro.faults.FaultPlan`) arms a
+    configuration with no service and no monitors.  Telemetry,
+    provenance and the sanitizers follow
+    :func:`~repro.sim.core.observability`; the simulated run is
+    byte-identical either way.  ``fault_plan`` (a
+    :class:`repro.faults.FaultPlan`) arms a
     :class:`~repro.faults.FaultInjector` against the session before the
     run starts — this is how the bottleneck scenarios inject their
     known faults.
     """
-    # Restart process-global uid mints so a workflow's trace stream
-    # depends only on (workload, seed, config) — never on how many
-    # runs this process executed before.  The differential event-queue
-    # battery and the seed-sweep determinism tests rely on this.
-    from ..entk.pipeline import Pipeline
-    from ..entk.stage import Stage
-    from ..rp import raptor
-
-    Pipeline.reset_ids()
-    Stage.reset_ids()
-    raptor.reset_ids()
-
     spec = cluster_spec or summit_like(nodes + agent_nodes + service_nodes)
     session = Session(
         cluster_spec=spec,
         config=rp_config,
         seed=seed,
         trace=trace,
-        telemetry=telemetry,
     )
     client = Client(session)
     env = session.env

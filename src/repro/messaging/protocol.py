@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 __all__ = [
@@ -15,8 +14,6 @@ __all__ = [
     "AdmissionRejected",
 ]
 
-_msg_ids = itertools.count()
-
 
 @dataclass(slots=True)
 class RPCRequest:
@@ -27,7 +24,8 @@ class RPCRequest:
     body: Any
     client: str
     sent_at: float
-    uid: int = field(default_factory=lambda: next(_msg_ids))
+    #: Minted from the caller's environment (``env.new_id("rpc")``).
+    uid: int
     #: Telemetry baggage (a SpanContext) stamped at send time; pure
     #: data, never consulted by the simulation itself.
     ctx: Any = None

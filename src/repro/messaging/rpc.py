@@ -497,6 +497,7 @@ class RPCClient:
             body=body,
             client=self.name,
             sent_at=start,
+            uid=self.env.new_id("rpc"),
             tenant=self.tenant,
         )
         if span is not None:
@@ -540,6 +541,7 @@ class RPCClient:
                 body=body,
                 client=self.name,
                 sent_at=start,
+                uid=self.env.new_id("rpc"),
                 ctx=request.ctx,
                 tenant=self.tenant,
             )

@@ -14,12 +14,7 @@ contract — host-memory bookkeeping off ``env.now`` only — enforced
 differentially in ``tests/telemetry/test_zero_perturbation.py``.
 """
 
-from .builder import (
-    ProvenanceCapture,
-    build_graph,
-    default_provenance,
-    set_default_provenance,
-)
+from .builder import ProvenanceCapture, build_graph
 from .critical_path import (
     attribution_total,
     critical_path,
@@ -54,14 +49,12 @@ __all__ = [
     "build_graph",
     "chain_components",
     "critical_path",
-    "default_provenance",
     "edge_attribution",
     "last_constraint",
     "render_critical_path",
     "render_why",
     "report_violations",
     "resolve_target",
-    "set_default_provenance",
     "validate_graph",
     "why_chain",
 ]

@@ -28,7 +28,6 @@ back at build time.
 
 from __future__ import annotations
 
-import os
 from typing import TYPE_CHECKING, Any
 
 from .graph import ProvEvent, ProvGraph
@@ -41,33 +40,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "ProvenanceCapture",
     "build_graph",
-    "default_provenance",
-    "set_default_provenance",
 ]
-
-#: Process-wide default for provenance capture on new Telemetry hubs,
-#: mirroring ``set_default_telemetry`` / ``REPRO_TELEMETRY``.
-_DEFAULT_PROVENANCE: bool | None = None
-
-
-def set_default_provenance(enabled: bool | None) -> bool | None:
-    """Set the process-wide capture default; returns the previous value."""
-    global _DEFAULT_PROVENANCE
-    previous, _DEFAULT_PROVENANCE = _DEFAULT_PROVENANCE, enabled
-    return previous
-
-
-def default_provenance() -> bool:
-    """Effective default: :func:`set_default_provenance` > ``REPRO_PROVENANCE``."""
-    if _DEFAULT_PROVENANCE is not None:
-        return _DEFAULT_PROVENANCE
-    return os.environ.get("REPRO_PROVENANCE", "").strip().lower() in (
-        "1",
-        "true",
-        "yes",
-        "on",
-    )
-
 
 class ProvenanceCapture:
     """Host-memory event notebook attached to one telemetry hub.

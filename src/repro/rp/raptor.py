@@ -13,9 +13,8 @@ dispatches :class:`FunctionCall` items to the first free worker.
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Generator
 
 from ..sim.core import Event, Interrupt
@@ -24,21 +23,6 @@ from .description import TaskDescription, TaskMode
 from .model import ExecutionContext, ServiceModel, TaskResult
 
 __all__ = ["FunctionCall", "RaptorWorkerModel", "RaptorMaster"]
-
-_call_ids = itertools.count()
-_worker_ids = itertools.count()
-
-
-def reset_ids() -> None:
-    """Restart uid minting (per-run, for in-process repeatability).
-
-    Call/worker uids reach telemetry and trace payloads; the
-    experiment harness resets them per workflow so repeated runs in
-    one process stay byte-identical.
-    """
-    global _call_ids, _worker_ids
-    _call_ids = itertools.count()
-    _worker_ids = itertools.count()
 
 
 @dataclass(slots=True)
@@ -51,7 +35,8 @@ class FunctionCall:
     mem_intensity: float = 0.1
     #: Optional Python callable evaluated at completion (pure, instant).
     fn: Callable[[], Any] | None = None
-    uid: int = field(default_factory=lambda: next(_call_ids))
+    #: Minted by :meth:`RaptorMaster.submit` from the run's environment.
+    uid: int = -1
     #: Result plumbing, filled by the worker.
     result: Any = None
     done: Event | None = None
@@ -69,7 +54,7 @@ class RaptorWorkerModel(ServiceModel):
         #: Minted worker uid — inbox routing must not key on id():
         #: CPython addresses vary run to run, which would make any
         #: iteration or trace of the inbox table nondeterministic.
-        self.uid = next(_worker_ids)
+        self.uid = master.env.new_id("raptor.worker")
 
     def execute(self, ctx: ExecutionContext):
         inbox: Store = Store(ctx.env)
@@ -147,6 +132,7 @@ class RaptorMaster:
 
     def submit(self, call: FunctionCall) -> Event:
         """Queue a function call; returns its completion event."""
+        call.uid = self.env.new_id("raptor.call")
         call.done = self.env.event()
         call.submitted_at = self.env.now
         tel = self.env._telemetry

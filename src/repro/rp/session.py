@@ -1,15 +1,16 @@
 """The RP Session: shared context for one workflow run.
 
-Owns the simulation environment, the simulated cluster, uid generation,
-the profile store, the RPC registry for service discovery, the tracer,
-and the run's random stream.  Every other RP component receives the
-session and reaches shared state through it — mirroring how RP threads
-a Session through its component tree.
+Owns the simulation environment (which mints the run's ids), the
+simulated cluster, the profile store, the RPC registry for service
+discovery, the tracer, the SOMA clients the run built, and the run's
+random stream.  Every other RP component receives the session and
+reaches shared state through it — mirroring how RP threads a Session
+through its component tree.
 """
 
 from __future__ import annotations
 
-import itertools
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -21,6 +22,9 @@ from ..sim.trace import Tracer
 from ..telemetry.spans import Telemetry
 from .config import DEFAULT_RP_CONFIG, RPConfig
 from .profiler import ProfileStore
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..soma.client import SomaClient
 
 __all__ = ["Session"]
 
@@ -36,7 +40,6 @@ class Session:
         config: RPConfig | None = None,
         seed: int = 42,
         trace: bool = True,
-        telemetry: bool | None = None,
     ) -> None:
         self.seed = seed
         self.env = env or Environment()
@@ -46,9 +49,10 @@ class Session:
         self.config = config or DEFAULT_RP_CONFIG
         self.rng = np.random.default_rng(seed)
         self.tracer = Tracer(self.env, enabled=trace)
-        # Always present; when disabled every operation is a no-op and
-        # the kernel never sees it (env._telemetry stays None).
-        self.telemetry = Telemetry(self.env, enabled=telemetry)
+        # Always present, switched by ``observability``; when disabled
+        # every operation is a no-op and the kernel never sees it
+        # (env._telemetry stays None).
+        self.telemetry = Telemetry(self.env)
         self.telemetry.tracer = self.tracer
         self.profiles = ProfileStore(
             self.env,
@@ -58,17 +62,15 @@ class Session:
             read_max_records=self.config.profile_read_max_records,
         )
         self.rpc_registry = RPCRegistry(self.env)
-        self._uid_counters: dict[str, itertools.count] = {}
+        #: Every SOMA client built for this run
+        #: (:meth:`~repro.soma.service.SomaConfig.make_client`).
+        self.soma_clients: "list[SomaClient]" = []
         self.closed = False
 
     def new_uid(self, prefix: str) -> str:
-        """Monotonic uids per prefix: task.000000, pilot.0000, ..."""
-        counter = self._uid_counters.get(prefix)
-        if counter is None:
-            counter = itertools.count()
-            self._uid_counters[prefix] = counter
+        """The run's uids per prefix: task.000000, pilot.0000, ..."""
         width = 6 if prefix == "task" else 4
-        return f"{prefix}.{next(counter):0{width}d}"
+        return f"{prefix}.{self.env.new_id(prefix):0{width}d}"
 
     def stable_rng(self, tag: str) -> np.random.Generator:
         """A generator seeded from (session seed, tag).

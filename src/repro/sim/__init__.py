@@ -5,6 +5,7 @@ Public surface::
     from repro.sim import Environment, Interrupt, AllOf, AnyOf
     from repro.sim import Resource, Store
     from repro.sim import Tracer
+    from repro.sim import observability
 
 Every simulated subsystem in this repository is a set of generator
 processes scheduled on one :class:`Environment`.
@@ -18,8 +19,8 @@ from .core import (
     SimulationError,
     StopSimulation,
     Timeout,
-    default_sanitize,
-    set_default_sanitize,
+    observability,
+    switches,
 )
 from .sanitizer import (
     KernelSanitizer,
@@ -48,8 +49,8 @@ __all__ = [
     "SimulationError",
     "StopSimulation",
     "Timeout",
-    "default_sanitize",
-    "set_default_sanitize",
+    "observability",
+    "switches",
     "KernelSanitizer",
     "SanitizerError",
     "SanitizerFinding",

@@ -34,9 +34,11 @@ Design notes
 from __future__ import annotations
 
 import os
-from collections.abc import Generator
+from collections.abc import Generator, Iterator
+from contextlib import contextmanager
+from contextvars import ContextVar
 from heapq import heappop, heappush
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..telemetry.spans import Telemetry
@@ -53,34 +55,78 @@ __all__ = [
     "PENDING",
     "URGENT",
     "NORMAL",
-    "set_default_sanitize",
-    "default_sanitize",
+    "Switches",
+    "observability",
+    "switches",
 ]
 
-#: Process-wide default for ``Environment(sanitize=None)``.  ``None``
-#: defers to the ``REPRO_SANITIZE`` environment variable; the test suite
-#: flips this to True so every Environment any test builds runs with
-#: the kernel sanitizers attached.
-_DEFAULT_SANITIZE: bool | None = None
+
+class Switches(NamedTuple):
+    """The observability features a run turns on when it is built."""
+
+    telemetry: bool
+    provenance: bool
+    sanitize: bool
 
 
-def set_default_sanitize(enabled: bool | None) -> bool | None:
-    """Set the process-wide sanitize default; returns the previous value."""
-    global _DEFAULT_SANITIZE
-    previous, _DEFAULT_SANITIZE = _DEFAULT_SANITIZE, enabled
-    return previous
+#: The open :func:`observability` scopes, innermost last, each with the
+#: list of enabled hubs built inside it.
+_SCOPES: ContextVar[tuple[tuple[Switches, list[Telemetry]], ...]] = ContextVar(
+    "observability", default=()
+)
 
 
-def default_sanitize() -> bool:
-    """Effective default: :func:`set_default_sanitize` > ``REPRO_SANITIZE``."""
-    if _DEFAULT_SANITIZE is not None:
-        return _DEFAULT_SANITIZE
-    return os.environ.get("REPRO_SANITIZE", "").strip().lower() in (
-        "1",
-        "true",
-        "yes",
-        "on",
+def switches() -> Switches:
+    """The innermost scope's switches, else the ``REPRO_*`` variables."""
+    scopes = _SCOPES.get()
+    if scopes:
+        return scopes[-1][0]
+    return Switches(
+        *(
+            os.environ.get(f"REPRO_{name.upper()}", "").strip().lower()
+            in ("1", "true", "yes", "on")
+            for name in Switches._fields
+        )
     )
+
+
+@contextmanager
+def observability(
+    *,
+    telemetry: bool | None = None,
+    provenance: bool | None = None,
+    sanitize: bool | None = None,
+) -> Iterator[list[Telemetry]]:
+    """Switch observability for the runs built inside; yields their hubs.
+
+    A switch left ``None`` keeps the enclosing value: the enclosing
+    scope's, or outside any scope the ``REPRO_*`` variable's.  An
+    :class:`Environment` and a telemetry hub read the switches once,
+    when built.  The yielded list receives every enabled hub built
+    inside the scope, nested scopes included, and is the only thing
+    that keeps them.  The enclosing switches come back on exit, also
+    on an exception.
+    """
+    outer = switches()
+    inner = Switches(
+        *(
+            old if new is None else bool(new)
+            for old, new in zip(outer, (telemetry, provenance, sanitize))
+        )
+    )
+    hubs: list[Telemetry] = []
+    token = _SCOPES.set(_SCOPES.get() + ((inner, hubs),))
+    try:
+        yield hubs
+    finally:
+        _SCOPES.reset(token)
+
+
+def keep_hub(hub: Telemetry) -> None:
+    """Hand an enabled hub to every open scope."""
+    for _, hubs in _SCOPES.get():
+        hubs.append(hub)
+
 
 #: Sentinel for an event value that has not been produced yet.
 PENDING = object()
@@ -388,9 +434,8 @@ class Environment:
     sanitize:
         Attach the runtime :class:`~repro.sim.sanitizer.KernelSanitizer`
         (event-leak, deadlock, resource-leak, and shared-dict-race
-        detection).  ``None`` (the default) defers to
-        :func:`set_default_sanitize` and the ``REPRO_SANITIZE``
-        environment variable.
+        detection).  ``None`` (the default) takes the ``sanitize``
+        switch of :func:`switches`.
     """
 
     def __init__(self, initial_time: float = 0.0, sanitize: bool | None = None) -> None:
@@ -399,8 +444,10 @@ class Environment:
         self._queue: list[tuple[float, int, int, Event]] = []
         self._eid = 0
         self._active_process: Process | None = None
+        #: The run's id mints: kind -> next number (see :meth:`new_id`).
+        self._next_ids: dict[str, int] = {}
         if sanitize is None:
-            sanitize = default_sanitize()
+            sanitize = switches().sanitize
         self._sanitizer: "KernelSanitizer | None" = None
         if sanitize:
             from .sanitizer import KernelSanitizer
@@ -450,6 +497,18 @@ class Environment:
             "tombstones_skipped": self.tombstones_skipped,
             "max_waiter_queue": self.max_waiter_queue,
         }
+
+    def new_id(self, kind: str) -> int:
+        """The run's next id of ``kind``: 0, 1, 2, ...
+
+        Every id a run mints comes from here (tasks, pilots, RPC
+        requests, EnTK pipelines and stages, RAPTOR calls and workers),
+        so it depends on the run alone, never on what the process ran
+        before it.
+        """
+        n = self._next_ids.get(kind, 0)
+        self._next_ids[kind] = n + 1
+        return n
 
     def _note_waiters(self, length: int) -> None:
         """Record a waiter-queue length (stores/resources call this)."""

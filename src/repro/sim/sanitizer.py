@@ -3,7 +3,8 @@
 The static half of the determinism story lives in
 :mod:`repro.sanitize.simlint`; this module is the dynamic half.  When an
 :class:`~repro.sim.core.Environment` is built with ``sanitize=True`` (or
-``REPRO_SANITIZE=1`` is set), the kernel attaches a
+under ``observability(sanitize=True)``, or with ``REPRO_SANITIZE=1``
+outside any scope), the kernel attaches a
 :class:`KernelSanitizer` that rides the existing kernel-counter hooks
 and watches four lifecycle invariants no experiment should violate:
 

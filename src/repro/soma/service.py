@@ -149,10 +149,11 @@ class SomaConfig:
 
         Every monitor and application stub should obtain its client
         here so sharding and tenancy stay deployment-side decisions.
+        The session keeps it, so the run's counters see every client.
         """
         from .client import SomaClient
 
-        return SomaClient(
+        client = SomaClient(
             session,
             name=name,
             node=node,
@@ -160,6 +161,8 @@ class SomaConfig:
             tenant=tenant if tenant is not None else self.tenant,
             ring=self.ring,
         )
+        session.soma_clients.append(client)
+        return client
 
     def with_updates(self, **kwargs: Any) -> "SomaConfig":
         return replace(self, **kwargs)

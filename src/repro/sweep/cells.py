@@ -257,26 +257,18 @@ def provenance_cell(params: dict, seed: int) -> dict:
         build_graph,
         critical_path,
         edge_attribution,
-        set_default_provenance,
         validate_graph,
     )
-    from ..telemetry import drain_telemetries, set_default_telemetry
+    from ..sim import observability
 
     experiment = _ddmd_experiment(params)
-    drain_telemetries()
-    prev_tel = set_default_telemetry(True)
-    prev_prov = set_default_provenance(True)
-    try:
+    with observability(telemetry=True, provenance=True):
         result = run_ddmd_experiment(
             experiment,
             seed=seed,
             adaptive_analysis=bool(params.get("adaptive_analysis", False)),
         )
-    finally:
-        set_default_telemetry(prev_tel)
-        set_default_provenance(prev_prov)
     graph = build_graph(result)
-    drain_telemetries()
     violations = validate_graph(graph)
     path = critical_path(graph)
     return jsonable(

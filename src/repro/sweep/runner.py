@@ -90,21 +90,11 @@ def _run_cell_traced(cell: dict, telemetry_dir: str) -> "tuple[dict, str]":
     run — only the side-channel trace file differs.
     """
     from ..experiments.harness import run_cell
-    from ..telemetry import (
-        chrome_trace,
-        drain_telemetries,
-        merge_chrome_traces,
-        save_chrome_trace,
-        set_default_telemetry,
-    )
+    from ..sim import observability
+    from ..telemetry import chrome_trace, merge_chrome_traces, save_chrome_trace
 
-    drain_telemetries()  # hubs left over from earlier in-process cells
-    previous = set_default_telemetry(True)
-    try:
+    with observability(telemetry=True) as hubs:
         payload = run_cell(cell["family"], cell["params"], cell["seed"])
-    finally:
-        set_default_telemetry(previous)
-        hubs = drain_telemetries()
     document = merge_chrome_traces(
         [chrome_trace(hub, pid=index + 1) for index, hub in enumerate(hubs)]
     )

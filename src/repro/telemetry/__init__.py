@@ -28,24 +28,12 @@ from .export import (
     top_critical_spans,
     validate_chrome_trace,
 )
-from .spans import (
-    Span,
-    SpanContext,
-    Telemetry,
-    active_telemetries,
-    default_telemetry,
-    drain_telemetries,
-    set_default_telemetry,
-)
+from .spans import Span, SpanContext, Telemetry
 
 __all__ = [
     "Span",
     "SpanContext",
     "Telemetry",
-    "set_default_telemetry",
-    "default_telemetry",
-    "active_telemetries",
-    "drain_telemetries",
     "chrome_trace",
     "run_counters",
     "merge_chrome_traces",

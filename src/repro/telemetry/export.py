@@ -138,9 +138,8 @@ def run_counters(result: "WorkflowResult") -> dict[str, float]:
 
     Kernel scheduling counters (``kernel.*``), tracer records per
     category, RP profile-store, updater, scheduler and executor counts,
-    and SOMA client and service accounting.  ``soma.client.*`` sums the
-    hardware-monitor and RP-monitor clients only; the TAU-plugin and
-    application-API clients are not counted.
+    and SOMA client and service accounting.  ``soma.client.*`` sums
+    every SOMA client the run built.
 
     Reads attributes only, so it never changes the run and may be
     called at any point after it.
@@ -172,24 +171,18 @@ def run_counters(result: "WorkflowResult") -> dict[str, float]:
             add("rp.executor.launched", agent.executor.launched)
             add("rp.executor.completed", agent.executor.completed)
             add("rp.executor.failed", agent.executor.failed)
+    for soma in session.soma_clients:
+        add("soma.client.published", soma.published)
+        add("soma.client.dropped", soma.dropped)
+        add("soma.client.gaps", soma.gaps)
+        add("soma.client.gap_seconds", soma.gap_seconds)
+        rpc = soma._rpc
+        add("soma.client.rpc.calls", rpc.calls)
+        add("soma.client.rpc.failures", rpc.failures)
+        add("soma.client.rpc.retries", rpc.retries)
+        add("soma.client.rpc.timeouts", rpc.timeouts)
     deployment = result.deployment
     if deployment.enabled:
-        models = list(deployment.hw_monitor_models())
-        if deployment.rp_monitor_model is not None:
-            models.append(deployment.rp_monitor_model)
-        for model in models:
-            soma = model.client
-            if soma is None:
-                continue
-            add("soma.client.published", soma.published)
-            add("soma.client.dropped", soma.dropped)
-            add("soma.client.gaps", soma.gaps)
-            add("soma.client.gap_seconds", soma.gap_seconds)
-            rpc = soma._rpc
-            add("soma.client.rpc.calls", rpc.calls)
-            add("soma.client.rpc.failures", rpc.failures)
-            add("soma.client.rpc.retries", rpc.retries)
-            add("soma.client.rpc.timeouts", rpc.timeouts)
         service = deployment.service_model
         if service is not None:
             add("soma.service.publishes", service.publishes)

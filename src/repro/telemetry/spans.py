@@ -31,10 +31,11 @@ telemetry on or off.
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterator
+
+from ..sim.core import keep_hub, switches
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from typing import ContextManager
@@ -46,21 +47,7 @@ __all__ = [
     "SpanContext",
     "Span",
     "Telemetry",
-    "set_default_telemetry",
-    "default_telemetry",
-    "active_telemetries",
-    "drain_telemetries",
 ]
-
-#: Process-wide default for ``Telemetry(env, enabled=None)``.  ``None``
-#: defers to the ``REPRO_TELEMETRY`` environment variable, mirroring
-#: the kernel's ``set_default_sanitize`` / ``REPRO_SANITIZE`` pair.
-_DEFAULT_TELEMETRY: bool | None = None
-
-#: Enabled Telemetry instances created since the last drain — how the
-#: sweep workers and the trace CLI recover the hubs a cell built
-#: internally (``run_cell`` returns plain data, not sessions).
-_ACTIVE: "list[Telemetry]" = []
 
 
 class _NullSpanManager:
@@ -76,37 +63,6 @@ class _NullSpanManager:
 
 
 _NULL_SPAN = _NullSpanManager()
-
-
-def set_default_telemetry(enabled: bool | None) -> bool | None:
-    """Set the process-wide telemetry default; returns the previous value."""
-    global _DEFAULT_TELEMETRY
-    previous, _DEFAULT_TELEMETRY = _DEFAULT_TELEMETRY, enabled
-    return previous
-
-
-def default_telemetry() -> bool:
-    """Effective default: :func:`set_default_telemetry` > ``REPRO_TELEMETRY``."""
-    if _DEFAULT_TELEMETRY is not None:
-        return _DEFAULT_TELEMETRY
-    return os.environ.get("REPRO_TELEMETRY", "").strip().lower() in (
-        "1",
-        "true",
-        "yes",
-        "on",
-    )
-
-
-def active_telemetries() -> "list[Telemetry]":
-    """Enabled hubs registered since the last :func:`drain_telemetries`."""
-    return list(_ACTIVE)
-
-
-def drain_telemetries() -> "list[Telemetry]":
-    """Return and clear the active-hub registry."""
-    drained = list(_ACTIVE)
-    _ACTIVE.clear()
-    return drained
 
 
 @dataclass(frozen=True, slots=True)
@@ -187,6 +143,9 @@ class Telemetry:
     process spawn/exit notifications (ambient-context inheritance and
     cleanup).  A disabled hub never touches the environment and every
     operation on it is a cheap no-op, so call sites need no guards.
+    ``enabled=None`` takes the telemetry switch of
+    :func:`~repro.sim.core.switches`; an enabled hub also captures
+    provenance when the provenance switch is on.
 
     Ids are minted from per-hub monotonic counters — never from
     ``uuid``/``random`` — so two runs with the same seed produce
@@ -195,8 +154,9 @@ class Telemetry:
 
     def __init__(self, env: "Environment", enabled: bool | None = None) -> None:
         self.env = env
+        switched = switches()
         if enabled is None:
-            enabled = default_telemetry()
+            enabled = switched.telemetry
         self.enabled = bool(enabled)
         #: Every span ever started, in creation order.
         self.spans: list[Span] = []
@@ -222,10 +182,10 @@ class Telemetry:
         self.provenance = None
         if self.enabled:
             env._telemetry = self
-            _ACTIVE.append(self)
-            from ..provenance import ProvenanceCapture, default_provenance
+            keep_hub(self)
+            if switched.provenance:
+                from ..provenance import ProvenanceCapture
 
-            if default_provenance():
                 self.provenance = ProvenanceCapture(self)
 
     # -- ambient context ----------------------------------------------

@@ -390,3 +390,11 @@ class TestLayout:
             n["bad/leaf"] = object()
         assert "bad" not in n
         assert n.to_json() == "{}"
+        # A rejected subtree keeps the old one, through a path or a handle.
+        n["x/keep"] = 1
+        with pytest.raises(TypeError):
+            n["x"] = {"a": 2, "bad": object()}
+        assert n.to_dict() == {"x": {"keep": 1}}
+        with pytest.raises(TypeError):
+            n.fetch("x").set({"a": 2, "bad": object()})
+        assert n.to_dict() == {"x": {"keep": 1}}

@@ -1,8 +1,9 @@
 """Shared fixtures and helpers for the test suite.
 
-The whole suite runs with the kernel sanitizers armed
-(``Environment(sanitize=True)`` for every environment any test builds),
-so each existing integration/chaos test doubles as a sanitizer test.
+The whole suite runs with the kernel sanitizers armed:
+``pytest_configure`` sets ``REPRO_SANITIZE=1``, so every environment a
+test builds sanitizes unless the test says otherwise, and each existing
+integration/chaos test doubles as a sanitizer test.
 Spontaneous findings — resource leaks and shared-dict races, which are
 recorded the instant they happen — fail the test that produced them
 unless it opts in with ``@pytest.mark.allow_sanitizer_findings`` (the
@@ -11,31 +12,16 @@ fixtures that deliberately trigger sanitizers use that marker).
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
-from repro.sim import Environment, set_default_sanitize
+from repro.sim import Environment
 from repro.sim.sanitizer import drain_spontaneous_findings
 
 
 def pytest_configure(config) -> None:
-    set_default_sanitize(True)
-
-
-@pytest.fixture(autouse=True)
-def _telemetry_guard():
-    """Isolate the process-wide telemetry default and hub registry.
-
-    A test that flips ``set_default_telemetry`` or leaves enabled hubs
-    in the ``_ACTIVE`` registry must not leak that state into its
-    neighbours.
-    """
-    from repro.telemetry import drain_telemetries, set_default_telemetry
-
-    previous = set_default_telemetry(None)
-    drain_telemetries()
-    yield
-    set_default_telemetry(previous)
-    drain_telemetries()
+    os.environ["REPRO_SANITIZE"] = "1"
 
 
 @pytest.fixture(autouse=True)

@@ -45,8 +45,24 @@ class TestStructure:
         assert pipeline.num_tasks == 3
 
     def test_uids_unique(self):
-        assert Pipeline().uid != Pipeline().uid
-        assert Stage().uid != Stage().uid
+        # Minted from the run's environment when the AppManager receives
+        # the pipelines: each pipeline, then its stages, in list order.
+        for _run in range(2):
+            session, client = make_stack()
+            pipelines = [
+                Pipeline(stages=[Stage(tasks=[td(f"p{i}s{j}")]) for j in range(2)])
+                for i in range(2)
+            ]
+            named = Stage(name="named", tasks=[td("n")])
+            pipelines[1].add_stage(named)
+            env = session.env
+            env.run(env.process(AppManager(client).run(pipelines)))
+            assert [p.uid for p in pipelines] == ["pipeline.0000", "pipeline.0001"]
+            stages = [s for p in pipelines for s in p.stages]
+            assert [s.uid for s in stages] == [f"stage.{i:06d}" for i in range(5)]
+            assert pipelines[0].name == "pipeline.0000"
+            assert (stages[0].name, named.name) == ("stage.000000", "named")
+            client.close()
 
 
 class TestExecution:

@@ -87,11 +87,8 @@ def run_digest(result, skip_categories=()) -> str:
 
 
 def client_by_name(deployment, name: str):
-    """The SOMA client of the monitor model called ``name``."""
-    models = list(deployment.hw_monitor_models())
-    if deployment.rp_monitor_model is not None:
-        models.append(deployment.rp_monitor_model)
-    for model in models:
-        if model.client is not None and model.client.name == name:
-            return model.client
+    """The SOMA client called ``name``."""
+    for client in deployment.session.soma_clients:
+        if client.name == name:
+            return client
     raise LookupError(name)

@@ -18,13 +18,12 @@ from repro.provenance import (
     chain_components,
     render_why,
     resolve_target,
-    set_default_provenance,
     validate_graph,
     why_chain,
 )
 from repro.rp import FixedDurationModel, TaskDescription
+from repro.sim import observability
 from repro.soma import HARDWARE, WORKFLOW, SomaConfig
-from repro.telemetry import drain_telemetries, set_default_telemetry
 
 from tests.faults.harness import arm, boot
 
@@ -56,34 +55,26 @@ DROP_FOR = 10.0
 
 def build_chaos_graph():
     """Run the outage + rpc_drop scenario and build its provenance graph."""
-    prev_tel = set_default_telemetry(True)
-    prev_prov = set_default_provenance(True)
-    drain_telemetries()
-    try:
+    with observability(telemetry=True, provenance=True):
         session, client, _box = boot(nodes=2, seed=3, soma=SOMA)
-        env = session.env
-        plan = (
-            FaultPlan()
-            .shard_outage(OUTAGE_AT, "s00", duration=OUTAGE_FOR)
-            .rpc_drop(DROP_AT, probability=0.9, duration=DROP_FOR, stall=2.0)
+    env = session.env
+    plan = (
+        FaultPlan()
+        .shard_outage(OUTAGE_AT, "s00", duration=OUTAGE_FOR)
+        .rpc_drop(DROP_AT, probability=0.9, duration=DROP_FOR, stall=2.0)
+    )
+    injector = arm(session, plan)
+
+    def main(env):
+        tasks = client.submit_tasks(
+            [TaskDescription(name="work", model=FixedDurationModel(35.0))]
         )
-        injector = arm(session, plan)
+        yield from client.wait_tasks(tasks)
+        yield env.timeout(20.0)
 
-        def main(env):
-            tasks = client.submit_tasks(
-                [TaskDescription(name="work", model=FixedDurationModel(35.0))]
-            )
-            yield from client.wait_tasks(tasks)
-            yield env.timeout(20.0)
-
-        env.run(env.process(main(env)))
-        client.close()
-        graph = build_graph(hub=session.telemetry, plan=injector.plan)
-    finally:
-        set_default_telemetry(prev_tel)
-        set_default_provenance(prev_prov)
-        drain_telemetries()
-    return graph
+    env.run(env.process(main(env)))
+    client.close()
+    return build_graph(hub=session.telemetry, plan=injector.plan)
 
 
 @pytest.fixture(scope="module")

@@ -10,14 +10,9 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments import TUNING, run_openfoam_experiment
+from repro.sim import observability
 from repro.soma import render_dashboard
-from repro.telemetry import (
-    drain_telemetries,
-    flame_summary,
-    render_span_table,
-    set_default_telemetry,
-    top_critical_spans,
-)
+from repro.telemetry import flame_summary, render_span_table, top_critical_spans
 
 from tests.golden.helpers import check_golden
 
@@ -26,13 +21,8 @@ SEED = 11
 
 @pytest.fixture(scope="module")
 def traced_openfoam():
-    previous = set_default_telemetry(True)
-    drain_telemetries()
-    try:
+    with observability(telemetry=True) as hubs:
         result = run_openfoam_experiment(TUNING, seed=SEED)
-    finally:
-        set_default_telemetry(previous)
-        hubs = drain_telemetries()
     return result, hubs[0]
 
 

@@ -1,10 +1,11 @@
 """Golden snapshots for ``python -m repro why`` output.
 
-One fixed-seed adaptive DDMD run backs both snapshots: the rendered
-why-chain of a deterministic late task and the critical-path edge
-table.  ``run_workflow`` restarts every process-global uid mint, so the
-rendering depends only on (experiment, seed) — any drift in ``data/``
-is a real change to either the builder's edge wiring or the renderers.
+One adaptive DDMD run at seed 7 backs the snapshots: the rendered
+why-chains of a deterministic late task and of the run, and the
+critical-path edge table.  Every id a run mints comes from its own environment, so the
+rendering depends only on (experiment, seed), never on what ran before
+it in the process — any drift in ``data/`` is a real change to either
+the builder's edge wiring or the renderers.
 
 Regenerate deliberately with ``REPRO_UPDATE_GOLDENS=1``.
 """
@@ -14,38 +15,21 @@ from __future__ import annotations
 import pytest
 
 from repro.provenance import (
-    build_graph,
     critical_path,
     render_critical_path,
     render_why,
     resolve_target,
-    set_default_provenance,
     validate_graph,
     why_chain,
 )
-from repro.telemetry import drain_telemetries, set_default_telemetry
 
 from tests.golden.helpers import check_golden
-
-SEED = 7
+from tests.provenance.test_builder import build_adaptive_graph
 
 
 @pytest.fixture(scope="module")
 def adaptive_graph():
-    from repro.experiments import adaptive_experiment, run_ddmd_experiment
-
-    prev_tel = set_default_telemetry(True)
-    prev_prov = set_default_provenance(True)
-    drain_telemetries()
-    try:
-        result = run_ddmd_experiment(
-            adaptive_experiment(), seed=SEED, adaptive_analysis=True
-        )
-    finally:
-        set_default_telemetry(prev_tel)
-        set_default_provenance(prev_prov)
-    graph = build_graph(result)
-    drain_telemetries()
+    _result, graph = build_adaptive_graph()
     assert validate_graph(graph) == []
     return graph
 

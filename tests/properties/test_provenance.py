@@ -36,11 +36,10 @@ from repro.provenance import (
     attribution_total,
     build_graph,
     critical_path,
-    set_default_provenance,
     validate_graph,
 )
+from repro.sim import observability
 from repro.soma import HARDWARE, WORKFLOW, SomaConfig
-from repro.telemetry import drain_telemetries, set_default_telemetry
 from repro.workloads import uniform_bag
 
 MONITORING = SomaConfig(
@@ -56,10 +55,7 @@ def _graph_for(seed, count, duration, plan=None):
         yield from client.wait_tasks(tasks)
         return {"done": len(tasks)}
 
-    prev_tel = set_default_telemetry(True)
-    prev_prov = set_default_provenance(True)
-    drain_telemetries()
-    try:
+    with observability(telemetry=True, provenance=True):
         result = run_workflow(
             workload,
             nodes=2,
@@ -68,12 +64,7 @@ def _graph_for(seed, count, duration, plan=None):
             seed=seed,
             fault_plan=plan,
         )
-    finally:
-        set_default_telemetry(prev_tel)
-        set_default_provenance(prev_prov)
-    graph = build_graph(result)
-    drain_telemetries()
-    return result, graph
+    return result, build_graph(result)
 
 
 def _assert_invariants(result, graph):

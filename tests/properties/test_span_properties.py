@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim import Environment
-from repro.telemetry import Telemetry, drain_telemetries
+from repro.telemetry import Telemetry
 
 
 # -- synthetic nesting programs ---------------------------------------
@@ -101,10 +101,7 @@ def _forest_invariants(tel):
 def test_synthetic_trees_hold_invariants(program):
     env = Environment()
     tel = Telemetry(env, enabled=True)
-    try:
-        _execute(env, tel, program)
-    finally:
-        drain_telemetries()
+    _execute(env, tel, program)
     assert tel.spans, "every program opens at least one span"
     assert tel.double_closes == 0
     assert tel.counters()["open_spans"] == 0
@@ -118,10 +115,7 @@ def test_synthetic_trees_are_deterministic(program):
     def build():
         env = Environment()
         tel = Telemetry(env, enabled=True)
-        try:
-            _execute(env, tel, program)
-        finally:
-            drain_telemetries()
+        _execute(env, tel, program)
         return [
             (s.span_id, s.parent_id, s.trace_id, s.name, s.start, s.end)
             for s in tel.spans
@@ -136,8 +130,8 @@ def test_synthetic_trees_are_deterministic(program):
 def _chaos_run(seed):
     from repro.faults import FaultPlan, RetryPolicy
     from repro.rp import FixedDurationModel, TaskDescription
+    from repro.sim import observability
     from repro.soma import HARDWARE, SomaConfig, WORKFLOW
-    from repro.telemetry import set_default_telemetry
 
     from tests.faults.harness import arm, boot
 
@@ -155,30 +149,26 @@ def _chaos_run(seed):
             timeout=5.0,
         ),
     )
-    previous = set_default_telemetry(True)
-    try:
+    with observability(telemetry=True) as hubs:
         session, client, box = boot(nodes=2, seed=seed, soma=soma)
-        env = session.env
-        arm(
-            session,
-            FaultPlan()
-            .rpc_drop(at=env.now + 4.0, probability=0.3, duration=25.0,
-                      stall=2.0)
-            .rpc_duplicate(at=env.now + 4.0, probability=0.2, duration=25.0),
+    env = session.env
+    arm(
+        session,
+        FaultPlan()
+        .rpc_drop(at=env.now + 4.0, probability=0.3, duration=25.0,
+                  stall=2.0)
+        .rpc_duplicate(at=env.now + 4.0, probability=0.2, duration=25.0),
+    )
+
+    def main(env):
+        tasks = client.submit_tasks(
+            [TaskDescription(name="work", model=FixedDurationModel(30.0))]
         )
+        yield from client.wait_tasks(tasks)
+        yield env.timeout(10.0)
 
-        def main(env):
-            tasks = client.submit_tasks(
-                [TaskDescription(name="work", model=FixedDurationModel(30.0))]
-            )
-            yield from client.wait_tasks(tasks)
-            yield env.timeout(10.0)
-
-        env.run(env.process(main(env)))
-        client.close()
-    finally:
-        set_default_telemetry(previous)
-        hubs = drain_telemetries()
+    env.run(env.process(main(env)))
+    client.close()
     (hub,) = hubs
     return session, box["deployment"], hub
 
@@ -195,10 +185,7 @@ def test_chaos_rpc_attempt_spans_close_exactly_once(seed):
     assert all(s.closed for s in serves)
     # Every successful transport attempt shows as a span; retries and
     # chaos-torn attempts add more spans on top, never fewer.
-    models = list(deployment.hw_monitor_models())
-    if deployment.rp_monitor_model is not None:
-        models.append(deployment.rp_monitor_model)
-    clients = [m.client for m in models if m.client is not None]
+    clients = deployment.session.soma_clients
     assert clients
     successful = sum(c._rpc.calls for c in clients)
     retried = sum(c._rpc.retries for c in clients)

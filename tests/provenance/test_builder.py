@@ -17,14 +17,12 @@ from repro.provenance import (
     build_graph,
     chain_components,
     critical_path,
-    default_provenance,
     render_critical_path,
     resolve_target,
-    set_default_provenance,
     validate_graph,
     why_chain,
 )
-from repro.telemetry import drain_telemetries, set_default_telemetry
+from repro.sim import observability, switches
 
 SEED = 7
 
@@ -33,19 +31,11 @@ def build_adaptive_graph():
     """Run adaptive DDMD at ``SEED``; returns (result, graph)."""
     from repro.experiments import adaptive_experiment, run_ddmd_experiment
 
-    prev_tel = set_default_telemetry(True)
-    prev_prov = set_default_provenance(True)
-    drain_telemetries()
-    try:
+    with observability(telemetry=True, provenance=True):
         result = run_ddmd_experiment(
             adaptive_experiment(), seed=SEED, adaptive_analysis=True
         )
-    finally:
-        set_default_telemetry(prev_tel)
-        set_default_provenance(prev_prov)
-    graph = build_graph(result)
-    drain_telemetries()
-    return result, graph
+    return result, build_graph(result)
 
 
 @pytest.fixture(scope="module")
@@ -54,13 +44,13 @@ def adaptive_graph():
 
 
 def test_default_toggle_round_trips():
-    previous = set_default_provenance(True)
-    try:
-        assert default_provenance() is True
-        assert set_default_provenance(False) is True
-        assert default_provenance() is False
-    finally:
-        set_default_provenance(previous)
+    previous = switches().provenance
+    with observability(provenance=True):
+        assert switches().provenance is True
+        with observability(provenance=False):
+            assert switches().provenance is False
+        assert switches().provenance is True
+    assert switches().provenance is previous
 
 
 def test_capture_rides_the_hub(adaptive_graph):
@@ -92,12 +82,8 @@ def test_grants_come_from_the_tracer(adaptive_graph):
 def test_disabled_tracer_is_rejected_with_a_capture():
     from repro.rp import Session
 
-    prev_prov = set_default_provenance(True)
-    try:
-        session = Session(trace=False, telemetry=True)
-    finally:
-        set_default_provenance(prev_prov)
-        drain_telemetries()
+    with observability(telemetry=True, provenance=True):
+        session = Session(trace=False)
     assert session.telemetry.provenance is not None
     with pytest.raises(ValueError, match="enabled tracer"):
         build_graph(hub=session.telemetry)
@@ -189,26 +175,22 @@ def test_raptor_edges_from_function_calls():
     from repro.rp import Client, PilotDescription, Session
     from repro.rp.raptor import FunctionCall, RaptorMaster
 
-    prev_prov = set_default_provenance(True)
-    try:
-        session = Session(cluster_spec=summit_like(2), seed=3, telemetry=True)
-        client = Client(session)
-        env = session.env
+    with observability(telemetry=True, provenance=True):
+        session = Session(cluster_spec=summit_like(2), seed=3)
+    client = Client(session)
+    env = session.env
 
-        def main(env):
-            yield from client.submit_pilot(
-                PilotDescription(nodes=1, agent_nodes=1)
-            )
-            master = RaptorMaster(env)
-            client.submit_tasks([master.worker_description(cores=4)])
-            yield env.timeout(5.0)
-            calls = [FunctionCall(duration=1.0) for _ in range(4)]
-            yield from master.map(calls)
+    def main(env):
+        yield from client.submit_pilot(
+            PilotDescription(nodes=1, agent_nodes=1)
+        )
+        master = RaptorMaster(env)
+        client.submit_tasks([master.worker_description(cores=4)])
+        yield env.timeout(5.0)
+        calls = [FunctionCall(duration=1.0) for _ in range(4)]
+        yield from master.map(calls)
 
-        env.run(env.process(main(env)))
-    finally:
-        set_default_provenance(prev_prov)
-        drain_telemetries()
+    env.run(env.process(main(env)))
     hub = session.telemetry
     capture = hub.provenance
     assert capture is not None

@@ -12,9 +12,9 @@ Each golden holds the per-kind counts and one sha256 over the events in
 id order, the edges in creation order and each event's in-edges as
 ``(src, kind)`` pairs.  Edge attrs other than ``faults`` and an event's
 ``open: False`` are left out: they repeat what the graph already holds.
-An RPC event's ref is its request's message uid, minted by a
-process-wide counter, so each build restarts that counter: the digest
-must not depend on which runs came first in the process.
+An RPC event's ref is its request's message uid, which the run's own
+environment mints, so the digest does not depend on which runs came
+first in the process; the cross-run test pins that.
 
 Regenerate deliberately with ``REPRO_UPDATE_GOLDENS=1``.
 """
@@ -22,11 +22,8 @@ Regenerate deliberately with ``REPRO_UPDATE_GOLDENS=1``.
 from __future__ import annotations
 
 import hashlib
-import itertools
 
 import pytest
-
-from repro.messaging import protocol
 
 from tests.faults.test_provenance_chaos import build_chaos_graph
 from tests.golden.helpers import check_golden
@@ -61,12 +58,21 @@ def graph_digest(graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-@pytest.fixture(autouse=True)
-def _fresh_message_uids(monkeypatch):
-    monkeypatch.setattr(protocol, "_msg_ids", itertools.count())
-
-
 def test_adaptive_ddmd_graph_digest():
+    _result, graph = build_adaptive_graph()
+    check_golden("graph_digest_ddmd_adaptive_seed7.txt", graph_digest(graph))
+
+
+def test_graph_digest_ignores_earlier_runs_in_the_process():
+    from repro.experiments import (
+        TUNING,
+        run_ddmd_experiment,
+        run_openfoam_experiment,
+        tuning_experiment,
+    )
+
+    run_openfoam_experiment(TUNING, seed=3)
+    run_ddmd_experiment(tuning_experiment(), seed=3)
     _result, graph = build_adaptive_graph()
     check_golden("graph_digest_ddmd_adaptive_seed7.txt", graph_digest(graph))
 

@@ -35,6 +35,9 @@ class TestDispatch:
             return done
 
         calls = env.run(env.process(main(env)))
+        # Uids come from the run's environment: calls as submitted.
+        assert [c.uid for c in calls] == list(range(6))
+        assert sorted(master._worker_inboxes) == [0, 1]
         assert master.num_workers == 2
         assert master.dispatched == 6
         assert master.completed == 6

@@ -237,9 +237,6 @@ def test_shared_dict_is_plain_dict_when_sanitizer_off():
 
 
 def test_env_var_enables_sanitizer(monkeypatch):
-    from repro.sim import core
-
-    monkeypatch.setattr(core, "_DEFAULT_SANITIZE", None)
     monkeypatch.setenv("REPRO_SANITIZE", "1")
     assert Environment().sanitizer is not None
     monkeypatch.setenv("REPRO_SANITIZE", "0")

@@ -238,6 +238,7 @@ def _request(method: str, tenant: str) -> RPCRequest:
         body=None,
         client="test",
         sent_at=0.0,
+        uid=0,
         tenant=tenant,
     )
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.telemetry import drain_telemetries, set_default_telemetry
+from repro.sim import observability
 
 TRACED_SEED = 7
 
@@ -20,12 +20,7 @@ TRACED_SEED = 7
 def traced_ddmd():
     from repro.experiments import run_ddmd_experiment, tuning_experiment
 
-    previous = set_default_telemetry(True)
-    drain_telemetries()
-    try:
+    with observability(telemetry=True) as hubs:
         result = run_ddmd_experiment(tuning_experiment(), seed=TRACED_SEED)
-    finally:
-        set_default_telemetry(previous)
-        hubs = drain_telemetries()
     assert len(hubs) == 1, "one Session => one telemetry hub"
     return result, hubs[0]

@@ -9,7 +9,6 @@ from repro.telemetry import (
     Telemetry,
     chrome_trace,
     component_tracks,
-    drain_telemetries,
     flame_summary,
     merge_chrome_traces,
     render_span_table,
@@ -42,7 +41,6 @@ def _hub() -> Telemetry:
         yield env.timeout(1.0)
 
     env.run(env.process(build()))
-    drain_telemetries()
     return tel
 
 
@@ -95,7 +93,6 @@ def test_tracer_records_become_instant_events():
     env = Environment()
     tel = Telemetry(env, enabled=True)
     tel.tracer = Tracer(env)
-    drain_telemetries()
 
     def run():
         span = tel.start_span("task:task.0", component="rp-client")
@@ -213,7 +210,6 @@ def test_flame_summary_orders_by_self_time():
 def test_top_critical_spans_ranked_by_self_time():
     env = Environment()
     tel = Telemetry(env, enabled=True)
-    drain_telemetries()
 
     def build():
         with tel.span("root", component="a"):  # dur 10, self 4
@@ -236,7 +232,6 @@ def test_top_critical_spans_ranked_by_self_time():
 def test_render_span_table_shapes():
     env = Environment()
     tel = Telemetry(env, enabled=True)
-    drain_telemetries()
     tel.end_span(tel.start_span("x" * 40, component="c"))
     rows = top_critical_spans(tel)
     table = render_span_table(rows)
@@ -251,7 +246,6 @@ def test_render_span_table_shapes():
 def test_flame_summary_empty_hub():
     env = Environment()
     tel = Telemetry(env, enabled=True)
-    drain_telemetries()
     assert "(no spans recorded)" in flame_summary(tel)
 
 

@@ -20,3 +20,13 @@ def test_run_counters_is_a_repeatable_read_of_the_run(traced_ddmd):
         for name, value in counters.items()
         if name.startswith("kernel.")
     } == kernel
+
+
+def test_soma_client_counters_cover_every_client():
+    # The TAU-plugin clients publish the performance namespace; every
+    # publish any client made reaches the service.
+    from repro.experiments import TUNING, run_openfoam_experiment
+
+    counters = run_counters(run_openfoam_experiment(TUNING, seed=3))
+    assert counters["soma.client.published"] == 262
+    assert counters["soma.service.publishes"] == 262

@@ -4,32 +4,24 @@ from __future__ import annotations
 
 import pytest
 
-from repro.sim import Environment, Interrupt
-from repro.telemetry import (
-    SpanContext,
-    Telemetry,
-    active_telemetries,
-    default_telemetry,
-    drain_telemetries,
-    set_default_telemetry,
-)
+from repro.sim import Environment, Interrupt, observability, switches
+from repro.telemetry import SpanContext, Telemetry
 
 
 @pytest.fixture
 def tel(env):
-    hub = Telemetry(env, enabled=True)
-    yield hub
-    drain_telemetries()
+    return Telemetry(env, enabled=True)
 
 
-# -- enable/disable and registry --------------------------------------
+# -- enable/disable ------------------------------------------------------
 
 
 def test_disabled_hub_is_inert(env):
-    hub = Telemetry(env, enabled=False)
+    with observability() as hubs:
+        hub = Telemetry(env, enabled=False)
     assert not hub.enabled
     assert getattr(env, "_telemetry", None) is None
-    assert hub not in active_telemetries()
+    assert hubs == []
     assert hub.start_span("x", component="c") is None
     hub.end_span(None)
     hub.bind("uid", None)
@@ -39,32 +31,14 @@ def test_disabled_hub_is_inert(env):
     assert hub.counters()["spans_started"] == 0
 
 
-def test_enabled_hub_registers_and_drains(env):
-    hub = Telemetry(env, enabled=True)
-    assert env._telemetry is hub
-    assert hub in active_telemetries()
-    assert drain_telemetries() == [hub]
-    assert active_telemetries() == []
-
-
-def test_default_telemetry_process_wide(env):
-    previous = set_default_telemetry(True)
-    try:
-        hub = Telemetry(env)
-        assert hub.enabled
-    finally:
-        set_default_telemetry(previous)
-        drain_telemetries()
-
-
 def test_default_telemetry_env_var(monkeypatch):
-    set_default_telemetry(None)
     monkeypatch.setenv("REPRO_TELEMETRY", "yes")
-    assert default_telemetry()
+    assert switches().telemetry
+    assert Telemetry(Environment()).enabled
     monkeypatch.setenv("REPRO_TELEMETRY", "0")
-    assert not default_telemetry()
+    assert not switches().telemetry
     monkeypatch.delenv("REPRO_TELEMETRY")
-    assert not default_telemetry()
+    assert not Telemetry(Environment()).enabled
 
 
 # -- span lifecycle ----------------------------------------------------

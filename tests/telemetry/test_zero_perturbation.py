@@ -16,8 +16,8 @@ from repro.experiments import (
     run_openfoam_experiment,
     tuning_experiment,
 )
+from repro.sim import observability
 from repro.sweep.spec import result_digest
-from repro.telemetry import drain_telemetries, set_default_telemetry
 
 from tests.faults.harness import run_digest
 
@@ -25,16 +25,11 @@ SEEDS = (3, 17, 33)
 
 
 def _differential(run, telemetry_expected_spans=True):
-    previous = set_default_telemetry(False)
-    try:
+    with observability(telemetry=False) as hubs:
         baseline = run_digest(run())
-        assert drain_telemetries() == []
-        set_default_telemetry(True)
+    assert hubs == []
+    with observability(telemetry=True) as hubs:
         traced = run_digest(run())
-        hubs = drain_telemetries()
-    finally:
-        set_default_telemetry(previous)
-        drain_telemetries()
     assert len(hubs) == 1
     hub = hubs[0]
     if telemetry_expected_spans:
@@ -52,19 +47,9 @@ def test_openfoam_trace_is_byte_identical_per_seed():
 
 
 def test_ddmd_trace_is_byte_identical():
-    import itertools
-
-    from repro.entk.pipeline import Pipeline
-    from repro.entk.stage import Stage
-
-    def run():
-        # EnTK uids come from process-global counters; pin them so the
-        # two runs are comparable (run-order, not telemetry, state).
-        Pipeline._ids = itertools.count()
-        Stage._ids = itertools.count()
-        return run_ddmd_experiment(tuning_experiment(), seed=3)
-
-    baseline, traced = _differential(run)
+    baseline, traced = _differential(
+        lambda: run_ddmd_experiment(tuning_experiment(), seed=3)
+    )
     assert baseline == traced
 
 
@@ -75,21 +60,11 @@ def _provenance_differential(run):
     the provenance store taps must not change what lands in any
     namespace store, not just the trace.
     """
-    from repro.provenance import set_default_provenance
-
-    prev_tel = set_default_telemetry(False)
-    prev_prov = set_default_provenance(False)
-    try:
+    with observability(telemetry=False, provenance=False) as hubs:
         baseline = run_digest(run())
-        assert drain_telemetries() == []
-        set_default_telemetry(True)
-        set_default_provenance(True)
+    assert hubs == []
+    with observability(telemetry=True, provenance=True) as hubs:
         captured = run_digest(run())
-        hubs = drain_telemetries()
-    finally:
-        set_default_telemetry(prev_tel)
-        set_default_provenance(prev_prov)
-        drain_telemetries()
     assert len(hubs) == 1
     hub = hubs[0]
     assert hub.provenance is not None, "capture must ride the enabled hub"
@@ -109,19 +84,10 @@ def test_openfoam_provenance_is_byte_identical_per_seed():
 
 
 def test_ddmd_provenance_is_byte_identical_per_seed():
-    import itertools
-
-    from repro.entk.pipeline import Pipeline
-    from repro.entk.stage import Stage
-
     for seed in SEEDS:
-
-        def run(seed=seed):
-            Pipeline._ids = itertools.count()
-            Stage._ids = itertools.count()
-            return run_ddmd_experiment(tuning_experiment(), seed=seed)
-
-        baseline, captured = _provenance_differential(run)
+        baseline, captured = _provenance_differential(
+            lambda: run_ddmd_experiment(tuning_experiment(), seed=seed)
+        )
         assert baseline == captured, (
             f"provenance capture perturbed the run (seed {seed})"
         )
@@ -131,12 +97,8 @@ def test_sweep_cell_payload_digest_is_identical():
     """The sweep-visible result digest cannot depend on telemetry."""
     from repro.experiments.harness import run_cell
 
-    previous = set_default_telemetry(False)
-    try:
+    with observability(telemetry=False):
         off = result_digest(run_cell("ddmd", {"preset": "tuning"}, 3))
-        set_default_telemetry(True)
+    with observability(telemetry=True):
         on = result_digest(run_cell("ddmd", {"preset": "tuning"}, 3))
-    finally:
-        set_default_telemetry(previous)
-        drain_telemetries()
     assert off == on
