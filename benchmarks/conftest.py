@@ -11,7 +11,7 @@ run.
 Cell payloads are cached per pytest session, so figure benches that
 share a run (e.g. Figs 4/6/8 all read the overloaded OpenFOAM cell)
 do not re-simulate it.  Results are written to ``benchmarks/results/``
-through the sweep journal's atomic temp-file + rename helper, so an
+through the sweep cache's atomic temp-file + rename helper, so an
 interrupted bench never leaves a truncated artifact behind.
 """
 
@@ -42,8 +42,8 @@ def cell_payload(key: str) -> dict:
     """Run (once per session) one cell of the default sweep matrix."""
 
     def factory():
-        from repro.experiments.harness import run_cell
         from repro.sweep import default_matrix
+        from repro.sweep.cells import run_cell
 
         matrix, _ = default_matrix()
         cell = matrix[key]

@@ -34,7 +34,7 @@ import time
 
 from repro.conduit import Node
 from repro.soma.storage import NamespaceStore
-from repro.sweep.journal import atomic_write_text
+from repro.sweep.cache import atomic_write_text
 
 
 class LegacyNamespaceStore(NamespaceStore):

@@ -20,6 +20,7 @@ decisions the paper's results motivate:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -49,6 +50,23 @@ def _headroom_components(value) -> tuple[float, float]:
     if isinstance(value, dict):
         return float(value.get("cpu", 0.0)), float(value.get("gpu", 1.0))
     return float(value), 1.0
+
+
+def _modeled_best_workers(
+    limit: int, train_gpu_seconds: float, reduce_seconds: float
+) -> int:
+    """Training-worker count in ``1..limit`` with the least modeled time.
+
+    The model splits ``train_gpu_seconds`` over the workers and charges
+    a reduce step that grows with ``log2(workers + 1)``; ties keep the
+    smaller count.
+    """
+    best, best_time = 1, train_gpu_seconds
+    for workers in range(2, limit + 1):
+        t = train_gpu_seconds / workers + reduce_seconds * math.log2(workers + 1)
+        if t < best_time:
+            best, best_time = workers, t
+    return best
 
 
 @dataclass(frozen=True, slots=True)
@@ -148,20 +166,8 @@ class TrainingParallelismPolicy:
             return 1
         budget = int(free_gpus * min(1.0, gpu) + 1e-9)
         limit = max(1, min(self.max_workers, budget))
-        best, best_time = 1, self._model_time(1)
-        for workers in range(2, limit + 1):
-            t = self._model_time(workers)
-            if t < best_time:
-                best, best_time = workers, t
-        return best
-
-    def _model_time(self, workers: int) -> float:
-        import math
-
-        if workers <= 1:
-            return self.train_gpu_seconds
-        return self.train_gpu_seconds / workers + self.reduce_seconds * (
-            math.log2(workers + 1)
+        return _modeled_best_workers(
+            limit, self.train_gpu_seconds, self.reduce_seconds
         )
 
 
@@ -210,12 +216,9 @@ class DetectionDrivenPolicy:
         if "cpu_oversubscription" in kinds or "scheduler_starvation" in kinds:
             return 1
         limit = max(1, min(self.max_workers, int(free_gpus)))
-        best, best_time = 1, self._model_time(1)
-        for workers in range(2, limit + 1):
-            t = self._model_time(workers)
-            if t < best_time:
-                best, best_time = workers, t
-        return best
+        return _modeled_best_workers(
+            limit, self.train_gpu_seconds, self.reduce_seconds
+        )
 
     def recommend_monitor_period(self, findings, current: float) -> float:
         """Monitoring period given current findings.
@@ -227,15 +230,6 @@ class DetectionDrivenPolicy:
         if "rpc_queueing" in self._kinds(findings):
             period = min(self.max_monitor_period, period * 2.0)
         return period
-
-    def _model_time(self, workers: int) -> float:
-        import math
-
-        if workers <= 1:
-            return self.train_gpu_seconds
-        return self.train_gpu_seconds / workers + self.reduce_seconds * (
-            math.log2(workers + 1)
-        )
 
 
 class UtilizationAwarePlacement:

@@ -154,7 +154,6 @@ def render_manifest(manifest: dict) -> str:
         ),
         f"completed {counts['computed']} computed"
         f" + {counts['cache_hits']} cache hits"
-        f" + {counts['journal_replays']} journal replays"
         f" of {counts['total']} cells"
         f" ({counts['failed']} failed, {counts['pending']} pending)",
         f"wall clock {fmt(manifest['wall_clock_seconds'], '.2f')} s"

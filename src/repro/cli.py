@@ -96,9 +96,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="regenerate paper artifacts via the parallel sweep engine",
         description=(
             "Shard the full experiment matrix (every benchmarks/results/ "
-            "artifact) over a worker pool with content-addressed caching "
-            "and a crash-safe journal.  Interrupted runs resume with "
-            "--resume; completed cells are never re-executed."
+            "artifact) over a worker pool with a crash-safe, "
+            "content-addressed result cache.  Re-running an interrupted "
+            "sweep never re-executes a completed cell."
         ),
     )
     p_sweep.add_argument(
@@ -111,16 +111,12 @@ def build_parser() -> argparse.ArgumentParser:
         "(repeatable; e.g. --filter 'fig*' --filter table1)",
     )
     p_sweep.add_argument(
-        "--resume", action="store_true",
-        help="replay the journal of an interrupted sweep in --dir",
-    )
-    p_sweep.add_argument(
         "--manifest", default=None, metavar="PATH",
         help="also write the merged manifest JSON to PATH",
     )
     p_sweep.add_argument(
         "--dir", default=".sweep", dest="sweep_dir", metavar="DIR",
-        help="journal + cache directory (default: .sweep)",
+        help="sweep directory holding the result cache (default: .sweep)",
     )
     p_sweep.add_argument(
         "--results-dir", default="benchmarks/results", metavar="DIR",
@@ -416,7 +412,7 @@ def _select_cells(matrix, artifacts, patterns):
         if any(fnmatchcase(cell.key, pat) for pat in patterns):
             keys.add(cell.key)
     if not keys:
-        raise SystemExit(
+        raise ValueError(
             f"--filter {patterns} matched no artifact or cell; known "
             f"artifacts: {', '.join(sorted(artifacts))}"
         )
@@ -430,7 +426,7 @@ def _select_cells(matrix, artifacts, patterns):
     return selected, chosen_artifacts
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
+def _cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     from pathlib import Path
 
     from .analysis.report import render_manifest
@@ -444,9 +440,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     )
 
     matrix, artifacts = default_matrix()
-    spec, selected_artifacts = _select_cells(
-        matrix, artifacts, args.filter
-    )
+    try:
+        spec, selected_artifacts = _select_cells(
+            matrix, artifacts, args.filter
+        )
+    except ValueError as exc:
+        parser.error(f"sweep: {exc}")
 
     if args.list_cells:
         plan = plan_shards(spec.cells, args.jobs)
@@ -471,7 +470,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             spec,
             jobs=args.jobs,
             sweep_dir=args.sweep_dir,
-            resume=args.resume,
             progress=print,
             telemetry_dir=telemetry_dir,
         )
@@ -488,7 +486,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     if interrupted is not None:
         print(f"sweep interrupted: {interrupted}")
-        print("re-run with --resume to continue from the journal")
+        print("re-run the same command to compute the remaining cells")
         return 3
 
     if not args.no_artifacts:
@@ -793,7 +791,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.command == "scaling":
         return _cmd_scaling(args)
     if args.command == "sweep":
-        return _cmd_sweep(args)
+        return _cmd_sweep(args, parser)
     if args.command == "trace":
         return _cmd_trace(args)
     if args.command == "why":

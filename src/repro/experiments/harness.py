@@ -3,12 +3,6 @@
 Wraps the full stack — session, pilot, SOMA deployment, workload
 submission, shutdown — into plain functions returning
 :class:`WorkflowResult` objects that benches and tests consume.
-
-The module also hosts the *cell-family registry* the sweep engine
-(:mod:`repro.sweep`) dispatches through: a cell is ``(family, params,
-seed)`` — all plain data — and :func:`run_cell` resolves the family by
-name to a module-level function, so a cell pickles cleanly into a
-worker process with no closures attached.
 """
 
 from __future__ import annotations
@@ -26,66 +20,7 @@ from ..sim.core import Event
 from ..soma.integration import SomaDeployment, deploy_soma, no_soma
 from ..soma.service import SomaConfig
 
-__all__ = [
-    "WorkflowResult",
-    "run_workflow",
-    "register_cell_family",
-    "cell_families",
-    "run_cell",
-]
-
-#: family name -> function(params: dict, seed: int) -> JSON-able payload.
-_CELL_FAMILIES: dict[str, Callable[[dict, int], dict]] = {}
-
-
-def register_cell_family(
-    name: str,
-) -> Callable[[Callable[[dict, int], dict]], Callable[[dict, int], dict]]:
-    """Register a module-level function as a sweep cell family.
-
-    The function must be picklable by reference (defined at module
-    level) and must reduce its run to a plain JSON-able payload dict —
-    that payload is what gets digested, cached, and journalled.
-    """
-
-    def decorate(fn: Callable[[dict, int], dict]) -> Callable[[dict, int], dict]:
-        if name in _CELL_FAMILIES and _CELL_FAMILIES[name] is not fn:
-            raise ValueError(f"cell family {name!r} already registered")
-        _CELL_FAMILIES[name] = fn
-        return fn
-
-    return decorate
-
-
-def cell_families() -> tuple[str, ...]:
-    """Names of the registered families (built-ins load on demand)."""
-    _ensure_builtin_families()
-    return tuple(sorted(_CELL_FAMILIES))
-
-
-def _ensure_builtin_families() -> None:
-    # The built-in families live in repro.sweep.cells; importing the
-    # module registers them.  Lazy to keep harness import-light and to
-    # avoid an import cycle (sweep.cells imports this module).
-    from ..sweep import cells as _cells  # noqa: F401
-
-
-def run_cell(family: str, params: dict, seed: int) -> dict:
-    """Run one self-contained cell and return its plain-data payload.
-
-    This is the function sweep workers execute: a top-level callable
-    taking only plain arguments, so ``(family, params, seed)`` is the
-    entire pickled state of a cell.
-    """
-    _ensure_builtin_families()
-    try:
-        fn = _CELL_FAMILIES[family]
-    except KeyError:
-        known = ", ".join(sorted(_CELL_FAMILIES)) or "(none)"
-        raise KeyError(
-            f"unknown cell family {family!r}; registered: {known}"
-        ) from None
-    return fn(dict(params), int(seed))
+__all__ = ["WorkflowResult", "run_workflow"]
 
 
 @dataclass(slots=True)

@@ -14,8 +14,8 @@ that the worker picking up a given cell must die:
 The spec travels through the ``REPRO_SWEEP_FAULT`` environment variable
 so it reaches pool workers regardless of start method.  Faults fire
 *once*: before firing, the injector exclusively creates ``once_path``
-on disk, so a resumed sweep (same environment, same spec) finds the
-marker and runs clean — which is what the crash/resume battery relies
+on disk, so a re-run sweep (same environment, same spec) finds the
+marker and runs clean — which is what the crash/re-run battery relies
 on to prove recovery without un-arming the fault.
 """
 
@@ -45,7 +45,7 @@ class WorkerFaultSpec:
     mode: str = "exception"
     #: Marker file created (exclusively) before firing; an existing
     #: marker disarms the fault, making the injection one-shot even
-    #: across a resume with the same environment.
+    #: across a re-run with the same environment.
     once_path: str | None = None
 
     def __post_init__(self) -> None:
@@ -78,7 +78,7 @@ def check_worker_fault(cell_key: str) -> None:
     """Fire the armed worker fault if it targets ``cell_key``.
 
     Called by sweep workers when a cell starts executing, so the death
-    lands mid-sweep with the cell claimed but not journalled.
+    lands mid-sweep with the cell claimed but not cached.
     """
     spec = _spec_from_environ()
     if spec is None or spec.cell != cell_key:

@@ -21,7 +21,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Callable, Generator
 
 from ..sim.core import Environment, Event, Interrupt
-from ..sim.events import TimeoutExpired, with_timeout
 from ..sim.resources import Resource
 from ..platform.network import Network
 from ..platform.node import Node, NodeFailure
@@ -394,13 +393,11 @@ class RPCClient:
         method: str,
         body: Any = None,
         payload_bytes: float = 1024.0,
-        timeout: float | None = None,
         retry: "RetryPolicy | None" = None,
     ) -> Generator[Event, None, RPCResponse]:
         """Synchronous RPC (process generator): returns the response.
 
-        ``timeout`` bounds a single attempt (:class:`RPCTimeout` on
-        expiry).  ``retry`` wraps the call in a
+        ``retry`` wraps the call in a
         :class:`~repro.faults.RetryPolicy`: transient failures
         (timeouts, unavailable service) are retried with deterministic
         exponential backoff; permanent errors surface immediately.
@@ -420,19 +417,6 @@ class RPCClient:
                 on_retry=note_retry,
                 name=f"rpc:{method}",
             )
-            return result
-        if timeout is not None:
-            try:
-                result = yield from with_timeout(
-                    self.env,
-                    self._call_once(server, method, body, payload_bytes),
-                    timeout,
-                    name=f"rpc:{method}",
-                )
-            except TimeoutExpired as exc:
-                self.timeouts += 1
-                self.failures += 1
-                raise RPCTimeout(str(exc)) from None
             return result
         result = yield from self._call_once(server, method, body, payload_bytes)
         return result

@@ -45,8 +45,6 @@ class HardwareMonitorModel(ServiceModel):
         self.config = config
         self.stagger = stagger
         self.samples = 0
-        #: Online per-node utilization series: (time, cpu_util, gpu_util).
-        self.utilization_series: list[tuple[float, float, float]] = []
         self.client: SomaClient | None = None
 
     def execute(self, ctx: ExecutionContext):
@@ -83,7 +81,6 @@ class HardwareMonitorModel(ServiceModel):
                     prev, prev_time = snap, snap.timestamp
                     prev_gpu_busy = snap.gpu_busy_seconds
                     self.samples += 1
-                    self.utilization_series.append((env.now, util, gpu_util))
                     # The cost of reading /proc + building the Conduit
                     # tree is real CPU on this node (reserved core +
                     # mem traffic).
@@ -96,13 +93,7 @@ class HardwareMonitorModel(ServiceModel):
                     yield from self.client.publish(HARDWARE, tree)
         except Interrupt:
             pass
-        return TaskResult(
-            exit_code=0,
-            data={
-                "samples": self.samples,
-                "series": list(self.utilization_series),
-            },
-        )
+        return TaskResult(exit_code=0)
 
 
 def hardware_monitor_descriptions(

@@ -115,8 +115,6 @@ class RPMonitorModel(ServiceModel):
         self.session = session
         self.config = config
         self.samples = 0
-        #: Online series of (time, summary dict).
-        self.summary_series: list[tuple[float, dict[str, object]]] = []
         self.client: SomaClient | None = None
         #: Running summary; its cursor also marks the first profile
         #: record not yet published.
@@ -152,15 +150,11 @@ class RPMonitorModel(ServiceModel):
                     self._fold.fold(fresh)
                     summary = self._fold.snapshot(env.now)
                     self.samples += 1
-                    self.summary_series.append((env.now, summary))
                     tree = self._to_conduit(summary, fresh)
                     yield from self.client.publish(WORKFLOW, tree)
         except Interrupt:
             pass
-        return TaskResult(
-            exit_code=0,
-            data={"samples": self.samples, "series": list(self.summary_series)},
-        )
+        return TaskResult(exit_code=0)
 
     def _to_conduit(
         self, summary: dict[str, object], fresh: "list[ProfileRecord]"

@@ -1,11 +1,12 @@
-"""Parallel sweep engine: sharded experiment runs with caching + resume.
+"""Parallel sweep engine: sharded experiment runs over a result cache.
 
 The paper's evaluation is a matrix of independent runs (experiment ×
 seed × configuration).  :mod:`repro.sweep` shards that matrix over a
-process pool, caches each completed cell content-addressed on
-``sha256(code, family, params, seed)``, journals completions one JSON
-line at a time through atomic temp-file + rename writes, and resumes a
-killed run without re-executing anything that finished.
+process pool and writes each completed cell, content-addressed on
+``sha256(code, family, params, seed)``, into a result cache through
+atomic temp-file + rename writes.  The cache is the one record of
+finished cells: re-running a killed sweep recomputes only the cells
+that have no record.
 
 The headline invariant — **sharding must not change results** — is
 pinned by ``tests/sweep/test_parity.py``: ``--jobs 1/2/4`` produce
@@ -15,12 +16,10 @@ Entry points::
 
     python -m repro sweep --jobs 4                 # all artifacts
     python -m repro sweep --jobs 2 --filter 'fig*' # just the figures
-    python -m repro sweep --resume                 # after a crash
 """
 
 from .artifacts import Artifact, default_matrix
-from .cache import ResultCache
-from .journal import Journal, atomic_write_json, atomic_write_text
+from .cache import ResultCache, atomic_write_json, atomic_write_text
 from .planner import ShardPlan, estimate_cost, plan_shards, schedule_order
 from .runner import (
     SweepInterrupted,
@@ -40,7 +39,6 @@ from .spec import (
 __all__ = [
     "Artifact",
     "CellSpec",
-    "Journal",
     "ResultCache",
     "ShardPlan",
     "SweepInterrupted",

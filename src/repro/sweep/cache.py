@@ -1,9 +1,12 @@
-"""Content-addressed result cache for sweep cells.
+"""Content-addressed result cache: the sweep's record of finished cells.
 
 Keyed on :meth:`CellSpec.digest` — a sha256 over (code fingerprint,
 family, params, seed) — so a cache hit is only possible when the exact
 code ran the exact cell.  Records are whole JSON files written through
-the atomic temp-file + rename path; a record that fails to parse (e.g.
+:func:`atomic_write_json` (temp file in the destination directory,
+``fsync``, ``os.replace``), so a ``SIGKILL`` at any instant leaves
+either no record or a whole one: the set of records on disk is exactly
+the set of completed cells.  A record that fails to parse (e.g.
 produced by a non-atomic writer that got killed) is treated as a miss
 and recomputed, never an error.
 """
@@ -11,11 +14,43 @@ and recomputed, never an error.
 from __future__ import annotations
 
 import json
+import os
+import tempfile
 from pathlib import Path
+from typing import Any
 
-from .journal import atomic_write_json
+__all__ = ["ResultCache", "atomic_write_text", "atomic_write_json"]
 
-__all__ = ["ResultCache"]
+
+def atomic_write_text(path: str | Path, text: str) -> Path:
+    """Atomically replace ``path`` with ``text`` (temp file + rename).
+
+    A reader, or a run killed half-way through the write, sees either
+    the old content or the new content, never a torn file.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp_name = tempfile.mkstemp(
+        prefix=f".{path.name}.", suffix=".tmp", dir=path.parent
+    )
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            handle.write(text)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp_name, path)
+    except BaseException:
+        try:
+            os.unlink(tmp_name)
+        except OSError:
+            pass
+        raise
+    return path
+
+
+def atomic_write_json(path: str | Path, obj: Any, indent: int | None = 2) -> Path:
+    """Atomically write ``obj`` as JSON (trailing newline included)."""
+    return atomic_write_text(path, json.dumps(obj, indent=indent) + "\n")
 
 
 class ResultCache:

@@ -1,10 +1,12 @@
-"""Built-in sweep cell families and their result collectors.
+"""Sweep cell families, their result collectors and :func:`run_cell`.
 
 A cell family turns ``(params, seed)`` into a **plain-data payload**:
 every value a downstream artifact renderer or bench assertion needs,
 reduced to JSON types inside the worker process.  Nothing session- or
 generator-shaped crosses the process boundary — that is what makes
-cells picklable and their results content-addressable.
+cells picklable and their results content-addressable.  :data:`FAMILIES`
+maps each family name to its module-level function, and
+:func:`run_cell` is what sweep workers execute.
 
 Insertion order of the payload dicts is preserved through the JSON
 round trip, and several renderers fold samples in that order (floating
@@ -15,7 +17,7 @@ exact order the analysis helpers produced them.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Any
+from typing import Any, Callable
 
 from ..analysis.timeline import BOOTSTRAP, RUNNING, SCHEDULING, build_timeline
 from ..experiments.ablations import (
@@ -30,10 +32,9 @@ from ..experiments.ddmd_exps import (
     adaptive_experiment,
     pipeline_durations,
     run_ddmd_experiment,
-    stage_durations,
     tuning_experiment,
 )
-from ..experiments.harness import WorkflowResult, register_cell_family
+from ..experiments.harness import WorkflowResult
 from ..experiments.openfoam_exps import (
     OVERLOAD,
     TUNING,
@@ -52,6 +53,8 @@ from ..soma.analysis import (
 from ..soma.namespaces import HARDWARE, PERFORMANCE, WORKFLOW
 
 __all__ = [
+    "FAMILIES",
+    "run_cell",
     "jsonable",
     "collect_openfoam",
     "collect_ddmd",
@@ -193,7 +196,6 @@ def collect_ddmd(result: WorkflowResult, experiment: DDMDExperiment) -> dict:
     )
 
 
-@register_cell_family("openfoam")
 def openfoam_cell(params: dict, seed: int) -> dict:
     """``{"experiment": "tuning"|"overload", "overrides": {...}}``."""
     base = TUNING if params.get("experiment", "tuning") == "tuning" else OVERLOAD
@@ -230,7 +232,6 @@ def _ddmd_experiment(params: dict) -> DDMDExperiment:
     return experiment
 
 
-@register_cell_family("ddmd")
 def ddmd_cell(params: dict, seed: int) -> dict:
     """``{"preset": ..., "overrides": {...}, "adaptive_analysis": bool}``."""
     experiment = _ddmd_experiment(params)
@@ -242,7 +243,6 @@ def ddmd_cell(params: dict, seed: int) -> dict:
     return collect_ddmd(result, experiment)
 
 
-@register_cell_family("provenance")
 def provenance_cell(params: dict, seed: int) -> dict:
     """``{"preset": ..., "overrides": {...}, "adaptive_analysis": bool}``.
 
@@ -290,7 +290,6 @@ def provenance_cell(params: dict, seed: int) -> dict:
     )
 
 
-@register_cell_family("facility")
 def facility_cell(params: dict, seed: int) -> dict:
     """``{"spec": {FacilitySpec overrides}, "chaos": bool}``.
 
@@ -314,7 +313,6 @@ def facility_cell(params: dict, seed: int) -> dict:
     return jsonable(result.payload())
 
 
-@register_cell_family("ablation")
 def ablation_cell(params: dict, seed: int) -> dict:
     """``{"which": "rank_tuning"|"placement"|"detection", "adaptive": bool}``."""
     which = params["which"]
@@ -329,3 +327,29 @@ def ablation_cell(params: dict, seed: int) -> dict:
         makespan, counts = run_detection_ablation(adaptive, seed=seed)
         return jsonable({"makespan": makespan, "train_counts": counts})
     raise KeyError(f"unknown ablation {which!r}")
+
+
+#: family name -> function(params: dict, seed: int) -> JSON-able payload.
+FAMILIES: dict[str, Callable[[dict, int], dict]] = {
+    "openfoam": openfoam_cell,
+    "ddmd": ddmd_cell,
+    "provenance": provenance_cell,
+    "facility": facility_cell,
+    "ablation": ablation_cell,
+}
+
+
+def run_cell(family: str, params: dict, seed: int) -> dict:
+    """Run one self-contained cell and return its plain-data payload.
+
+    A top-level callable taking only plain arguments, so ``(family,
+    params, seed)`` is the entire pickled state of a cell.
+    """
+    try:
+        fn = FAMILIES[family]
+    except KeyError:
+        known = ", ".join(sorted(FAMILIES))
+        raise KeyError(
+            f"unknown cell family {family!r}; known: {known}"
+        ) from None
+    return fn(dict(params), int(seed))

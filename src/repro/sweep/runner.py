@@ -1,17 +1,16 @@
-"""Multi-process sweep execution with caching and crash-safe resume.
+"""Multi-process sweep execution over the content-addressed cache.
 
-Execution model: cells are classified against the journal and the
-content-addressed cache, the remainder is ordered by the shard planner
-(LPT), and a process pool consumes that order.  Each completion is
-written to the cache and the journal *before* the next result is
-awaited, so at every instant the on-disk state describes exactly the
-set of completed cells:
+Execution model: cells with a record in the result cache are served
+from it, the remainder is ordered by the shard planner (LPT), and a
+process pool consumes that order.  Each completion is written to the
+cache (atomically) *before* the next result is awaited, so at every
+instant the on-disk cache describes exactly the set of completed cells:
 
 * a worker that dies with an exception marks its cell failed and the
   sweep finishes the rest, then raises :class:`SweepInterrupted`;
 * a worker that is ``SIGKILL``-ed breaks the whole pool (the OS took
-  the process; in-flight siblings are lost too) — the journal still
-  holds every completed cell, and a ``resume=True`` re-run replays it,
+  the process; in-flight siblings are lost too) — the cache still
+  holds every completed cell, and a plain re-run serves those from it,
   recomputing only what never completed.
 
 ``jobs=1`` runs the exact same cell code inline — the serial reference
@@ -22,7 +21,6 @@ from __future__ import annotations
 
 import hashlib
 import multiprocessing
-import os
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
@@ -31,7 +29,6 @@ from pathlib import Path
 from typing import Callable, Iterable
 
 from .cache import ResultCache
-from .journal import Journal
 from .planner import plan_shards, schedule_order
 from .spec import CellSpec, SweepSpec, canonical_json, code_fingerprint, result_digest
 
@@ -43,7 +40,7 @@ __all__ = [
     "execute_cell",
 ]
 
-MANIFEST_SCHEMA = "repro-sweep-manifest-v1"
+MANIFEST_SCHEMA = "repro-sweep-manifest-v2"
 
 
 def execute_cell(cell: dict) -> dict:
@@ -55,8 +52,8 @@ def execute_cell(cell: dict) -> dict:
     here is indistinguishable from the kernel OOM-killing the worker
     mid-cell.
     """
-    from ..experiments.harness import run_cell
     from ..faults.worker import check_worker_fault
+    from .cells import run_cell
 
     check_worker_fault(cell["key"])
     telemetry_dir = cell.get("telemetry_dir")
@@ -89,9 +86,9 @@ def _run_cell_traced(cell: dict, telemetry_dir: str) -> "tuple[dict, str]":
     (and therefore the result digest) is byte-identical to an untraced
     run — only the side-channel trace file differs.
     """
-    from ..experiments.harness import run_cell
     from ..sim import observability
     from ..telemetry import chrome_trace, merge_chrome_traces, save_chrome_trace
+    from .cells import run_cell
 
     with observability(telemetry=True) as hubs:
         payload = run_cell(cell["family"], cell["params"], cell["seed"])
@@ -138,36 +135,22 @@ def _matrix_digest(entries: Iterable[dict]) -> str:
     return hashlib.sha256(canonical_json(pairs).encode("utf-8")).hexdigest()
 
 
-def _mp_context(start_method: str | None):
-    method = start_method or os.environ.get("REPRO_SWEEP_MP", "").strip()
-    if not method:
-        method = (
-            "fork"
-            if "fork" in multiprocessing.get_all_start_methods()
-            else "spawn"
-        )
-    return multiprocessing.get_context(method)
-
-
 def run_sweep(
     spec: "SweepSpec | Iterable[CellSpec]",
     *,
     jobs: int = 1,
     sweep_dir: str | Path,
-    cache_dir: "str | Path | None" = None,
-    resume: bool = False,
     progress: "Callable[[str], None] | None" = None,
-    mp_start: str | None = None,
     telemetry_dir: "str | Path | None" = None,
 ) -> SweepRun:
-    """Run every cell of ``spec``, skipping completed ones.
+    """Run every cell of ``spec`` that has no record in the cache.
 
-    ``telemetry_dir`` turns on span telemetry in every worker and drops
-    one Chrome trace per cell into that directory.  Traces are a side
-    product of actually running the cell, so it forces every cell to
-    recompute (cache and journal short-circuits are skipped) and
-    disables same-digest deduplication — each cell gets its own trace.
-    Payloads and result digests stay byte-identical to an untraced run.
+    The cache lives under ``sweep_dir / "cache"``.  ``telemetry_dir``
+    turns on span telemetry in every worker and drops one Chrome trace
+    per cell into that directory.  Traces are a side product of
+    actually running the cell, so it forces every cell to recompute
+    (cache hits are skipped).  Payloads and result digests stay
+    byte-identical to an untraced run.
 
     Returns a :class:`SweepRun`; raises :class:`SweepInterrupted` (with
     the partial run attached) if a worker failed or the pool broke.
@@ -177,13 +160,7 @@ def run_sweep(
     spec = spec if isinstance(spec, SweepSpec) else SweepSpec(spec)
     sweep_dir = Path(sweep_dir)
     sweep_dir.mkdir(parents=True, exist_ok=True)
-    cache = ResultCache(cache_dir if cache_dir is not None else sweep_dir / "cache")
-    journal = Journal(sweep_dir / "journal.jsonl")
-    if resume:
-        journal.load()
-    else:
-        journal.reset()
-    journalled = journal.completed_digests()
+    cache = ResultCache(sweep_dir / "cache")
 
     say = progress if progress is not None else (lambda line: None)
     code = code_fingerprint()
@@ -204,31 +181,14 @@ def run_sweep(
         if telemetry_dir is not None:
             # Traces only exist if the cell actually runs; never skip.
             pending.append(cell)
-        elif record is not None and digest in journalled:
-            completed[cell.key] = record
-            sources[cell.key] = "journal"
         elif record is not None:
             completed[cell.key] = record
             sources[cell.key] = "cached"
+            say(f"skip {cell.key} [cached]")
         else:
             pending.append(cell)
-    for key, record in completed.items():
-        say(f"skip {key} [{sources[key]}]")
 
-    # Deduplicate identical cells (same digest): run once, fan out.
-    # With telemetry every cell is its own group so each key gets its
-    # own trace file.
-    def group_of(cell: CellSpec) -> str:
-        if telemetry_dir is not None:
-            return f"{digests[cell.key]}::{cell.key}"
-        return digests[cell.key]
-
-    by_digest: dict[str, list[CellSpec]] = {}
-    for cell in pending:
-        by_digest.setdefault(group_of(cell), []).append(cell)
-    to_run = [cells[0] for cells in by_digest.values()]
-
-    order = schedule_order(to_run, observed, digests)
+    order = schedule_order(pending, observed, digests)
     plan = plan_shards(spec.cells, jobs, observed, digests)
 
     failures: list[dict] = []
@@ -241,32 +201,17 @@ def run_sweep(
             out["telemetry_dir"] = str(telemetry_dir)
         return out
 
-    def record_completion(record: dict, group: str) -> None:
-        digest = record["digest"]
-        cache.put(digest, record)
-        for sibling in by_digest[group]:
-            sib_record = dict(record, key=sibling.key)
-            completed[sibling.key] = sib_record
-            sources[sibling.key] = "computed"
-            journal.append(
-                {
-                    "key": sibling.key,
-                    "family": sibling.family,
-                    "seed": sibling.seed,
-                    "digest": digest,
-                    "result_digest": record["result_digest"],
-                    "wall_seconds": record["wall_seconds"],
-                }
-            )
-            say(
-                f"done {sibling.key} [computed "
-                f"{record['wall_seconds']:.2f}s]"
-            )
+    def record_completion(record: dict) -> None:
+        key = record["key"]
+        cache.put(record["digest"], record)
+        completed[key] = record
+        sources[key] = "computed"
+        say(f"done {key} [computed {record['wall_seconds']:.2f}s]")
 
     if jobs == 1:
         for cell in order:
             try:
-                record_completion(execute_cell(payload_cell(cell)), group_of(cell))  # simlint: disable=SL100(host-side sweep cache/journal, not a sim queue; wall_seconds is bench metadata)
+                record_completion(execute_cell(payload_cell(cell)))  # simlint: disable=SL100(host-side sweep cache, not a sim queue; wall_seconds is bench metadata)
             except Exception as exc:  # worker fault or cell bug
                 failures.append(
                     {
@@ -277,9 +222,14 @@ def run_sweep(
                 )
                 say(f"FAIL {cell.key}: {exc!r}")
     elif order:
-        ctx = _mp_context(mp_start)
+        method = (
+            "fork"
+            if "fork" in multiprocessing.get_all_start_methods()
+            else "spawn"
+        )
         with ProcessPoolExecutor(
-            max_workers=min(jobs, len(order)), mp_context=ctx
+            max_workers=min(jobs, len(order)),
+            mp_context=multiprocessing.get_context(method),
         ) as pool:
             futures = {
                 pool.submit(execute_cell, payload_cell(cell)): cell
@@ -293,10 +243,10 @@ def run_sweep(
                 for future in done:
                     cell = futures[future]
                     try:
-                        record_completion(future.result(), group_of(cell))  # simlint: disable=SL100(host-side completion order; journal entries are keyed and digest-checked, order is immaterial)
+                        record_completion(future.result())  # simlint: disable=SL100(host-side completion order; cache records are keyed and digest-checked, order is immaterial)
                     except BrokenProcessPool:
                         # The OS killed a worker outright; the pool is
-                        # gone, but results journalled so far are safe.
+                        # gone, but results cached so far are safe.
                         interrupted = (
                             "worker pool broke (a worker died hard) while "
                             f"executing {cell.key!r}"
@@ -342,18 +292,17 @@ def run_sweep(
         "total": len(spec),
         "computed": sum(1 for e in entries if e["source"] == "computed"),
         "cache_hits": sum(1 for e in entries if e["source"] == "cached"),
-        "journal_replays": sum(
-            1 for e in entries if e["source"] == "journal"
-        ),
         "failed": len(failures),
         "pending": len(pending_keys),
     }
-    serial_estimate = sum(e["wall_seconds"] for e in entries)
+    # Only cells computed in this run count as this run's work.
+    serial_estimate = sum(
+        (e["wall_seconds"] for e in entries if e["source"] == "computed"), 0.0
+    )
     manifest = {
         "schema": MANIFEST_SCHEMA,
         "code_version": code,
         "jobs": jobs,
-        "resume": resume,
         "cells": entries,
         "failed": sorted(failures, key=lambda f: f["key"]),
         "pending": pending_keys,

@@ -1,7 +1,7 @@
 """Declarative sweep cells and content-addressed digests.
 
 A :class:`CellSpec` names one self-contained experiment run — a
-registered *family* (``openfoam``, ``ddmd``, ``ablation``), a plain-data
+*family* (``openfoam``, ``ddmd``, ``ablation``, ...), a plain-data
 parameter dict, and a seed.  Cells are pure data: they pickle across
 process boundaries, serialize to JSON, and hash to a stable digest.
 
@@ -85,7 +85,7 @@ class CellSpec:
         if not self.key:
             raise ValueError("cell key must be non-empty")
         # Fail early if params would not survive the JSON round trip the
-        # cache and journal rely on.
+        # cache relies on.
         canonical_json(self.params)
 
     def canonical(self) -> str:

@@ -83,7 +83,7 @@ def _manifest():
                 "key": "cell-b",
                 "family": "ddmd",
                 "seed": 5,
-                "source": "journal",
+                "source": "cached",
                 "wall_seconds": 0.5,
                 "result_digest": "feed" * 8,
             },
@@ -93,8 +93,7 @@ def _manifest():
         "counts": {
             "total": 4,
             "computed": 1,
-            "cache_hits": 0,
-            "journal_replays": 1,
+            "cache_hits": 1,
             "failed": 1,
             "pending": 1,
         },
@@ -108,13 +107,13 @@ def _manifest():
 def test_render_manifest_merges_all_cell_states():
     text = render_manifest(_manifest())
     assert "cell-a" in text and "computed" in text
-    assert "cell-b" in text and "journal" in text
+    assert "cell-b" in text and "cached" in text
     assert "cell-c" in text and "FAILED" in text
     assert "cell-d" in text and "pending" in text
     # Digests are truncated for the table.
     assert "abc123def456" in text
     assert "abc123def4567890" not in text
-    assert "completed 1 computed + 0 cache hits + 1 journal replays" in text
+    assert "completed 1 computed + 1 cache hits of 4 cells" in text
     assert "(1 failed, 1 pending)" in text
     assert "speedup 2.00x" in text
     assert "matrix digest " + "m" * 64 in text

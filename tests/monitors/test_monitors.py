@@ -98,9 +98,11 @@ class TestHardwareMonitor:
         )
         models = deployment.hw_monitor_models()
         assert models
+        store = deployment.store(HARDWARE)
         for model in models:
             assert model.samples >= 2
-            assert len(model.utilization_series) == model.samples
+            # Every sample lands in SOMA; the monitor keeps no copy.
+            assert len(store.records(source=model.client.name)) == model.samples
 
 
 class TestRPMonitor:

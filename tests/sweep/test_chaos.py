@@ -1,4 +1,4 @@
-"""Crash/resume battery: kill a worker mid-sweep, resume, lose nothing.
+"""Crash/re-run battery: kill a worker mid-sweep, re-run, lose nothing.
 
 Two injected failure modes via :mod:`repro.faults.worker`:
 
@@ -7,10 +7,10 @@ Two injected failure modes via :mod:`repro.faults.worker`:
 * ``sigkill`` — the worker dies hard; the whole pool breaks mid-sweep
   (in-flight siblings are lost too), exactly like an OOM kill.
 
-In both cases the journal must describe a clean prefix of completed
-cells, ``--resume`` must re-execute *only* what never completed (the
-journalled cells replay as cache hits, counted), and the final digests
-must equal an uninterrupted run's.
+In both cases the result cache must hold exactly the completed cells, a
+plain re-run must re-execute *only* what never completed (the cached
+cells come back as cache hits, counted), and the final digests must
+equal an uninterrupted run's.
 """
 
 from __future__ import annotations
@@ -58,8 +58,8 @@ def test_killed_sweep_resumes_without_reexecution(
         run_sweep(chaos_matrix(), jobs=2, sweep_dir=sweep_dir)
     partial = excinfo.value.run.manifest
 
-    # The journal holds a clean prefix: completed cells only, never the
-    # killed cell, and the fault marker proves the injection fired.
+    # The partial run completed a clean subset: never the killed cell,
+    # and the fault marker proves the injection fired.
     completed_keys = {e["key"] for e in partial["cells"]}
     assert KILL_KEY not in completed_keys
     assert completed_keys <= all_keys
@@ -75,21 +75,19 @@ def test_killed_sweep_resumes_without_reexecution(
         assert partial["counts"]["pending"] >= 1
         assert len(completed_keys) >= len(all_keys) - 3
 
-    # Resume with the fault still armed: the once-marker disarms it.
-    resumed = run_sweep(
-        chaos_matrix(), jobs=2, sweep_dir=sweep_dir, resume=True
-    )
-    manifest = resumed.manifest
+    # Re-run with the fault still armed: the once-marker disarms it.
+    rerun = run_sweep(chaos_matrix(), jobs=2, sweep_dir=sweep_dir)
+    manifest = rerun.manifest
 
-    # No cell ran twice: everything journalled replays (counted), and
+    # No cell ran twice: everything cached comes back (counted), and
     # only the never-completed remainder was computed.
     sources = {e["key"]: e["source"] for e in manifest["cells"]}
     assert set(sources) == all_keys
-    assert {k for k, s in sources.items() if s == "journal"} == completed_keys
+    assert {k for k, s in sources.items() if s == "cached"} == completed_keys
     assert {k for k, s in sources.items() if s == "computed"} == (
         all_keys - completed_keys
     )
-    assert manifest["counts"]["journal_replays"] == len(completed_keys)
+    assert manifest["counts"]["cache_hits"] == len(completed_keys)
     assert manifest["counts"]["computed"] == len(all_keys) - len(
         completed_keys
     )

@@ -100,9 +100,13 @@ def test_cache_hits_on_rerun(tmp_path):
     spec = mini_matrix(seeds=(3,))
     first = run_sweep(spec, jobs=2, sweep_dir=tmp_path)
     assert first.manifest["counts"]["computed"] == 1
-    # Fresh run, same directory, no resume: journal resets but the
-    # content-addressed cache still serves the result.
+    # The cache is the sweep directory's only content.
+    assert [p.name for p in tmp_path.iterdir()] == ["cache"]
+    # Fresh run, same directory: the content-addressed cache serves the
+    # result, and a run that computed nothing claims no work done.
     second = run_sweep(spec, jobs=2, sweep_dir=tmp_path)
     assert second.manifest["counts"]["computed"] == 0
     assert second.manifest["counts"]["cache_hits"] == 1
     assert second.manifest["matrix_digest"] == first.manifest["matrix_digest"]
+    assert second.manifest["serial_seconds_estimate"] == 0.0
+    assert second.manifest["speedup_vs_serial"] == 0.0

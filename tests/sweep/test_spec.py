@@ -1,8 +1,8 @@
 """Unit battery for the sweep building blocks.
 
 Covers the pieces the parity/chaos invariants rest on: stable content
-digests, atomic writes, torn-tail-tolerant journal loading, cache
-corruption handling, and deterministic LPT planning.
+digests, atomic writes, cache corruption handling, and deterministic
+LPT planning.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import pytest
 
 from repro.sweep import (
     CellSpec,
-    Journal,
     ResultCache,
     SweepSpec,
     atomic_write_json,
@@ -68,7 +67,7 @@ def test_sweep_spec_unique_keys_and_subset():
         SweepSpec(cells + [CellSpec("c0", "openfoam", 9)])
 
 
-# -- atomic writes + journal -------------------------------------------
+# -- atomic writes + cache ---------------------------------------------
 
 
 def test_atomic_write_replaces_whole_file(tmp_path):
@@ -80,30 +79,6 @@ def test_atomic_write_replaces_whole_file(tmp_path):
     assert os.listdir(target.parent) == ["out.txt"]
     atomic_write_json(tmp_path / "obj.json", {"a": 1})
     assert json.loads((tmp_path / "obj.json").read_text()) == {"a": 1}
-
-
-def test_journal_append_load_roundtrip(tmp_path):
-    journal = Journal(tmp_path / "journal.jsonl")
-    journal.reset()
-    journal.append({"digest": "d1", "key": "a"})
-    journal.append({"digest": "d2", "key": "b"})
-    replay = Journal(tmp_path / "journal.jsonl").load()
-    assert [e["digest"] for e in replay] == ["d1", "d2"]
-    assert set(replay.completed_digests()) == {"d1", "d2"}
-    replay.reset()
-    assert len(Journal(tmp_path / "journal.jsonl").load()) == 0
-
-
-def test_journal_load_tolerates_torn_tail(tmp_path):
-    path = tmp_path / "journal.jsonl"
-    good = json.dumps({"digest": "d1", "key": "a"})
-    path.write_text(good + "\n" + '{"digest": "d2", "key": ')
-    journal = Journal(path).load()
-    assert [e["digest"] for e in journal] == ["d1"]
-    # ...but corruption *before* the tail is a real error.
-    path.write_text('{"broken\n' + good + "\n")
-    with pytest.raises(json.JSONDecodeError):
-        Journal(path).load()
 
 
 def test_cache_roundtrip_and_corruption_is_a_miss(tmp_path):

@@ -95,7 +95,7 @@ def test_ddmd_provenance_is_byte_identical_per_seed():
 
 def test_sweep_cell_payload_digest_is_identical():
     """The sweep-visible result digest cannot depend on telemetry."""
-    from repro.experiments.harness import run_cell
+    from repro.sweep.cells import run_cell
 
     with observability(telemetry=False):
         off = result_digest(run_cell("ddmd", {"preset": "tuning"}, 3))

@@ -125,6 +125,7 @@ def test_facility_smoke(capsys):
             ],
             "period",
         ),
+        (["sweep", "--filter", "no-such-artifact", "--list"], "--filter"),
     ],
 )
 def test_bad_arguments_exit_2_with_one_line(capsys, argv, option):
