@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -34,6 +35,12 @@ def test_trace_ddmd_covers_the_whole_stack(tmp_path, capsys):
     out = tmp_path / "ddmd.trace.json"
     assert main(["trace", "ddmd", "--seed", "7", "--out", str(out),
                  "--top", "5"]) == 0
+    # The whole document, byte for byte: tracer records are its "i"
+    # events, so their key order is pinned too.
+    check_golden(
+        "trace_document_ddmd_seed7.sha256",
+        hashlib.sha256(out.read_bytes()).hexdigest() + "\n",
+    )
     document = json.loads(out.read_text())
     assert validate_chrome_trace(document) == []
     tracks = set(component_tracks(document))
