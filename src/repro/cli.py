@@ -296,6 +296,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_lint.add_argument(
         "--list-rules", action="store_true", help="print the rule table and exit"
     )
+    # A subcommand reports its own errors under its own usage line.
+    for command in sub.choices.values():
+        command.set_defaults(parser=command)
     return parser
 
 
@@ -445,7 +448,7 @@ def _cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
             matrix, artifacts, args.filter
         )
     except ValueError as exc:
-        parser.error(f"sweep: {exc}")
+        parser.error(str(exc))
 
     if args.list_cells:
         plan = plan_shards(spec.cells, args.jobs)
@@ -666,7 +669,7 @@ def _cmd_bottleneck(args: argparse.Namespace, parser: argparse.ArgumentParser) -
             print(report.render())
         return 0
     if args.margin is not None:
-        parser.error("bottleneck: --margin only makes sense with --calibrate")
+        parser.error("--margin only makes sense with --calibrate")
 
     names = (
         list(SCENARIOS) if args.experiment == "battery" else [args.experiment]
@@ -749,7 +752,7 @@ def _cmd_facility(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
             degrade=args.degrade,
         )
     except ValueError as exc:
-        parser.error(f"facility: {exc}")
+        parser.error(str(exc))
     plan = facility_chaos_plan(spec) if args.chaos else None
     result = run_facility(spec, seed=args.seed, fault_plan=plan)
     payload = result.payload()
@@ -773,7 +776,7 @@ def _cmd_lint(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         return 0
     for path in args.paths:
         if not Path(path).exists():
-            parser.error(f"lint: no such file or directory: {path}")
+            parser.error(f"no such file or directory: {path}")
     return simlint.main(
         args.paths, fmt=args.fmt, show_suppressed=args.show_suppressed
     )
@@ -791,17 +794,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.command == "scaling":
         return _cmd_scaling(args)
     if args.command == "sweep":
-        return _cmd_sweep(args, parser)
+        return _cmd_sweep(args, args.parser)
     if args.command == "trace":
         return _cmd_trace(args)
     if args.command == "why":
         return _cmd_why(args)
     if args.command == "bottleneck":
-        return _cmd_bottleneck(args, parser)
+        return _cmd_bottleneck(args, args.parser)
     if args.command == "facility":
-        return _cmd_facility(args, parser)
+        return _cmd_facility(args, args.parser)
     if args.command == "lint":
-        return _cmd_lint(args, parser)
+        return _cmd_lint(args, args.parser)
     return 2  # pragma: no cover - argparse enforces choices
 
 

@@ -32,7 +32,7 @@ from .states import (
     TASK_STATE_ORDER,
     TaskState,
 )
-from .task import Task, TaskEvent
+from .task import Task
 
 __all__ = [
     "Client",
@@ -60,7 +60,6 @@ __all__ = [
     "TASK_FINAL_STATES",
     "TASK_STATE_ORDER",
     "TaskDescription",
-    "TaskEvent",
     "TaskManager",
     "TaskMode",
     "TaskModel",

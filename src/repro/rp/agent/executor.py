@@ -101,6 +101,9 @@ class AgentExecutor:
             uid=task.uid,
         ):
             yield from self._execute_inner(placement)
+        # Keep no finished task's process.  A plain del: the sanitizer's
+        # SharedDict counts a pop as a read, keeping this process.
+        del self._procs[task.uid]
 
     def _execute_inner(
         self, placement: Placement
@@ -162,12 +165,7 @@ class AgentExecutor:
                 yield from updater.advance(task, TaskState.DONE, node=node_names)
                 self.completed += 1
             else:
-                yield from updater.advance(
-                    task,
-                    TaskState.FAILED,
-                    node=node_names,
-                    exit_code=result.exit_code,
-                )
+                yield from updater.advance(task, TaskState.FAILED, node=node_names)
                 self.failed += 1
         except Interrupt:
             # Service shutdown (expected) or task cancel.
@@ -184,7 +182,7 @@ class AgentExecutor:
         except Exception as exc:  # model bug -> task failure, not crash
             task.exception = exc
             if not task.is_final:
-                task.advance(TaskState.FAILED, error=repr(exc))
+                task.advance(TaskState.FAILED)
                 self.session.tracer.record(
                     "rp.state", task.uid, state=TaskState.FAILED
                 )

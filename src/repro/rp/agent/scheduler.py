@@ -194,9 +194,7 @@ class AgentScheduler:
             if not self._can_ever_fit(task, eligible):
                 # No amount of waiting will help: fail the task.
                 self._waiting.pop(index)
-                yield from self.agent.updater.advance(
-                    task, TaskState.FAILED, reason="unschedulable"
-                )
+                yield from self.agent.updater.advance(task, TaskState.FAILED)
                 self._end_schedule_span(task, outcome="unschedulable")
                 continue
             allocations, scanned = self._try_place(task, eligible)

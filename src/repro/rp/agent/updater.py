@@ -56,40 +56,24 @@ class Updater:
         self.dropped_records = 0
 
     def advance(
-        self, task: Task, state: str, node: str = "", **data
+        self, task: Task, state: str, node: str = ""
     ) -> Generator[Event, None, None]:
-        """Transition ``task`` and persist the profile record."""
-        task.advance(state, **data)
+        """Transition ``task`` and persist its profile record."""
+        record = task.advance(state, node)
         self.session.tracer.record(
             "rp.state", task.uid, state=state, node=node
         )
-        yield from self._persist(
-            ProfileRecord(
-                time=self.env.now,
-                entity=task.uid,
-                event="state",
-                state=state,
-                node=node,
-            )
-        )
+        yield from self._persist(record)
 
     def record_event(
         self, task: Task, event: str, node: str = ""
     ) -> Generator[Event, None, None]:
         """Record a sub-state event (launch_start, rank_start, ...)."""
-        task.record_event(event)
+        record = task.record_event(event, node)
         self.session.tracer.record(
             "rp.event", task.uid, event=event, node=node
         )
-        yield from self._persist(
-            ProfileRecord(
-                time=self.env.now,
-                entity=task.uid,
-                event=event,
-                state=task.state,
-                node=node,
-            )
-        )
+        yield from self._persist(record)
 
     def _persist(self, record: ProfileRecord) -> Generator[Event, None, None]:
         """Write ``record`` with bounded retries, dropping on failure.

@@ -18,7 +18,6 @@ from ..platform.batch import JobRequest
 from .agent.agent import Agent
 from .description import PilotDescription, TaskDescription
 from .pilot import Pilot
-from .profiler import ProfileRecord
 from .session import Session
 from .states import PilotState, TaskState
 from .task import Task
@@ -26,22 +25,12 @@ from .task import Task
 __all__ = ["PilotManager", "TaskManager", "Client"]
 
 
-def _record_client_transition(
-    session: Session, task: Task, state: str, **data
-) -> None:
+def _record_client_transition(session: Session, task: Task, state: str) -> None:
     """Client-side transition: advance + profile append (no I/O lock —
     the client writes its own profile files on its own node)."""
-    task.advance(state, **data)
+    record = task.advance(state, "client")
     session.tracer.record("rp.state", task.uid, state=state, node="client")
-    session.profiles.append(
-        ProfileRecord(
-            time=session.env.now,
-            entity=task.uid,
-            event="state",
-            state=state,
-            node="client",
-        )
-    )
+    session.profiles.append(record)
 
 
 class PilotManager:

@@ -1,11 +1,18 @@
-"""The Task entity: one unit of work, with its full event history."""
+"""The Task entity: one unit of work, with its full event history.
+
+A task's history is its profile records: each state transition and
+sub-state event is one frozen :class:`~repro.rp.profiler.ProfileRecord`,
+appended to :attr:`Task.events` and handed back to the caller, which
+persists that same object to the profile store.
+"""
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 from ..sim.core import Environment, Event
 from .description import TaskDescription, TaskMode
+from .profiler import ProfileRecord
 from .states import (
     TASK_FINAL_STATES,
     InvalidTransition,
@@ -16,24 +23,7 @@ from .states import (
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .model import TaskResult
 
-__all__ = ["Task", "TaskEvent"]
-
-
-class TaskEvent:
-    """One timestamped event in a task's life (profile record)."""
-
-    __slots__ = ("time", "name", "state", "data")
-
-    def __init__(
-        self, time: float, name: str, state: str, data: dict[str, Any] | None = None
-    ) -> None:
-        self.time = time
-        self.name = name
-        self.state = state
-        self.data = data or {}
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"TaskEvent({self.time:.4f}, {self.name!r}, {self.state!r})"
+__all__ = ["Task"]
 
 
 class Task:
@@ -47,8 +37,8 @@ class Task:
         self.uid = uid
         self.description = description
         self.state = TaskState.NEW
-        self.events: list[TaskEvent] = [
-            TaskEvent(env.now, "state", TaskState.NEW)
+        self.events: list[ProfileRecord] = [
+            ProfileRecord(env.now, uid, "state", TaskState.NEW)
         ]
         #: Node names the task's ranks landed on (set by the scheduler).
         self.nodelist: list[str] = []
@@ -63,24 +53,28 @@ class Task:
 
     # -- state machine -------------------------------------------------
 
-    def advance(self, new_state: str, **data: Any) -> None:
-        """Move to ``new_state``, recording a timestamped event."""
+    def advance(self, new_state: str, node: str = "") -> ProfileRecord:
+        """Move to ``new_state``, recording and returning its event."""
         if not is_valid_transition(self.state, new_state, kind="task"):
             raise InvalidTransition(
                 f"{self.uid}: illegal transition {self.state} -> {new_state}"
             )
         self.state = new_state
-        self.events.append(TaskEvent(self.env.now, "state", new_state, data))
+        record = ProfileRecord(self.env.now, self.uid, "state", new_state, node)
+        self.events.append(record)
         if new_state == TaskState.AGENT_EXECUTING:
             self.started_at = self.env.now
         if new_state in TASK_FINAL_STATES:
             self.finished_at = self.env.now
             if not self.completed.triggered:
                 self.completed.succeed(self)
+        return record
 
-    def record_event(self, name: str, **data: Any) -> None:
-        """Record a sub-state event (launch_start, rank_start, ...)."""
-        self.events.append(TaskEvent(self.env.now, name, self.state, data))
+    def record_event(self, name: str, node: str = "") -> ProfileRecord:
+        """Record and return a sub-state event (launch_start, ...)."""
+        record = ProfileRecord(self.env.now, self.uid, name, self.state, node)
+        self.events.append(record)
+        return record
 
     # -- classification --------------------------------------------------
 
@@ -105,8 +99,8 @@ class Task:
     def time_of(self, event_name: str) -> float | None:
         """Timestamp of the first event with ``event_name``, if any."""
         for event in self.events:
-            if event.name == event_name or (
-                event.name == "state" and event.state == event_name
+            if event.event == event_name or (
+                event.event == "state" and event.state == event_name
             ):
                 return event.time
         return None
@@ -127,7 +121,7 @@ class Task:
     def state_durations(self) -> dict[str, float]:
         """Seconds spent in each state (final state gets 0)."""
         durations: dict[str, float] = {}
-        state_events = [e for e in self.events if e.name == "state"]
+        state_events = [e for e in self.events if e.event == "state"]
         for current, following in zip(state_events, state_events[1:]):
             durations[current.state] = durations.get(current.state, 0.0) + (
                 following.time - current.time

@@ -6,11 +6,16 @@ shared tracer, and it is the run's only point-event log: post-run
 consumers (timelines, utilization plots, overhead accounting, the
 Chrome trace export, provenance grants) read it rather than keeping
 copies of their own.
+
+Records are stored schema-once: a run emits tens of thousands of
+records but only a handful of distinct key sets, so each record keeps
+its tracer's shared key tuple and a tuple of its values, and its
+``data`` dict is rebuilt on each read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterator
 
 from .core import Environment
@@ -20,15 +25,27 @@ __all__ = ["TraceRecord", "Tracer"]
 
 @dataclass(frozen=True, slots=True)
 class TraceRecord:
-    """One timestamped observation."""
+    """One timestamped observation.
+
+    ``keys`` is the key tuple its :class:`Tracer` shares among every
+    record with the same key set, in emission order; ``values`` holds
+    this record's values in that order.  ``data`` is a fresh dict on
+    each read, owned by the reader: writing into it changes nothing
+    stored.
+    """
 
     time: float
     category: str
     name: str
-    data: dict[str, Any] = field(default_factory=dict)
+    keys: tuple[str, ...]
+    values: tuple[Any, ...]
+
+    @property
+    def data(self) -> dict[str, Any]:
+        return dict(zip(self.keys, self.values))
 
     def get(self, key: str, default: Any = None) -> Any:
-        return self.data.get(key, default)
+        return self.values[self.keys.index(key)] if key in self.keys else default
 
 
 class Tracer:
@@ -44,12 +61,17 @@ class Tracer:
         self.enabled = enabled
         self._records: list[TraceRecord] = []
         self._counts: dict[str, int] = {}
+        #: Each distinct key tuple once, shared by every record using it.
+        self._schemas: dict[tuple[str, ...], tuple[str, ...]] = {}
 
     def record(self, category: str, name: str, **data: Any) -> None:
         """Record an observation at the current simulated time."""
         self._counts[category] = self._counts.get(category, 0) + 1
         if self.enabled:
-            self._records.append(TraceRecord(self.env.now, category, name, data))
+            keys = tuple(data)
+            keys = self._schemas.setdefault(keys, keys)
+            values = tuple(data.values())
+            self._records.append(TraceRecord(self.env.now, category, name, keys, values))
 
     def __len__(self) -> int:
         return len(self._records)

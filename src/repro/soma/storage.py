@@ -156,11 +156,13 @@ class NamespaceStore:
 
         ``source`` narrows the merge to one publisher via the
         per-source index, so inspecting a single monitor no longer
-        pays for merging the whole namespace.
+        pays for merging the whole namespace.  Each record's rebuild is
+        the merge's own, so its subtrees and leaves are taken over, not
+        copied a second time.
         """
         root = Node()
         for record in self.records(source=source, since=since, until=until):
-            root.update(record.data)
+            root._merge(record.data, take=True)
         return root
 
     def __iter__(self) -> Iterator[PublishedRecord]:

@@ -11,12 +11,15 @@ six-digit task count and pins the kernel-level evidence:
 
 The default lane runs a reduced configuration to keep the suite
 responsive; set ``REPRO_FULL_SCALE=1`` for the paper-scale 1024-node,
-100k-task run (a few minutes).
+100k-task run (a few minutes).  The run keeps every task's history, so
+the test prints its wall time and peak RSS (``ru_maxrss``); run it with
+``-s`` to see them.
 """
 
 from __future__ import annotations
 
 import os
+import resource
 import time
 
 import pytest
@@ -62,6 +65,11 @@ def test_fig11_scale_event_kernel():
         trace=False,
     )
     wall = time.perf_counter() - start
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+    print(
+        f"\nfig11-scale: {NODES} nodes / {TASKS} tasks: wall {wall:.1f} s, "
+        f"ru_maxrss {peak_mb:.1f} MB"
+    )
 
     assert result.payload["done"] == TASKS
     assert all(

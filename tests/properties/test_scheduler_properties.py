@@ -96,7 +96,7 @@ def test_task_states_move_strictly_forward(specs, seed):
     order = {s: i for i, s in enumerate(TASK_STATE_ORDER)}
     _, _, _, tasks = run_workload(specs, seed)
     for task in tasks:
-        states = [e.state for e in task.events if e.name == "state"]
+        states = [e.state for e in task.events if e.event == "state"]
         indices = [order[s] for s in states if s in order]
         assert indices == sorted(indices)
         assert len(set(indices)) == len(indices)

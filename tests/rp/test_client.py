@@ -1,5 +1,7 @@
 """Client-side RP: pilot submission, task feed, wait semantics."""
 
+import gc
+
 import pytest
 
 from repro.platform import summit_like
@@ -12,6 +14,7 @@ from repro.rp import (
     TaskDescription,
     TaskState,
 )
+from repro.sim import Process
 
 
 @pytest.fixture
@@ -106,7 +109,7 @@ class TestTaskSubmission:
             return tasks[0]
 
         task = env.run(env.process(main(env)))
-        names = [e.name for e in task.events if e.name != "state"]
+        names = [e.event for e in task.events if e.event != "state"]
         assert names == [
             "launch_start",
             "exec_start",
@@ -117,6 +120,33 @@ class TestTaskSubmission:
         ]
         times = [task.time_of(n) for n in names]
         assert times == sorted(times)
+
+    def test_finished_task_processes_are_not_kept(self, client):
+        activate(client)
+        env = client.session.env
+
+        def main(env):
+            tasks = client.submit_tasks(
+                [TaskDescription(model=FixedDurationModel(1.0)) for _ in range(4)]
+            )
+            yield from client.wait_tasks(tasks)
+            return tasks
+
+        tasks = env.run(env.process(main(env)))
+        client.close()
+        env.run()
+        assert all(t.state == TaskState.DONE for t in tasks)
+        # Each profile line is the task's own history record.
+        history = {id(e) for t in tasks for e in t.events}
+        assert all(id(r) in history for r in client.session.profiles.snapshot())
+        gc.collect()
+        assert not [
+            obj
+            for obj in gc.get_objects()
+            if type(obj) is Process
+            and obj.env is env
+            and obj.name.startswith("exec-task.")
+        ]
 
     def test_wait_tasks_with_already_final(self, client):
         activate(client)

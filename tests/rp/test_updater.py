@@ -63,3 +63,37 @@ def test_write_dropped_after_retries_during_store_outage():
     assert times(session, "rp.profile_drop") == [pytest.approx(0.15)]
     assert updater.dropped_records == 1
     assert len(profiles) == 0
+
+
+def test_persisted_record_is_the_task_history_record():
+    session, updater, task = make_stack()
+    env = session.env
+
+    def transitions():
+        yield from updater.advance(task, TaskState.TMGR_SCHEDULING, node="cn0001")
+        assert task.events[-1] is session.profiles.snapshot()[-1]
+        yield from updater.record_event(task, "launch_start", node="cn0001")
+        assert task.events[-1] is session.profiles.snapshot()[-1]
+
+    env.run(env.process(transitions()))
+    assert len(session.profiles) == 2
+    assert task.events[-2].state == TaskState.TMGR_SCHEDULING
+
+
+def test_dropped_write_keeps_the_record_in_task_history_only():
+    session, updater, task = make_stack()
+    env = session.env
+    session.profiles.set_available(False)
+
+    env.process(updater.advance(task, TaskState.TMGR_SCHEDULING, node="cn0001"))
+    env.run()
+
+    assert updater.dropped_records == 1
+    assert session.profiles.snapshot() == []
+    record = task.events[-1]
+    assert (record.entity, record.event, record.state, record.node) == (
+        task.uid,
+        "state",
+        TaskState.TMGR_SCHEDULING,
+        "cn0001",
+    )

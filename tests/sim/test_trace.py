@@ -1,5 +1,7 @@
 """Tracer behaviour."""
 
+import tracemalloc
+
 from repro.sim import Tracer
 
 
@@ -53,3 +55,43 @@ def test_record_get_helper(env):
     rec = tracer.records[0]
     assert rec.get("key") == "val"
     assert rec.get("missing", "default") == "default"
+
+
+def test_record_data_is_rebuilt_on_each_read(env):
+    tracer = Tracer(env)
+    tracer.record("rp.state", "task.000000", state="DONE", node="cn0001")
+    tracer.record("rp.state", "task.000001", state="FAILED", node="cn0002")
+    first, second = tracer.records
+    assert first.keys is second.keys  # one key tuple per key set
+    a, b = first.data, first.data
+    assert a == b == {"state": "DONE", "node": "cn0001"} and a is not b
+    assert list(a) == ["state", "node"]
+    a["state"] = "CANCELED"
+    a["extra"] = 1
+    assert first.data == b
+    assert first.get("state") == "DONE" and first.get("extra") is None
+
+
+def test_record_memory_floor(env):
+    """An ``rp.state``-shaped record retains at most 170 B.
+
+    With its own kwargs dict it retained 256 B on Python 3.11; with a
+    shared key tuple it is the record, its values tuple and a list
+    slot, about 135 B.
+    """
+    count = 10_000
+    uids = [f"task.{i:06d}" for i in range(count)]
+    nodes = [f"cn{k:04d}" for k in range(64)]
+    states = ["AGENT_EXECUTING", "AGENT_STAGING_OUTPUT"]
+    tracer = Tracer(env)
+    tracer.record("rp.state", "warm-up", state=states[0], node=nodes[0])
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i, uid in enumerate(uids):
+            tracer.record("rp.state", uid, state=states[i % 2], node=nodes[i % 64])
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(tracer) == count + 1
+    assert retained / count <= 170

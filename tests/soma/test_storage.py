@@ -93,6 +93,28 @@ def test_merged_does_not_share_leaves_with_stored_records():
     assert all(r.nbytes == r.data.nbytes() for r in s)
 
 
+def test_two_merges_share_no_node_or_list():
+    s = hardware_and_workflow_store()
+
+    def parts(root):
+        """Every node, dict and list reachable from ``root``, by id."""
+        seen, stack = {}, [root]
+        while stack:
+            obj = stack.pop()
+            if id(obj) not in seen:
+                seen[id(obj)] = obj
+                stack.extend(
+                    ref
+                    for ref in gc.get_referents(obj)
+                    if type(ref) in (Node, dict, list)
+                )
+        return seen
+
+    first, second = s.merged(), s.merged()
+    assert first == second
+    assert not parts(first).keys() & parts(second).keys()
+
+
 def test_out_of_order_insert_keeps_time_order():
     s = NamespaceStore("x")
     s.append(5.0, "a", tree(v=1))

@@ -136,6 +136,7 @@ def test_bad_arguments_exit_2_with_one_line(capsys, argv, option):
     assert "Traceback" not in err
     (line,) = [line for line in err.splitlines() if "error:" in line]
     assert argv[0] in line and option in line
+    assert f"usage: repro {argv[0]}" in err
 
 
 def test_facility_json_with_chaos(capsys):
