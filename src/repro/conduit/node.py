@@ -284,14 +284,14 @@ class Node:
 
         Leaf values are copied, never shared with ``other``.
         """
-        self._merge(other, take=False)
+        self._merge(other.copy())
 
-    def _merge(self, other: "Node", take: bool) -> None:
-        """:meth:`update`; with ``take`` it takes ``other``'s subtrees
-        and leaves over instead of copying them, for an ``other`` that
-        nothing else holds (a SOMA store's fresh rebuild of a record)."""
+    def _merge(self, other: "Node") -> None:
+        """:meth:`update` that takes ``other``'s subtrees and leaves over
+        instead of copying them, for an ``other`` that nothing else
+        holds (a copy, or a SOMA store's fresh rebuild of a record)."""
         if other._has_value:
-            self._merge_leaf(other._value, take)
+            self._merge_leaf(other._value)
             return
         if self._has_value and other._children:
             raise PathError("cannot merge an object onto a leaf node")
@@ -300,22 +300,22 @@ class Node:
             mine = kids.get(name, _MISSING)
             if type(theirs) is Node and not theirs._has_value:
                 if mine is _MISSING:
-                    kids[name] = theirs if take else theirs.copy()
+                    kids[name] = theirs
                 elif type(mine) is Node:
-                    mine._merge(theirs, take)
+                    mine._merge(theirs)
                 elif theirs._children:
                     raise PathError("cannot merge an object onto a leaf node")
                 continue
             value = theirs._value if type(theirs) is Node else theirs
             if type(mine) is Node:
-                mine._merge_leaf(value, take)
+                mine._merge_leaf(value)
             else:
-                kids[name] = value if take else _copy_value(value)
+                kids[name] = value
 
-    def _merge_leaf(self, value: Any, take: bool) -> None:
+    def _merge_leaf(self, value: Any) -> None:
         if self._children:
             raise PathError("cannot merge a leaf onto an object node")
-        self._value = value if take else _copy_value(value)
+        self._value = value
         self._has_value = True
 
     def copy(self) -> "Node":

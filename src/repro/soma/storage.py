@@ -162,7 +162,7 @@ class NamespaceStore:
         """
         root = Node()
         for record in self.records(source=source, since=since, until=until):
-            root._merge(record.data, take=True)
+            root._merge(record.data)
         return root
 
     def __iter__(self) -> Iterator[PublishedRecord]:

@@ -214,11 +214,12 @@ def _instant_events(
     for rec in tracer.records:
         span = task_spans.get(rec.name)
         if span is None:
-            cat, tid, args = "tracer", tracer_tid, dict(rec.data)
+            cat, tid, args = "tracer", tracer_tid, rec.data
             on_tracer_track = True
         else:
             cat, tid = span.component, tids[span.component]
-            args = dict(rec.data, span_id=span.span_id)
+            args = rec.data
+            args["span_id"] = span.span_id
         events.append(
             {
                 "name": f"{rec.category}:{rec.name}",
