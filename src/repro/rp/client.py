@@ -139,6 +139,8 @@ class TaskManager:
         """Move one task through the client states to the agent."""
         cfg = self.session.config
         session = self.session
+        if task.is_final:
+            return  # canceled before the feed started
         with session.telemetry.span(
             "tmgr.feed",
             component="rp-client",
@@ -150,6 +152,8 @@ class TaskManager:
             # agent before any application task submitted alongside them.
             if cfg.tmgr_latency > 0 and task.is_application:
                 yield self.env.timeout(session.jitter(cfg.tmgr_latency))
+                if task.is_final:
+                    return  # canceled while in TMGR_SCHEDULING
             _record_client_transition(session, task, TaskState.TMGR_STAGING_INPUT)
             _record_client_transition(
                 session, task, TaskState.AGENT_SCHEDULING_PENDING

@@ -189,3 +189,41 @@ class TestTaskSubmission:
 
         task = env.run(env.process(main(env)))
         assert task.state == TaskState.FAILED
+
+
+class TestClientSideCancel:
+    """Cancelling a task still in its client-side states finalizes it,
+    and the feed drops it instead of advancing a final task."""
+
+    @pytest.mark.parametrize("delay", [0.0, 0.03])
+    def test_cancel_before_the_agent_sees_the_task(self, client, delay):
+        activate(client)
+        env = client.session.env
+
+        def main(env):
+            victim, other = client.submit_tasks(
+                [
+                    TaskDescription(name="victim", model=FixedDurationModel(1.0)),
+                    TaskDescription(name="other", model=FixedDurationModel(5.0)),
+                ]
+            )
+            if delay:
+                yield env.timeout(delay)
+            # Inside the jittered tmgr_latency (0.05 s +/- 25%).
+            assert victim.state in (TaskState.NEW, TaskState.TMGR_SCHEDULING)
+            client.cancel_tasks([victim])
+            yield from client.wait_tasks([other])
+            yield env.timeout(10.0)
+            return victim, other
+
+        victim, other = env.run(env.process(main(env)))
+        assert victim.state == TaskState.CANCELED
+        assert other.state == TaskState.DONE
+        assert victim.uid not in client.agent.tasks
+        assert victim.events[-1].state == TaskState.CANCELED
+        last = [
+            rec
+            for rec in client.session.tracer.select(category="rp.state")
+            if rec.name == victim.uid
+        ][-1]
+        assert last.data == {"state": TaskState.CANCELED}
