@@ -62,7 +62,6 @@ def run_workflow(
     cluster_spec: ClusterSpec | None = None,
     rp_config: RPConfig | None = None,
     seed: int = 42,
-    trace: bool = True,
     drain_seconds: float = 0.0,
     fault_plan: Any = None,
 ) -> WorkflowResult:
@@ -85,7 +84,6 @@ def run_workflow(
         cluster_spec=spec,
         config=rp_config,
         seed=seed,
-        trace=trace,
     )
     client = Client(session)
     env = session.env

@@ -244,7 +244,7 @@ def build_graph(
     the span-skeleton graph).  ``close=True`` freezes the capture so
     later offline store reads stop appending notes.  With a capture,
     scheduler grants come from the ``rp.alloc`` records of
-    ``hub.tracer``, so the tracer must be recording.
+    ``hub.tracer``.
     """
     if hub is None:
         if result is None:
@@ -254,8 +254,6 @@ def build_graph(
         raise ValueError("provenance needs an enabled telemetry hub")
     if capture is None:
         capture = hub.provenance
-    if capture is not None and hub.tracer is not None and not hub.tracer.enabled:
-        raise ValueError("provenance needs an enabled tracer (trace=True)")
     if plan is None and result is not None and result.injector is not None:
         plan = result.injector.plan
     finished = float(result.finished_at if result is not None else hub.env.now)

@@ -91,9 +91,6 @@ class Agent:
         if self.executor is not None and self.executor.cancel(task.uid):
             return
         task.advance(TaskState.CANCELED)
-        self.session.tracer.record(
-            "rp.state", task.uid, state=TaskState.CANCELED
-        )
 
     def shutdown(self) -> None:
         """Stop services and the scheduling/executing machinery."""

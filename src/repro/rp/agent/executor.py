@@ -178,14 +178,10 @@ class AgentExecutor:
                     else TaskState.CANCELED
                 )
                 task.advance(final)
-                self.session.tracer.record("rp.state", task.uid, state=final)
         except Exception as exc:  # model bug -> task failure, not crash
             task.exception = exc
             if not task.is_final:
                 task.advance(TaskState.FAILED)
-                self.session.tracer.record(
-                    "rp.state", task.uid, state=TaskState.FAILED
-                )
             self.failed += 1
         finally:
             self._release(placement, notify=not interrupted or not self._stopped)

@@ -1,10 +1,11 @@
 """The agent updater: serialized state transitions + profile writes.
 
-Every state transition of every task flows through this component, is
-written to the RP profile store (under its I/O lock), and is mirrored
-into the tracer.  Because the RP monitoring client re-reads those same
-profile files, frequent monitoring contends with this writer — the
-mechanism behind the frequent-monitoring overhead in Fig 11.
+Every agent-side state transition of every task flows through this
+component and is written to the RP profile store (under its I/O lock);
+the task has already traced it, as the same record.  Because the RP
+monitoring client re-reads those same profile files, frequent
+monitoring contends with this writer — the mechanism behind the
+frequent-monitoring overhead in Fig 11.
 
 Persistence is best-effort under faults: if the profile store is
 unavailable (injected outage), the write is retried under a small
@@ -44,14 +45,9 @@ DEFAULT_UPDATER_RETRY = RetryPolicy(
 class Updater:
     """Applies and records state transitions for tasks."""
 
-    def __init__(
-        self,
-        session: "Session",
-        retry: RetryPolicy | None = DEFAULT_UPDATER_RETRY,
-    ) -> None:
+    def __init__(self, session: "Session") -> None:
         self.session = session
         self.env = session.env
-        self.retry = retry
         #: Profile records lost to an exhausted persistence retry.
         self.dropped_records = 0
 
@@ -59,21 +55,13 @@ class Updater:
         self, task: Task, state: str, node: str = ""
     ) -> Generator[Event, None, None]:
         """Transition ``task`` and persist its profile record."""
-        record = task.advance(state, node)
-        self.session.tracer.record(
-            "rp.state", task.uid, state=state, node=node
-        )
-        yield from self._persist(record)
+        yield from self._persist(task.advance(state, node))
 
     def record_event(
         self, task: Task, event: str, node: str = ""
     ) -> Generator[Event, None, None]:
         """Record a sub-state event (launch_start, rank_start, ...)."""
-        record = task.record_event(event, node)
-        self.session.tracer.record(
-            "rp.event", task.uid, event=event, node=node
-        )
-        yield from self._persist(record)
+        yield from self._persist(task.record_event(event, node))
 
     def _persist(self, record: ProfileRecord) -> Generator[Event, None, None]:
         """Write ``record`` with bounded retries, dropping on failure.
@@ -82,11 +70,8 @@ class Updater:
         only the durable profile line is at stake here.
         """
         profiles = self.session.profiles
-        if self.retry is None:
-            yield from profiles.write_locked(record)
-            return
         try:
-            yield from self.retry.execute(
+            yield from DEFAULT_UPDATER_RETRY.execute(
                 self.env,
                 lambda: profiles.write_locked(record),
                 name=f"profile:{record.entity}",

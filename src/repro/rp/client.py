@@ -28,9 +28,7 @@ __all__ = ["PilotManager", "TaskManager", "Client"]
 def _record_client_transition(session: Session, task: Task, state: str) -> None:
     """Client-side transition: advance + profile append (no I/O lock —
     the client writes its own profile files on its own node)."""
-    record = task.advance(state, "client")
-    session.tracer.record("rp.state", task.uid, state=state, node="client")
-    session.profiles.append(record)
+    session.profiles.append(task.advance(state, "client"))
 
 
 class PilotManager:
@@ -106,10 +104,8 @@ class TaskManager:
         tel = self.session.telemetry
         tasks: list[Task] = []
         for description in descriptions:
-            task = Task(
-                self.env, self.session.new_uid("task"), description
-            )
-            task.submitted_at = self.env.now
+            uid = self.session.new_uid("task")
+            task = Task(self.env, uid, description, self.session.tracer)
             self.tasks[task.uid] = task
             tasks.append(task)
             # Root span of the task's causal tree; every later phase
@@ -189,9 +185,6 @@ class TaskManager:
                 self._agent.cancel(task)
             else:
                 task.advance(TaskState.CANCELED)
-                self.session.tracer.record(
-                    "rp.state", task.uid, state=TaskState.CANCELED
-                )
 
 
 class Client:

@@ -15,7 +15,7 @@ profile, task state updates queue behind it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator
+from typing import Any, Generator
 
 from ..messaging.protocol import ServiceUnavailable
 from ..sim.core import Environment, Event
@@ -23,19 +23,35 @@ from ..sim.resources import Resource
 
 __all__ = ["ProfileRecord", "ProfileStore"]
 
-#: Serialized size of one profile record (bytes), for payload accounting.
-RECORD_BYTES = 96.0
-
 
 @dataclass(frozen=True, slots=True)
 class ProfileRecord:
-    """One line in an RP profile file."""
+    """One line in an RP profile file, and its transition's trace record
+    (``rp.state`` or ``rp.event``, named by the entity).  ``node=None``
+    marks a transition applied outside the updater and the client feed
+    (a cancel, an interrupted or crashed execution): its trace ``data``
+    has no ``node`` key."""
 
     time: float
     entity: str  # task / pilot / agent uid
-    event: str  # state name or sub-state event
+    event: str  # "state" or a sub-state event
     state: str
-    node: str = ""
+    node: str | None = ""
+
+    @property
+    def category(self) -> str:
+        return "rp.state" if self.event == "state" else "rp.event"
+
+    @property
+    def name(self) -> str:
+        return self.entity
+
+    @property
+    def data(self) -> dict[str, Any]:
+        data = {"state": self.state} if self.event == "state" else {"event": self.event}
+        if self.node is not None:
+            data["node"] = self.node
+        return data
 
 
 class ProfileStore:
@@ -80,10 +96,6 @@ class ProfileStore:
 
     def __len__(self) -> int:
         return len(self._records)
-
-    @property
-    def size_bytes(self) -> float:
-        return len(self._records) * RECORD_BYTES
 
     # -- writer side (agent updater) ------------------------------------
 

@@ -39,7 +39,6 @@ class Session:
         cluster_spec: ClusterSpec | None = None,
         config: RPConfig | None = None,
         seed: int = 42,
-        trace: bool = True,
     ) -> None:
         self.seed = seed
         self.env = env or Environment()
@@ -48,7 +47,7 @@ class Session:
         self.cluster = cluster
         self.config = config or DEFAULT_RP_CONFIG
         self.rng = np.random.default_rng(seed)
-        self.tracer = Tracer(self.env, enabled=trace)
+        self.tracer = Tracer(self.env)
         # Always present, switched by ``observability``; when disabled
         # every operation is a no-op and the kernel never sees it
         # (env._telemetry stays None).

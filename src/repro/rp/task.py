@@ -2,8 +2,9 @@
 
 A task's history is its profile records: each state transition and
 sub-state event is one frozen :class:`~repro.rp.profiler.ProfileRecord`,
-appended to :attr:`Task.events` and handed back to the caller, which
-persists that same object to the profile store.
+appended to :attr:`Task.events`, added to the run's tracer as its trace
+record, and handed back to the caller, which persists that same object
+to the profile store.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from ..sim.core import Environment, Event
+from ..sim.trace import Tracer
 from .description import TaskDescription, TaskMode
 from .profiler import ProfileRecord
 from .states import (
@@ -30,13 +32,15 @@ class Task:
     """A task under RP management."""
 
     def __init__(
-        self, env: Environment, uid: str, description: TaskDescription
+        self, env: Environment, uid: str, description: TaskDescription, tracer: Tracer
     ) -> None:
         description.validate()
         self.env = env
+        self.tracer = tracer
         self.uid = uid
         self.description = description
         self.state = TaskState.NEW
+        #: The NEW record is not traced; every later one is.
         self.events: list[ProfileRecord] = [
             ProfileRecord(env.now, uid, "state", TaskState.NEW)
         ]
@@ -46,14 +50,11 @@ class Task:
         self.completed: Event = env.event()
         self.result: "TaskResult | None" = None
         self.exception: BaseException | None = None
-        #: Wall-clock bookkeeping for analysis.
-        self.submitted_at: float | None = None
-        self.started_at: float | None = None
         self.finished_at: float | None = None
 
     # -- state machine -------------------------------------------------
 
-    def advance(self, new_state: str, node: str = "") -> ProfileRecord:
+    def advance(self, new_state: str, node: str | None = None) -> ProfileRecord:
         """Move to ``new_state``, recording and returning its event."""
         if not is_valid_transition(self.state, new_state, kind="task"):
             raise InvalidTransition(
@@ -62,18 +63,18 @@ class Task:
         self.state = new_state
         record = ProfileRecord(self.env.now, self.uid, "state", new_state, node)
         self.events.append(record)
-        if new_state == TaskState.AGENT_EXECUTING:
-            self.started_at = self.env.now
+        self.tracer.add(record)
         if new_state in TASK_FINAL_STATES:
             self.finished_at = self.env.now
             if not self.completed.triggered:
                 self.completed.succeed(self)
         return record
 
-    def record_event(self, name: str, node: str = "") -> ProfileRecord:
+    def record_event(self, name: str, node: str | None = None) -> ProfileRecord:
         """Record and return a sub-state event (launch_start, ...)."""
         record = ProfileRecord(self.env.now, self.uid, name, self.state, node)
         self.events.append(record)
+        self.tracer.add(record)
         return record
 
     # -- classification --------------------------------------------------

@@ -7,10 +7,13 @@ consumers (timelines, utilization plots, overhead accounting, the
 Chrome trace export, provenance grants) read it rather than keeping
 copies of their own.
 
-Records are stored schema-once: a run emits tens of thousands of
-records but only a handful of distinct key sets, so each record keeps
-its tracer's shared key tuple and a tuple of its values, and its
-``data`` dict is rebuilt on each read.
+A stored record is a :class:`TraceRecord`, or a domain record that
+carries its own trace shape: an RP task's profile record is its
+transition's trace record too, so each transition is kept once.  A
+:class:`TraceRecord` is stored schema-once: a run emits tens of
+thousands of records but only a handful of distinct key sets, so each
+record keeps its tracer's shared key tuple and a tuple of its values,
+and its ``data`` dict is rebuilt on each read.
 """
 
 from __future__ import annotations
@@ -49,43 +52,45 @@ class TraceRecord:
 
 
 class Tracer:
-    """Collects :class:`TraceRecord` objects during a run.
+    """Collects the run's records.  It has no switch: it keeps them all.
 
-    Categories are free-form strings ("rp.task", "soma.publish",
-    "hw.sample", ...).  With ``enabled`` false the tracer stores nothing
-    but still counts, which keeps very large runs cheap.
+    Categories are free-form strings ("rp.alloc", "soma.publish",
+    "hw.sample", ...).  :meth:`record` builds a :class:`TraceRecord`;
+    :meth:`add` keeps a domain record that carries its own trace shape.
+    Either way a record has a ``time``, a ``category``, a ``name`` and
+    a ``data`` dict, fresh on each read.
     """
 
-    def __init__(self, env: Environment, enabled: bool = True) -> None:
+    def __init__(self, env: Environment) -> None:
         self.env = env
-        self.enabled = enabled
-        self._records: list[TraceRecord] = []
-        self._counts: dict[str, int] = {}
+        self._records: list[Any] = []
         #: Each distinct key tuple once, shared by every record using it.
         self._schemas: dict[tuple[str, ...], tuple[str, ...]] = {}
 
     def record(self, category: str, name: str, **data: Any) -> None:
         """Record an observation at the current simulated time."""
-        self._counts[category] = self._counts.get(category, 0) + 1
-        if self.enabled:
-            keys = tuple(data)
-            keys = self._schemas.setdefault(keys, keys)
-            values = tuple(data.values())
-            self._records.append(TraceRecord(self.env.now, category, name, keys, values))
+        keys = tuple(data)
+        keys = self._schemas.setdefault(keys, keys)
+        values = tuple(data.values())
+        self._records.append(TraceRecord(self.env.now, category, name, keys, values))
+
+    def add(self, record: Any) -> None:
+        """Store a domain record that carries its own trace shape."""
+        self._records.append(record)
 
     def __len__(self) -> int:
         return len(self._records)
 
-    def __iter__(self) -> Iterator[TraceRecord]:
+    def __iter__(self) -> Iterator[Any]:
         return iter(self._records)
 
     @property
-    def records(self) -> list[TraceRecord]:
+    def records(self) -> list[Any]:
         return self._records
 
     def count(self, category: str) -> int:
-        """Total records emitted for ``category`` (even if not stored)."""
-        return self._counts.get(category, 0)
+        """Stored records of ``category``."""
+        return sum(1 for rec in self._records if rec.category == category)
 
     def select(
         self,
@@ -93,10 +98,10 @@ class Tracer:
         name: str | None = None,
         since: float | None = None,
         until: float | None = None,
-    ) -> list[TraceRecord]:
+    ) -> list[Any]:
         """Filter stored records."""
 
-        def keep(rec: TraceRecord) -> bool:
+        def keep(rec: Any) -> bool:
             if category is not None and rec.category != category:
                 return False
             if name is not None and rec.name != name:
@@ -111,7 +116,3 @@ class Tracer:
 
     def categories(self) -> set[str]:
         return {rec.category for rec in self._records}
-
-    def clear(self) -> None:
-        self._records.clear()
-        self._counts.clear()

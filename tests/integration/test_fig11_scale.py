@@ -11,9 +11,9 @@ six-digit task count and pins the kernel-level evidence:
 
 The default lane runs a reduced configuration to keep the suite
 responsive; set ``REPRO_FULL_SCALE=1`` for the paper-scale 1024-node,
-100k-task run (a few minutes).  The run keeps every task's history, so
-the test prints its wall time and peak RSS (``ru_maxrss``); run it with
-``-s`` to see them.
+100k-task run (a few minutes).  The run keeps every task's history and
+its whole trace, so the test prints its wall time and peak RSS
+(``ru_maxrss``); run it with ``-s`` to see them.
 """
 
 from __future__ import annotations
@@ -62,7 +62,6 @@ def test_fig11_scale_event_kernel():
         nodes=NODES,
         soma_config=MONITORING,
         seed=11,
-        trace=False,
     )
     wall = time.perf_counter() - start
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux

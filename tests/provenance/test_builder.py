@@ -79,19 +79,6 @@ def test_grants_come_from_the_tracer(adaptive_graph):
         assert event.attrs["nodes"] == ",".join(nodes)
 
 
-def test_disabled_tracer_is_rejected_with_a_capture():
-    from repro.rp import Session
-
-    with observability(telemetry=True, provenance=True):
-        session = Session(trace=False)
-    assert session.telemetry.provenance is not None
-    with pytest.raises(ValueError, match="enabled tracer"):
-        build_graph(hub=session.telemetry)
-    # Without a capture there are no grants to read: the skeleton builds.
-    session.telemetry.provenance = None
-    assert len(build_graph(hub=session.telemetry).events) == 2  # run bounds
-
-
 def test_graph_is_valid_and_complete(adaptive_graph):
     result, graph = adaptive_graph
     assert validate_graph(graph) == []

@@ -22,7 +22,8 @@ def make_ctx(session, cores=4, gpus=0):
     allocation = node.allocate(cores, gpus, owner="test")
     task = Task(
         session.env, "task.000000", TaskDescription(name="t", ranks=1,
-                                                    cores_per_rank=cores)
+                                                    cores_per_rank=cores),
+        session.tracer,
     )
     return ExecutionContext(
         env=session.env,
@@ -93,6 +94,7 @@ class TestExecutionContext:
             session.env,
             "task.000001",
             TaskDescription(ranks=6, cores_per_rank=2),
+            session.tracer,
         )
         ctx = ExecutionContext(
             env=session.env,

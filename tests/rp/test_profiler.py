@@ -17,10 +17,17 @@ class TestBasics:
         assert len(store) == 2
         assert [r.event for r in store.snapshot()] == ["state", "launch_start"]
 
-    def test_size_bytes(self, env):
-        store = ProfileStore(env)
-        store.append(rec(0.0))
-        assert store.size_bytes > 0
+    def test_trace_shape(self):
+        uid = "task.000000"
+        state = ProfileRecord(1.0, uid, "state", "DONE", "cn0001")
+        event = ProfileRecord(1.0, uid, "launch_start", "AGENT_EXECUTING", "")
+        bare = ProfileRecord(1.0, uid, "state", "CANCELED", None)
+        assert (state.category, state.name) == ("rp.state", uid)
+        assert (event.category, event.name) == ("rp.event", uid)
+        assert list(state.data.items()) == [("state", "DONE"), ("node", "cn0001")]
+        assert list(event.data.items()) == [("event", "launch_start"), ("node", "")]
+        assert bare.data == {"state": "CANCELED"}
+        assert state.data is not state.data
 
     def test_read_since_cursor(self, env):
         store = ProfileStore(env, read_time_base=0.0, read_time_per_record=0.0)

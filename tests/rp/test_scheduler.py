@@ -206,7 +206,9 @@ class TestScanCharge:
             gpus_per_rank=gpus,
             multi_node=False,
         )
-        return Task(session.env, session.new_uid("task"), description)
+        return Task(
+            session.env, session.new_uid("task"), description, session.tracer
+        )
 
     def test_scanned_is_position_of_first_fit_in_rotated_order(self):
         session, client, scheduler = self.partly_filled_pilot()

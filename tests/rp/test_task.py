@@ -3,11 +3,12 @@
 import pytest
 
 from repro.rp import InvalidTransition, Task, TaskDescription, TaskState
+from repro.sim import Tracer
 
 
 @pytest.fixture
 def task(env):
-    return Task(env, "task.000000", TaskDescription(name="t"))
+    return Task(env, "task.000000", TaskDescription(name="t"), Tracer(env))
 
 
 class TestAdvance:
@@ -40,7 +41,7 @@ class TestAdvance:
     def test_started_at_set_on_executing(self, env, task):
         env.run(until=3)
         task.advance(TaskState.AGENT_EXECUTING)
-        assert task.started_at == 3.0
+        assert task.time_of(TaskState.AGENT_EXECUTING) == 3.0
 
 
 class TestEventHistory:
@@ -79,29 +80,29 @@ class TestClassification:
         from repro.rp import TaskMode
 
         td = TaskDescription(name="svc", mode=TaskMode.SERVICE)
-        t = Task(env, "task.000001", td)
+        t = Task(env, "task.000001", td, Tracer(env))
         assert t.is_service and not t.is_application
 
     def test_monitor_task(self, env):
         from repro.rp import TaskMode
 
         td = TaskDescription(name="mon", mode=TaskMode.MONITOR)
-        t = Task(env, "task.000002", td)
+        t = Task(env, "task.000002", td, Tracer(env))
         assert t.is_monitor
 
 
 class TestDescriptionValidation:
     def test_zero_ranks_rejected(self, env):
         with pytest.raises(ValueError):
-            Task(env, "t", TaskDescription(ranks=0))
+            Task(env, "t", TaskDescription(ranks=0), Tracer(env))
 
     def test_negative_gpus_rejected(self, env):
         with pytest.raises(ValueError):
-            Task(env, "t", TaskDescription(gpus_per_rank=-1))
+            Task(env, "t", TaskDescription(gpus_per_rank=-1), Tracer(env))
 
     def test_bad_mode_rejected(self, env):
         with pytest.raises(ValueError):
-            Task(env, "t", TaskDescription(mode="weird"))
+            Task(env, "t", TaskDescription(mode="weird"), Tracer(env))
 
     def test_totals(self):
         td = TaskDescription(ranks=4, cores_per_rank=3, gpus_per_rank=1)

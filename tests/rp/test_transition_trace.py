@@ -9,6 +9,7 @@ node key at all.  The Chrome-trace export uses ``data`` as each
 instant's ``args``, so these key tuples are part of the trace.
 """
 
+from repro.experiments import run_workflow
 from repro.platform import summit_like
 from repro.rp import (
     Client,
@@ -19,6 +20,8 @@ from repro.rp import (
     TaskModel,
     TaskState,
 )
+from repro.soma import WORKFLOW, SomaConfig
+from repro.workloads import uniform_bag
 
 CLIENT_STATES = [
     TaskState.TMGR_SCHEDULING,
@@ -36,10 +39,11 @@ class Crashes(TaskModel):
 
 
 def transitions(session, uid):
+    """The task ``uid``'s transition records, or every task's for None."""
     return [
         rec
         for rec in session.tracer.records
-        if rec.name == uid and rec.category in ("rp.state", "rp.event")
+        if rec.category in ("rp.state", "rp.event") and uid in (None, rec.name)
     ]
 
 
@@ -119,3 +123,24 @@ def test_each_transition_path_keeps_its_trace_shape():
         last = transitions(session, task.uid)[-1]
         assert (last.category, last.data) == ("rp.state", {"state": final})
     assert isinstance(crash.exception, RuntimeError)
+
+
+def test_each_transition_is_traced_as_its_history_record():
+    """A task's profile record is its transition's trace record too."""
+
+    def workload(client, deployment):
+        tasks = client.submit_tasks(uniform_bag(16, duration=5.0))
+        yield from client.wait_tasks(tasks)
+
+    result = run_workflow(
+        workload,
+        nodes=2,
+        service_nodes=1,
+        soma_config=SomaConfig(namespaces=(WORKFLOW,), monitors=("rp",)),
+    )
+    traced = transitions(result.session, uid=None)
+    # Every transition but each task's untraced NEW record, once each.
+    assert len(traced) == sum(len(t.events) - 1 for t in result.tasks.values())
+    assert len(traced) > 16 * 10
+    for rec in traced:
+        assert any(rec is event for event in result.tasks[rec.name].events)

@@ -16,7 +16,9 @@ from repro.rp.agent.updater import Updater
 
 def make_stack(**config):
     session = Session(cluster_spec=summit_like(1), config=RPConfig(**config))
-    task = Task(session.env, "task.000000", TaskDescription(name="t"))
+    task = Task(
+        session.env, "task.000000", TaskDescription(name="t"), session.tracer
+    )
     return session, Updater(session), task
 
 

@@ -34,19 +34,22 @@ def test_select_time_window(env):
     assert [r.name for r in tracer.select(since=5, until=15)] == ["t10"]
 
 
-def test_disabled_tracer_stores_nothing(env):
-    tracer = Tracer(env, enabled=False)
-    tracer.record("a", "x")
-    assert len(tracer) == 0
-    assert tracer.count("a") == 1
+def test_added_records_are_kept_as_they_are(env):
+    """``add`` keeps a record that carries its own trace shape."""
 
+    class Point:
+        time, category, name = 0.0, "b", "y"
+        data = property(lambda self: {"k": 1})
 
-def test_clear(env):
     tracer = Tracer(env)
     tracer.record("a", "x")
-    tracer.clear()
-    assert len(tracer) == 0
-    assert tracer.count("a") == 0
+    point = Point()
+    tracer.add(point)
+    assert tracer.records[1] is point
+    assert tracer.count("a") == tracer.count("b") == 1
+    assert tracer.count("c") == 0
+    assert tracer.select(category="b") == [point]
+    assert tracer.categories() == {"a", "b"}
 
 
 def test_record_get_helper(env):
