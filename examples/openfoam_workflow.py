@@ -14,8 +14,6 @@ prints the observability the paper derives from it:
 Run:  python examples/openfoam_workflow.py
 """
 
-import numpy as np
-
 from repro.analysis import RUNNING, SCHEDULING, build_timeline, render_table, sparkline
 from repro.experiments import (
     TUNING,

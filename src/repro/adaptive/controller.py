@@ -1,10 +1,9 @@
 """The adaptive controller: SOMA observations driving RP decisions.
 
 Prototypes the closed loop the paper leaves as future work: a
-controller that consumes the SOMA namespaces online and (a) tunes MPI
-task descriptions from observed strong-scaling data, (b) resizes DDMD
-training parallelism between phases, and (c) installs
-utilization-aware placement into the agent scheduler.
+controller that consumes the SOMA namespaces online, tunes MPI task
+descriptions from observed strong-scaling data, and resizes DDMD
+training parallelism between phases.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from .policies import (
     DetectionDrivenPolicy,
     RankTuningPolicy,
     TrainingParallelismPolicy,
-    UtilizationAwarePlacement,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -49,7 +47,6 @@ class AdaptiveController:
         self.decisions: list[dict] = []
         self._last_rank_choice: int | None = None
         self._last_detection: tuple | None = None
-        self._placement_installed = False
 
     # -- rank tuning (Fig 4 use case) -------------------------------------
 
@@ -151,37 +148,3 @@ class AdaptiveController:
                 }
             )
         return {"training_workers": workers, "monitor_period": period}
-
-    # -- placement (Sec 4.2 suggestion) ------------------------------------------
-
-    def enable_utilization_aware_placement(self) -> None:
-        """Make the agent scheduler prefer the least-loaded nodes."""
-        scheduler = self.client.agent.scheduler
-        if scheduler is None:
-            raise RuntimeError("agent not bootstrapped")
-        scheduler.set_node_ranker(UtilizationAwarePlacement())
-        if not self._placement_installed:
-            self._placement_installed = True
-            self.decisions.append(
-                {
-                    "time": self.session.env.now,
-                    "kind": "placement",
-                    "policy": "utilization-aware",
-                }
-            )
-
-    def disable_utilization_aware_placement(self) -> None:
-        scheduler = self.client.agent.scheduler
-        if scheduler is not None:
-            scheduler.set_node_ranker(None)
-        # Log the transition (once): a run that turned placement off
-        # mid-flight should show that in its decision history.
-        if self._placement_installed:
-            self._placement_installed = False
-            self.decisions.append(
-                {
-                    "time": self.session.env.now,
-                    "kind": "placement",
-                    "policy": "default",
-                }
-            )

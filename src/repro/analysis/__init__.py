@@ -1,6 +1,6 @@
 """Offline analysis: timelines, statistics, overhead, text reports."""
 
-from .overhead import OverheadResult, compare_runtimes, makespan_overhead
+from .overhead import OverheadResult, compare_runtimes
 from .report import (
     fmt,
     fmt_percent,
@@ -9,7 +9,7 @@ from .report import (
     render_table,
     sparkline,
 )
-from .stats import Summary, group_by, percent_change, summarize
+from .stats import Summary, percent_change, summarize
 from .timeline import (
     BOOTSTRAP,
     CoreInterval,
@@ -31,8 +31,6 @@ __all__ = [
     "compare_runtimes",
     "fmt",
     "fmt_percent",
-    "group_by",
-    "makespan_overhead",
     "percent_change",
     "render_boxes",
     "render_series",

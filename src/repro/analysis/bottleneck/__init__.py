@@ -24,7 +24,6 @@ from .detectors import (
     RpcQueueingDetector,
     SchedulerStarvationDetector,
     detect_all,
-    observe_all,
 )
 from .findings import KINDS, Finding, render_findings
 from .scenarios import CLEAN_SCENARIOS, SCENARIOS, Scenario, run_scenario
@@ -41,7 +40,6 @@ __all__ = [
     "LoadImbalanceDetector",
     "SchedulerStarvationDetector",
     "detect_all",
-    "observe_all",
     "KINDS",
     "Finding",
     "render_findings",

@@ -41,7 +41,6 @@ __all__ = [
     "SchedulerStarvationDetector",
     "DETECTORS",
     "detect_all",
-    "observe_all",
 ]
 
 
@@ -427,8 +426,3 @@ def detect_all(
         findings.extend(detector.detect(ctx, thresholds))
     findings.sort(key=lambda f: (-f.severity, f.kind, f.where))
     return findings
-
-
-def observe_all(ctx: DetectionContext, detectors=DETECTORS) -> dict[str, float]:
-    """Each detector's calibration metric on this run."""
-    return {d.metric_field: d.observe(ctx) for d in detectors}

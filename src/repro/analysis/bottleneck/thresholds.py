@@ -46,14 +46,6 @@ class Thresholds:
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "Thresholds":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown threshold fields: {sorted(unknown)}")
-        return cls(**data)
-
     def with_updates(self, **kwargs) -> "Thresholds":
         return replace(self, **kwargs)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .stats import percent_change, summarize
 
-__all__ = ["OverheadResult", "compare_runtimes", "makespan_overhead"]
+__all__ = ["OverheadResult", "compare_runtimes"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -52,8 +52,3 @@ def compare_runtimes(
             )
         )
     return out
-
-
-def makespan_overhead(baseline_makespan: float, makespan: float) -> float:
-    """Single-number overhead of a whole run."""
-    return percent_change(baseline_makespan, makespan)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Summary", "summarize", "group_by", "percent_change"]
+__all__ = ["Summary", "summarize", "percent_change"]
 
 
 def _fmt(value: float) -> str:
@@ -58,14 +58,6 @@ def summarize(values) -> Summary:
         p75=float(np.percentile(arr, 75)),
         maximum=float(arr.max()),
     )
-
-
-def group_by(pairs):
-    """[(key, value)] -> {key: [values]} preserving insertion order."""
-    out: dict = {}
-    for key, value in pairs:
-        out.setdefault(key, []).append(value)
-    return out
 
 
 def percent_change(baseline: float, value: float) -> float:

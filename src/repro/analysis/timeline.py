@@ -44,34 +44,16 @@ class CoreInterval:
 
 
 class ResourceTimeline:
-    """All intervals of one run, queryable per node/core."""
+    """All intervals of one run."""
 
-    def __init__(self, intervals: list[CoreInterval], t_end: float) -> None:
+    def __init__(self, intervals: list[CoreInterval]) -> None:
         self.intervals = intervals
-        self.t_end = t_end
-
-    def for_node(self, node: str) -> list[CoreInterval]:
-        return [iv for iv in self.intervals if iv.node == node]
 
     def kinds(self) -> set[str]:
         return {iv.kind for iv in self.intervals}
 
     def busy_core_seconds(self, kind: str = RUNNING) -> float:
         return sum(iv.duration for iv in self.intervals if iv.kind == kind)
-
-    def utilization(self, total_cores: int, since: float, until: float) -> float:
-        """Fraction of core-seconds in [since, until] that were RUNNING."""
-        span = (until - since) * total_cores
-        if span <= 0:
-            return 0.0
-        busy = 0.0
-        for iv in self.intervals:
-            if iv.kind != RUNNING:
-                continue
-            lo, hi = max(iv.start, since), min(iv.stop, until)
-            if hi > lo:
-                busy += hi - lo
-        return min(1.0, busy / span)
 
 
 def build_timeline(
@@ -152,5 +134,5 @@ def build_timeline(
                         task=rec.name,
                     )
                 )
-    return ResourceTimeline(intervals, t_end)
+    return ResourceTimeline(intervals)
 

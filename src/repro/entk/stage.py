@@ -38,9 +38,6 @@ class Stage:
         self.started_at: float | None = None
         self.finished_at: float | None = None
 
-    def add_task(self, description: TaskDescription) -> None:
-        self.task_descriptions.append(description)
-
     @property
     def duration(self) -> float | None:
         if self.started_at is None or self.finished_at is None:

@@ -311,34 +311,21 @@ def _pilot(
     yield monitor
 
 
-def facility_chaos_plan(
-    spec: FacilitySpec,
-    outage_at: float = 300.0,
-    outage_duration: float = 240.0,
-    flood_at: float = 600.0,
-    flood_duration: float = 120.0,
-    flood_rate: float = 50.0,
-    flood_tenant: str = "noisy",
-) -> FaultPlan:
+def facility_chaos_plan(spec: FacilitySpec) -> FaultPlan:
     """The canonical facility chaos plan (CLI, sweep, and tests).
 
     Targets the shard that owns the *first* tenant's first namespace —
     computed through the same ring the deployment will build, so the
-    outage provably hits a shard with live traffic — with a windowed
-    outage followed by a synthetic-tenant flood against that shard.
+    outage provably hits a shard with live traffic — with a 240 s
+    outage at t = 300 s, then a 120 s flood of 50 publishes/s from the
+    synthetic tenant ``noisy`` against that shard at t = 600 s.
     """
     ring = spec.soma_config().ring
     victim = ring.owner(shard_key(spec.tenants()[0], spec.namespaces[0]))
     return (
         FaultPlan()
-        .shard_outage(outage_at, victim, duration=outage_duration)
-        .tenant_flood(
-            flood_at,
-            victim,
-            tenant=flood_tenant,
-            rate=flood_rate,
-            duration=flood_duration,
-        )
+        .shard_outage(300.0, victim, duration=240.0)
+        .tenant_flood(600.0, victim, tenant="noisy", rate=50.0, duration=120.0)
     )
 
 

@@ -44,13 +44,6 @@ class WorkflowResult:
     def application_tasks(self) -> list[Task]:
         return [t for t in self.tasks.values() if t.is_application]
 
-    def tasks_by_name_prefix(self, prefix: str) -> list[Task]:
-        return [
-            t
-            for t in self.tasks.values()
-            if t.description.name.startswith(prefix)
-        ]
-
 
 def run_workflow(
     workload: Callable[[Client, SomaDeployment], Generator[Event, Any, Any]],

@@ -150,30 +150,6 @@ class ServerStats:
         self._window_calls = 0
         self._window_queue_time = 0.0
 
-    # -- snapshot/interval accounting --------------------------------
-
-    def snapshot(self) -> dict:
-        """Plain-data copy of the lifetime counters (for deltas)."""
-        return {
-            "calls": self.calls,
-            "bytes": self.bytes,
-            "busy_time": self.busy_time,
-            "queue_time": self.queue_time,
-            "errors": self.errors,
-            "rejections": self.rejections,
-        }
-
-    @staticmethod
-    def interval(before: dict, after: dict) -> dict:
-        """Deltas between two snapshots, with zero-call-safe means."""
-        delta = {key: after[key] - before[key] for key in after}
-        calls = delta["calls"]
-        delta["mean_queue_time"] = (
-            delta["queue_time"] / calls if calls else 0.0
-        )
-        delta["mean_busy_time"] = delta["busy_time"] / calls if calls else 0.0
-        return delta
-
 
 class RPCServer:
     """An addressable RPC endpoint with a pool of worker ranks.
@@ -385,7 +361,6 @@ class RPCClient:
         self.failures = 0
         self.retries = 0
         self.timeouts = 0
-        self.total_rtt = 0.0
 
     def call(
         self,
@@ -549,16 +524,10 @@ class RPCClient:
             yield self.env.timeout(faults.drop_stall)
             raise RPCTimeout(f"rpc:{method}: response dropped in transit")
         self.calls += 1
-        rtt = self.env.now - start
-        self.total_rtt += rtt
         if not response.ok and isinstance(response.body, RPCError):
             self.failures += 1
             raise response.body
         return response
-
-    @property
-    def mean_rtt(self) -> float:
-        return self.total_rtt / self.calls if self.calls else 0.0
 
 
 def _swallow(generator: Generator[Event, Any, Any]) -> Generator[Event, Any, None]:

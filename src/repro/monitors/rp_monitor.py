@@ -36,9 +36,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["ProfileFold", "RPMonitorModel", "rp_monitor_description", "summarize_profile"]
 
-#: Serialized bytes per distinct task in the published summary tree.
-BYTES_PER_TASK = 110.0
-
 
 class ProfileFold:
     """Running summary of an append-only profile.

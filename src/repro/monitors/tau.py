@@ -32,9 +32,6 @@ __all__ = ["TAUWrappedModel", "profiles_to_conduit"]
 #: few-percent TAU reports for sampling mode).
 SAMPLING_OVERHEAD = 0.015
 
-#: Serialized bytes per (rank, region) profile entry.
-BYTES_PER_ENTRY = 48.0
-
 
 def profiles_to_conduit(
     task_uid: str, profiles: list[RankProfile]

@@ -41,7 +41,6 @@ class JobAllocation:
     def __init__(
         self, env: Environment, request: JobRequest, nodes: list[Node]
     ) -> None:
-        self.env = env
         self.request = request
         self.nodes = nodes
         self.granted_at = env.now
@@ -56,9 +55,6 @@ class JobAllocation:
     @property
     def active(self) -> bool:
         return self.released_at is None
-
-    def remaining_walltime(self) -> float:
-        return max(0.0, self.deadline - self.env.now)
 
 
 class BatchSystem:

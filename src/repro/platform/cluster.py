@@ -50,11 +50,6 @@ class Cluster:
     def total_gpus(self) -> int:
         return sum(node.total_gpus for node in self.nodes)
 
-    def utilization(self) -> float:
-        """Instantaneous machine-wide CPU utilization (0..1)."""
-        busy = sum(node.busy_cores.value for node in self.nodes)
-        return min(1.0, busy / max(1, self.total_cores))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<Cluster {self.spec.name} nodes={len(self.nodes)} "

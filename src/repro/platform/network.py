@@ -129,10 +129,6 @@ class Network:
             self._heal_waiters.append(event)
             yield event
 
-    @property
-    def bisection_bandwidth(self) -> float:
-        return self.fabric.capacity
-
     def transfer(
         self,
         nbytes: float,
@@ -165,11 +161,6 @@ class Network:
             )
             yield act.done
         return self.env.now - start
-
-    def estimate_time(self, nbytes: float, messages: int = 1) -> float:
-        """Uncongested transfer-time estimate (for schedulers/models)."""
-        overhead = self.spec.latency + self.spec.message_overhead * max(1, messages)
-        return overhead + nbytes / self.spec.link_bandwidth
 
     def pressure(self) -> float:
         """Current fabric demand relative to capacity."""

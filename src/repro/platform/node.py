@@ -3,8 +3,8 @@
 Carries all the state the paper's experiments observe: a core map and a
 GPU map (what the RP agent scheduler allocates), a memory-bandwidth
 contention domain (what makes co-located memory-bound ranks slow each
-other down), and the busy-time meters, memory in use and process count
-that the synthetic /proc exposes to the SOMA hardware monitor.
+other down), and the busy-time meters and process count that the
+synthetic /proc exposes to the SOMA hardware monitor.
 """
 
 from __future__ import annotations
@@ -84,7 +84,6 @@ class Node:
         #: Busy-time meters: the synthetic /proc reads their integrals.
         self.busy_cores = StepIntegrator(env)
         self.busy_gpus = StepIntegrator(env)
-        self.used_memory_mib = 0.0
         #: False once the node has failed (failure injection).
         self.alive = True
         #: Count of processes "running" (tasks + monitors), for /proc.
@@ -223,20 +222,12 @@ class Node:
 
     # -- memory ---------------------------------------------------------------
 
-    def reserve_memory(self, mib: float) -> None:
-        if self.used_memory_mib + mib > self.spec.memory_mib:
-            raise AllocationError(
-                f"{self.name}: out of memory "
-                f"({self.used_memory_mib + mib} > {self.spec.memory_mib})"
-            )
-        self.used_memory_mib += mib
-
-    def release_memory(self, mib: float) -> None:
-        self.used_memory_mib -= mib
-
     @property
     def available_memory_mib(self) -> float:
-        return self.spec.memory_mib - self.used_memory_mib
+        # Nothing reserves memory.  The float keeps every hardware
+        # sample's ``Available RAM`` leaf a float in its JSON
+        # (``524288.0`` on a Summit node, not ``524288``).
+        return float(self.spec.memory_mib)
 
     # -- observation ------------------------------------------------------------
 

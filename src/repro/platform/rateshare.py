@@ -335,10 +335,6 @@ class FairShareChannel(RatePool):
             self.speed_factor * self.capacity * act.weight / total_weight,
         )
 
-    def utilization(self) -> float:
-        """1.0 while any transfer is in flight, else 0.0."""
-        return 1.0 if self._active else 0.0
-
 
 class ContentionDomain(RatePool):
     """Memory-bandwidth contention on one node.

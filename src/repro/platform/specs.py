@@ -13,7 +13,7 @@ matter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 __all__ = ["NodeSpec", "NetworkSpec", "ClusterSpec", "SUMMIT", "summit_like"]
 
@@ -75,9 +75,6 @@ class ClusterSpec:
     network: NetworkSpec = field(default_factory=NetworkSpec)
     #: Seconds for the batch system to start a granted job on its nodes.
     job_launch_overhead: float = 15.0
-
-    def with_nodes(self, nodes: int) -> "ClusterSpec":
-        return replace(self, nodes=nodes)
 
 
 #: The Summit-like reference platform used by all paper experiments.

@@ -24,6 +24,7 @@ from ..states import TaskState
 from .scheduler import Placement
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..task import Task
     from .agent import Agent
 
 __all__ = ["AgentExecutor"]
@@ -114,11 +115,17 @@ class AgentExecutor:
         node_names = ",".join(n.name for n in placement.nodes)
         interrupted = False
         try:
+            # Cancelled after placement but before this process existed,
+            # so there was nothing to interrupt and Agent.cancel finalized
+            # the task: launch nothing, and free the placement below.
+            if task.is_final:
+                return
             # A node that died between placement and launch fails the
             # task up front instead of launching ranks into the void.
             dead = [n.name for n in placement.nodes if not n.alive]
             if dead:
-                raise NodeFailure(f"placement includes dead node(s) {dead}")
+                self._fail(task, NodeFailure(f"placement includes dead node(s) {dead}"))
+                return
             yield from updater.advance(
                 task, TaskState.AGENT_EXECUTING, node=node_names
             )
@@ -143,7 +150,13 @@ class AgentExecutor:
             if model is None:
                 result = TaskResult(exit_code=0)
             else:
-                result = yield from model.execute(ctx)
+                try:
+                    result = yield from model.execute(ctx)
+                except Interrupt:
+                    raise
+                except Exception as exc:  # model bug -> task failure, not crash
+                    self._fail(task, exc)
+                    return
             task.result = result
 
             yield from updater.record_event(task, "rank_stop", node=node_names)
@@ -178,13 +191,19 @@ class AgentExecutor:
                     else TaskState.CANCELED
                 )
                 task.advance(final)
-        except Exception as exc:  # model bug -> task failure, not crash
-            task.exception = exc
-            if not task.is_final:
-                task.advance(TaskState.FAILED)
-            self.failed += 1
         finally:
             self._release(placement, notify=not interrupted or not self._stopped)
+
+    def _fail(self, task: "Task", exc: Exception) -> None:
+        """A model bug or a dead placement fails the task, not the run.
+
+        Any other error is a runtime bug and propagates out of
+        ``env.run``.
+        """
+        task.exception = exc
+        if not task.is_final:
+            task.advance(TaskState.FAILED)
+        self.failed += 1
 
     def _release(self, placement: Placement, notify: bool = True) -> None:
         """Release a placement exactly once and wake the scheduler."""

@@ -97,10 +97,6 @@ class ExecutionContext:
         return [p.node for p in self.placements]
 
     @property
-    def hostnames(self) -> list[str]:
-        return [p.node.name for p in self.placements]
-
-    @property
     def num_nodes(self) -> int:
         return len(self.placements)
 

@@ -53,12 +53,6 @@ class Pilot:
         """All nodes of the allocation, agent nodes first."""
         return self.agent_nodes + self.service_nodes + self.compute_nodes
 
-    @property
-    def agent_node(self) -> "Node":
-        if not self.agent_nodes:
-            raise RuntimeError(f"{self.uid}: pilot not yet active")
-        return self.agent_nodes[0]
-
     def advance(self, new_state: str) -> None:
         if not is_valid_transition(self.state, new_state, kind="pilot"):
             raise InvalidTransition(

@@ -84,14 +84,6 @@ class Task:
         return self.state in TASK_FINAL_STATES
 
     @property
-    def is_service(self) -> bool:
-        return self.description.mode == TaskMode.SERVICE
-
-    @property
-    def is_monitor(self) -> bool:
-        return self.description.mode == TaskMode.MONITOR
-
-    @property
     def is_application(self) -> bool:
         return self.description.mode in (TaskMode.EXECUTABLE, TaskMode.FUNCTION)
 
@@ -118,19 +110,6 @@ class Task:
     def execution_time(self) -> float | None:
         """launch_start .. launch_stop, the paper's task execution time."""
         return self.duration("launch_start", "launch_stop")
-
-    def state_durations(self) -> dict[str, float]:
-        """Seconds spent in each state (final state gets 0)."""
-        durations: dict[str, float] = {}
-        state_events = [e for e in self.events if e.event == "state"]
-        for current, following in zip(state_events, state_events[1:]):
-            durations[current.state] = durations.get(current.state, 0.0) + (
-                following.time - current.time
-            )
-        if state_events:
-            last = state_events[-1]
-            durations.setdefault(last.state, 0.0)
-        return durations
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Task {self.uid} {self.state}>"

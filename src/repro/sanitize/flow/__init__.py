@@ -9,7 +9,7 @@ interprocedural determinism-taint analysis.  The SL100+ lint family in
 """
 
 from .cfg import CFG, Node, build_cfg, stmt_has_yield
-from .rules import FLOW_RULE_IDS, flow_findings
+from .rules import flow_findings
 from .solver import solve_forward
 from .summaries import FunctionInfo, Program, build_program, compute_summaries
 from .taint import FunctionTaint, Summary, Taint
@@ -27,6 +27,5 @@ __all__ = [
     "FunctionTaint",
     "Summary",
     "Taint",
-    "FLOW_RULE_IDS",
     "flow_findings",
 ]

@@ -48,12 +48,9 @@ from .solver import solve_forward
 from .summaries import FunctionInfo, Program
 from .taint import FunctionTaint, _dotted, _node_exprs, _walk_expr
 
-__all__ = ["flow_findings", "FLOW_RULE_IDS"]
+__all__ = ["flow_findings"]
 
 Flag = Callable[[str, int, int, str], None]
-
-#: Rules implemented here.
-FLOW_RULE_IDS = ("SL100", "SL101", "SL102", "SL103")
 
 
 def flow_findings(program: Program, path: str, flag: Flag) -> None:

@@ -88,7 +88,6 @@ _SET_METHODS = {"union", "intersection", "difference", "symmetric_difference"}
 _ORDER_INSENSITIVE = {"sorted", "len", "sum", "min", "max", "any", "all"}
 _SET_CONSTRUCTORS = {"set", "frozenset"}
 _ORDER_MATERIALIZERS = {"list", "tuple"}
-_LOCAL_RNG_FACTORIES = {"random.Random", "random.SystemRandom"}
 
 #: Method-name sinks: attr -> human description of the sink.
 SINK_METHODS = {

@@ -74,7 +74,6 @@ __all__ = [
     "Report",
     "RULES",
     "lint_source",
-    "lint_file",
     "lint_paths",
     "main",
 ]
@@ -517,11 +516,6 @@ def lint_source(source: str, path: str = "<string>", *, program=None) -> list[Fi
             finding.justification = reason
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule.id))
     return findings
-
-
-def lint_file(path: str, *, program=None) -> list[Finding]:
-    with open(path, encoding="utf-8") as handle:
-        return lint_source(handle.read(), path, program=program)
 
 
 def _iter_python_files(paths: Iterable[str]) -> Iterator[str]:

@@ -245,14 +245,6 @@ class Event:
         self.env._schedule(self, priority)
         return self
 
-    def trigger(self, event: "Event") -> None:
-        """Trigger this event with the state of another (callback helper)."""
-        if event._ok:
-            self.succeed(event._value)
-        else:
-            event.defuse()
-            self.fail(event._value)
-
     def defuse(self) -> None:
         """Mark a failed event as handled so it will not crash the run."""
         self._defused = True
@@ -478,15 +470,6 @@ class Environment:
     def active_process(self) -> Process | None:
         """The process currently executing, if any."""
         return self._active_process
-
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none."""
-        queue = self._queue
-        return queue[0][0] if queue else float("inf")
-
-    @property
-    def queue_size(self) -> int:
-        return len(self._queue)
 
     def kernel_counters(self) -> dict[str, int]:
         """Snapshot of the kernel's scheduling counters."""

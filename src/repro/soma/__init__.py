@@ -9,7 +9,6 @@ publishing Conduit trees over RPC, and online analysis.
 from .application import (
     ApplicationMetrics,
     InstrumentedModel,
-    figure_of_merit_series,
 )
 from .analysis import (
     UtilizationPoint,
@@ -30,7 +29,6 @@ from .namespaces import (
     HARDWARE,
     PERFORMANCE,
     WORKFLOW,
-    namespace_root,
 )
 from .service import (
     SomaConfig,
@@ -51,7 +49,6 @@ __all__ = [
     "AdmissionController",
     "ApplicationMetrics",
     "InstrumentedModel",
-    "figure_of_merit_series",
     "HARDWARE",
     "HashRing",
     "NamespaceStore",
@@ -69,7 +66,6 @@ __all__ = [
     "deploy_soma",
     "free_resource_estimate",
     "load_imbalance",
-    "namespace_root",
     "render_dashboard",
     "no_soma",
     "rank_region_breakdown",

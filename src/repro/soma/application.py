@@ -29,12 +29,10 @@ from .namespaces import APPLICATION
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..rp.session import Session
     from .service import SomaConfig
-    from .storage import NamespaceStore
 
 __all__ = [
     "ApplicationMetrics",
     "InstrumentedModel",
-    "figure_of_merit_series",
 ]
 
 
@@ -136,23 +134,3 @@ class InstrumentedModel(TaskModel):
         yield from metrics.flush()
         result.data["app_metrics_published"] = metrics.published_samples
         return result
-
-
-def figure_of_merit_series(
-    store: "NamespaceStore", task_uid: str, metric: str
-) -> list[tuple[float, float]]:
-    """(time, value) series of one metric for one task."""
-    out: list[tuple[float, float]] = []
-    for record in store:
-        data = record.data
-        path = f"APP/{task_uid}/{metric}"
-        if path not in data:
-            continue
-        for _seq, sample_node in data[path].children():
-            out.append(
-                (
-                    float(sample_node["time"]),
-                    float(sample_node["value"]),
-                )
-            )
-    return sorted(out)

@@ -78,21 +78,6 @@ class SomaDeployment:
         )
         return description
 
-    def wrap_with_app_metrics(
-        self, description: TaskDescription
-    ) -> TaskDescription:
-        """Instrument a task with SOMA's application API (application
-        namespace): the model gets an ``ApplicationMetrics`` handle and
-        its figures of merit are published at task end."""
-        from .application import InstrumentedModel
-
-        if description.model is None:
-            raise ValueError(f"{description.name}: no model to wrap")
-        description.model = InstrumentedModel(
-            self.session, self.config, description.model
-        )
-        return description
-
     def store(self, namespace: str):
         """Offline access to a namespace store after the run."""
         if self.service_model is None:

@@ -14,7 +14,6 @@ __all__ = [
     "PERFORMANCE",
     "APPLICATION",
     "ALL_NAMESPACES",
-    "namespace_root",
 ]
 
 WORKFLOW = "workflow"
@@ -23,19 +22,3 @@ PERFORMANCE = "performance"
 APPLICATION = "application"
 
 ALL_NAMESPACES: tuple[str, ...] = (WORKFLOW, HARDWARE, PERFORMANCE, APPLICATION)
-
-#: Top-level Conduit path per namespace (Listings 1 and 2 use RP / PROC).
-_ROOTS = {
-    WORKFLOW: "RP",
-    HARDWARE: "PROC",
-    PERFORMANCE: "TAU",
-    APPLICATION: "APP",
-}
-
-
-def namespace_root(namespace: str) -> str:
-    """The top-level Conduit node name for ``namespace``."""
-    try:
-        return _ROOTS[namespace]
-    except KeyError:
-        raise ValueError(f"unknown namespace {namespace!r}") from None

@@ -24,7 +24,6 @@ from .planner import ShardPlan, estimate_cost, plan_shards, schedule_order
 from .runner import (
     SweepInterrupted,
     SweepRun,
-    cells_signature,
     execute_cell,
     run_sweep,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "atomic_write_json",
     "atomic_write_text",
     "canonical_json",
-    "cells_signature",
     "code_fingerprint",
     "default_matrix",
     "estimate_cost",

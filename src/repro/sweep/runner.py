@@ -36,7 +36,6 @@ __all__ = [
     "SweepRun",
     "SweepInterrupted",
     "run_sweep",
-    "cells_signature",
     "execute_cell",
 ]
 
@@ -117,17 +116,6 @@ class SweepInterrupted(RuntimeError):
         super().__init__(message)
         self.run = run
         self.manifest = run.manifest
-
-
-def cells_signature(manifest: dict) -> list[dict]:
-    """Timing-free view of a manifest's completed cells (for parity)."""
-    return [
-        {
-            k: entry[k]
-            for k in ("key", "family", "seed", "digest", "result_digest")
-        }
-        for entry in manifest["cells"]
-    ]
 
 
 def _matrix_digest(entries: Iterable[dict]) -> str:

@@ -107,15 +107,6 @@ class CellSpec:
             "params": self.params,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "CellSpec":
-        return cls(
-            key=data["key"],
-            family=data["family"],
-            seed=int(data["seed"]),
-            params=dict(data.get("params") or {}),
-        )
-
 
 class SweepSpec:
     """An ordered collection of cells with unique keys."""

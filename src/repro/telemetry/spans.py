@@ -210,22 +210,6 @@ class Telemetry:
             return stack[-1]
         return None
 
-    @contextmanager
-    def use(self, ctx: SpanContext | None) -> Iterator[None]:
-        """Temporarily make ``ctx`` the ambient context (no new span)."""
-        if not self.enabled or ctx is None:
-            yield
-            return
-        stack = self._stack()
-        stack.append(ctx)
-        try:
-            yield
-        finally:
-            try:
-                stack.remove(ctx)
-            except ValueError:  # pragma: no cover - defensive
-                pass
-
     # -- kernel hooks (called by sim.core when enabled) ----------------
 
     def on_process_spawn(self, process: "Process") -> None:
@@ -362,10 +346,6 @@ class Telemetry:
         self._bindings.pop(uid, None)
 
     # -- introspection -------------------------------------------------
-
-    def open_spans(self) -> list[Span]:
-        """Spans started but not yet closed, in creation order."""
-        return [span for span in self.spans if span.end is None]
 
     def trace_ids(self) -> list[int]:
         """Distinct trace ids in first-seen order."""

@@ -8,7 +8,7 @@ from .ddmd import (
     ddmd_phase_stages,
 )
 from .openfoam import OpenFOAMParams, OpenFOAMTaskModel, openfoam_task_description
-from .synthetic import heterogeneous_bag, strong_scaling_sweep, uniform_bag
+from .synthetic import uniform_bag
 
 __all__ = [
     "DDMDParams",
@@ -18,8 +18,6 @@ __all__ = [
     "STAGE_NAMES",
     "SelectionTaskModel",
     "ddmd_phase_stages",
-    "heterogeneous_bag",
     "openfoam_task_description",
-    "strong_scaling_sweep",
     "uniform_bag",
 ]

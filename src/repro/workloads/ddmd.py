@@ -78,16 +78,6 @@ class DDMDParams:
             + self.train_reduce_seconds * math.log2(workers + 1)
         )
 
-    def phase_critical_path(self, gpus_per_node: int = 6) -> float:
-        """Rough uncontended phase time on one node (tests only)."""
-        sim_waves = math.ceil(self.num_sim_tasks / gpus_per_node)
-        return (
-            sim_waves * self.sim_gpu_seconds
-            + self.train_gpu_seconds_parallel(self.num_train_tasks)
-            + self.selection_cpu_seconds
-            + self.agent_gpu_seconds
-        )
-
 
 class GPUStageTaskModel(TaskModel):
     """A GPU-bound stage task: GPU kernel + light CPU feeding work.

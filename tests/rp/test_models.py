@@ -108,7 +108,7 @@ class TestExecutionContext:
         assert ctx.ranks_on(a1) == 2  # 4 cores / 2 per rank
         assert ctx.ranks_on(a2) == 4
         assert ctx.num_nodes == 2
-        assert ctx.hostnames == ["cn0000", "cn0001"]
+        assert [node.name for node in ctx.nodes] == ["cn0000", "cn0001"]
 
     def test_stable_rng_is_deterministic(self, session):
         ctx = make_ctx(session)

@@ -48,11 +48,6 @@ class TestPilotEntity:
         with pytest.raises(InvalidTransition):
             pilot.advance(PilotState.PMGR_LAUNCHING)
 
-    def test_agent_node_before_activation_raises(self, env):
-        pilot = Pilot(env, "pilot.0003", PilotDescription(nodes=1))
-        with pytest.raises(RuntimeError):
-            _ = pilot.agent_node
-
     def test_state_history_timestamps(self, env):
         pilot = Pilot(env, "pilot.0004", PilotDescription(nodes=1))
         env.run(until=7)

@@ -134,9 +134,9 @@ class TestPinningAndPolicy:
         ]
         session, client, pilot, tasks = run_pilot_with_tasks(descriptions)
         by_name = {t.description.name: t for t in tasks}
-        assert by_name["agent-side"].nodelist == [pilot.agent_node.name]
+        assert by_name["agent-side"].nodelist == [pilot.agent_nodes[0].name]
         # Application tasks never land on the agent node.
-        assert pilot.agent_node.name not in by_name["app"].nodelist
+        assert pilot.agent_nodes[0].name not in by_name["app"].nodelist
 
     def test_exclusive_mode_keeps_apps_off_service_nodes(self):
         descriptions = [

@@ -127,10 +127,10 @@ def test_service_holds_resources_until_shutdown(stack):
 
     pilot = env.run(env.process(main(env)))
     # Agent node still holds the 10 service cores.
-    assert pilot.agent_node.free_cores == 42 - 10
+    assert pilot.agent_nodes[0].free_cores == 42 - 10
     client.close()
     env.run()
-    assert pilot.agent_node.free_cores == 42
+    assert pilot.agent_nodes[0].free_cores == 42
 
 
 def test_raptor_master_and_workers(stack):

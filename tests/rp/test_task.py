@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.rp import InvalidTransition, Task, TaskDescription, TaskState
+from repro.rp import InvalidTransition, Task, TaskDescription, TaskMode, TaskState
 from repro.sim import Tracer
 
 
@@ -59,36 +59,21 @@ class TestEventHistory:
     def test_duration_missing_event_is_none(self, task):
         assert task.duration("launch_start", "launch_stop") is None
 
-    def test_state_durations(self, env, task):
-        task.advance(TaskState.TMGR_SCHEDULING)
-        env.run(until=4)
-        task.advance(TaskState.AGENT_SCHEDULING)
-        env.run(until=10)
-        task.advance(TaskState.DONE)
-        durations = task.state_durations()
-        assert durations[TaskState.TMGR_SCHEDULING] == pytest.approx(4.0)
-        assert durations[TaskState.AGENT_SCHEDULING] == pytest.approx(6.0)
-        assert durations[TaskState.DONE] == 0.0
-
 
 class TestClassification:
     def test_application_task(self, task):
         assert task.is_application
-        assert not task.is_service
+        assert task.description.mode != TaskMode.SERVICE
 
     def test_service_task(self, env):
-        from repro.rp import TaskMode
-
         td = TaskDescription(name="svc", mode=TaskMode.SERVICE)
         t = Task(env, "task.000001", td, Tracer(env))
-        assert t.is_service and not t.is_application
+        assert t.description.mode == TaskMode.SERVICE and not t.is_application
 
     def test_monitor_task(self, env):
-        from repro.rp import TaskMode
-
         td = TaskDescription(name="mon", mode=TaskMode.MONITOR)
         t = Task(env, "task.000002", td, Tracer(env))
-        assert t.is_monitor
+        assert t.description.mode == TaskMode.MONITOR and not t.is_application
 
 
 class TestDescriptionValidation:

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.sim import Environment, Interrupt, SimulationError
-from repro.sim.core import Timeout
 
 
 class TestEnvironmentBasics:
@@ -13,9 +12,6 @@ class TestEnvironmentBasics:
     def test_clock_starts_at_initial_time(self):
         env = Environment(initial_time=100.0)
         assert env.now == 100.0
-
-    def test_peek_empty_queue_is_inf(self, env):
-        assert env.peek() == float("inf")
 
     def test_step_empty_queue_raises(self, env):
         with pytest.raises(SimulationError):

@@ -13,11 +13,31 @@ from repro.rp import (
 from repro.soma import (
     APPLICATION,
     ApplicationMetrics,
+    InstrumentedModel,
     SomaConfig,
     deploy_soma,
-    figure_of_merit_series,
 )
 from repro.workloads import DDMDParams, ddmd_phase_stages
+
+
+def instrument(deployment, description):
+    """Give ``description``'s model SOMA's application metrics."""
+    description.model = InstrumentedModel(
+        deployment.session, deployment.config, description.model
+    )
+    return description
+
+
+def figure_of_merit_series(store, task_uid, metric):
+    """(time, value) series of one metric for one task."""
+    path = f"APP/{task_uid}/{metric}"
+    series = []
+    for record in store:
+        data = record.data
+        if path in data:
+            for _seq, sample in data[path].children():
+                series.append((float(sample["time"]), float(sample["value"])))
+    return sorted(series)
 
 
 @pytest.fixture
@@ -83,8 +103,9 @@ def test_instrumented_model_default_metric(stack):
     env = session.env
 
     def main(env):
-        td = deployment.wrap_with_app_metrics(
-            TaskDescription(name="plain", model=FixedDurationModel(10.0))
+        td = instrument(
+            deployment,
+            TaskDescription(name="plain", model=FixedDurationModel(10.0)),
         )
         tasks = client.submit_tasks([td])
         yield from client.wait_tasks(tasks)
@@ -106,10 +127,7 @@ def test_ddmd_sim_reports_atom_timesteps(stack):
 
     def main(env):
         stages = dict(ddmd_phase_stages(params))
-        tds = [
-            deployment.wrap_with_app_metrics(td)
-            for td in stages["simulation"]
-        ]
+        tds = [instrument(deployment, td) for td in stages["simulation"]]
         tasks = client.submit_tasks(tds)
         yield from client.wait_tasks(tasks)
         return tasks

@@ -1,14 +1,11 @@
 """Unit tests for the SOMA namespace registry."""
 
-import pytest
-
 from repro.soma.namespaces import (
     ALL_NAMESPACES,
     APPLICATION,
     HARDWARE,
     PERFORMANCE,
     WORKFLOW,
-    namespace_root,
 )
 
 
@@ -28,25 +25,3 @@ class TestNamespaceConstants:
             assert name == name.lower()
             assert name.isidentifier()
 
-
-class TestNamespaceRoot:
-    def test_roots_match_the_paper_listings(self):
-        assert namespace_root(WORKFLOW) == "RP"
-        assert namespace_root(HARDWARE) == "PROC"
-        assert namespace_root(PERFORMANCE) == "TAU"
-        assert namespace_root(APPLICATION) == "APP"
-
-    def test_every_namespace_has_a_root(self):
-        roots = [namespace_root(ns) for ns in ALL_NAMESPACES]
-        assert len(set(roots)) == len(ALL_NAMESPACES)
-
-    def test_unknown_namespace_rejected(self):
-        with pytest.raises(ValueError, match="unknown namespace"):
-            namespace_root("metrics")
-
-    def test_root_is_not_the_namespace_name(self):
-        # Conduit roots are the short uppercase tags of Listings 1-2,
-        # not the namespace identifiers themselves.
-        for ns in ALL_NAMESPACES:
-            assert namespace_root(ns) != ns
-            assert namespace_root(ns).isupper()

@@ -15,7 +15,6 @@ from repro.soma import (
     SomaServiceModel,
     WORKFLOW,
     deploy_soma,
-    namespace_root,
     soma_service_description,
 )
 
@@ -50,12 +49,6 @@ class TestConfig:
         assert cfg.effective_hardware_frequency == 45.0
         cfg2 = cfg.with_updates(hardware_frequency=30.0)
         assert cfg2.effective_hardware_frequency == 30.0
-
-    def test_namespace_roots(self):
-        assert namespace_root(WORKFLOW) == "RP"
-        assert namespace_root(HARDWARE) == "PROC"
-        with pytest.raises(ValueError):
-            namespace_root("bogus")
 
     def test_all_namespaces_covered(self):
         assert len(ALL_NAMESPACES) == 4

@@ -274,9 +274,6 @@ def test_server_stats_zero_call_safe():
     stats = ServerStats()
     assert stats.mean_queue_time == 0.0
     assert stats.worst_window_queue_time == 0.0
-    delta = ServerStats.interval(stats.snapshot(), stats.snapshot())
-    assert delta["mean_queue_time"] == 0.0
-    assert delta["mean_busy_time"] == 0.0
 
 
 def test_server_stats_window_rolls_on_fixed_grid():
@@ -311,20 +308,3 @@ def test_server_stats_peak_survives_quiet_tail():
         stats.note_call(100.0 + i * 60.0, 0.0, 0.1, 1.0)
     assert stats.mean_queue_time < 0.1  # diluted
     assert stats.worst_window_queue_time == pytest.approx(2.0)  # not
-
-
-def test_server_stats_interval_deltas():
-    stats = ServerStats()
-    stats.note_call(0.0, 1.0, 0.5, 100.0)
-    before = stats.snapshot()
-    stats.note_call(1.0, 3.0, 0.5, 50.0)
-    stats.note_call(2.0, 1.0, 0.5, 50.0)
-    stats.errors += 1
-    stats.rejections += 2
-    delta = ServerStats.interval(before, stats.snapshot())
-    assert delta["calls"] == 2
-    assert delta["bytes"] == pytest.approx(100.0)
-    assert delta["errors"] == 1
-    assert delta["rejections"] == 2
-    assert delta["mean_queue_time"] == pytest.approx(2.0)
-    assert delta["mean_busy_time"] == pytest.approx(0.5)

@@ -18,9 +18,9 @@ from __future__ import annotations
 import pytest
 
 from repro.faults.worker import ENV_VAR, WorkerFault, WorkerFaultSpec, check_worker_fault
-from repro.sweep import SweepInterrupted, cells_signature, run_sweep
+from repro.sweep import SweepInterrupted, run_sweep
 
-from .util import mini_cell
+from .util import cells_signature, mini_cell
 
 #: Equal-cost cells tie-break by key in the LPT order, so the fault
 #: target (sorting last) is picked up only after the pool has chewed

@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 
 from repro.analysis.report import render_boxes
-from repro.sweep import cells_signature, result_digest, run_sweep
+from repro.sweep import result_digest, run_sweep
 
-from .util import MINI_SEEDS, mini_matrix
+from .util import MINI_SEEDS, cells_signature, mini_matrix
 
 
 @pytest.fixture(scope="module")

@@ -32,3 +32,14 @@ def mini_cell(seed: int, key: str | None = None) -> CellSpec:
 
 def mini_matrix(seeds=MINI_SEEDS) -> SweepSpec:
     return SweepSpec(mini_cell(seed) for seed in seeds)
+
+
+def cells_signature(manifest: dict) -> list[dict]:
+    """Timing-free view of a manifest's completed cells (for parity)."""
+    return [
+        {
+            k: entry[k]
+            for k in ("key", "family", "seed", "digest", "result_digest")
+        }
+        for entry in manifest["cells"]
+    ]

@@ -1,7 +1,5 @@
 """DDMD mini-app model: stages, GPU residency, parallel training."""
 
-import pytest
-
 from repro.platform import summit_like
 from repro.rp import Client, PilotDescription, Session
 from repro.workloads import DDMDParams, STAGE_NAMES, ddmd_phase_stages
@@ -15,12 +13,6 @@ class TestParams:
         assert t4 < t1
         # But not perfectly: reduce overhead.
         assert t4 > t1 / 4
-
-    def test_phase_critical_path_counts_sim_waves(self):
-        params = DDMDParams(num_sim_tasks=12)
-        two_waves = params.phase_critical_path(gpus_per_node=6)
-        one_wave = params.phase_critical_path(gpus_per_node=12)
-        assert two_waves - one_wave == pytest.approx(params.sim_gpu_seconds)
 
     def test_with_updates(self):
         params = DDMDParams().with_updates(num_train_tasks=4)

@@ -1,8 +1,6 @@
 """Synthetic workload generators."""
 
-import numpy as np
-
-from repro.workloads import heterogeneous_bag, strong_scaling_sweep, uniform_bag
+from repro.workloads import uniform_bag
 
 
 def test_uniform_bag():
@@ -10,18 +8,3 @@ def test_uniform_bag():
     assert len(bag) == 5
     assert all(td.ranks == 2 for td in bag)
     assert len({td.name for td in bag}) == 5
-
-
-def test_heterogeneous_bag_varies(seed=1):
-    rng = np.random.default_rng(seed)
-    bag = heterogeneous_bag(20, mean_duration=10.0, sigma=0.5, rng=rng)
-    ranks = {td.ranks for td in bag}
-    assert len(ranks) > 1
-
-
-def test_strong_scaling_sweep_divides_work():
-    sweep = strong_scaling_sweep(100.0, rank_counts=[1, 2, 4], instances=2)
-    assert len(sweep) == 6
-    by_ranks = {td.ranks: td.model.work_per_rank for td in sweep}
-    assert by_ranks[1] == 100.0
-    assert by_ranks[4] == 25.0
