@@ -12,7 +12,7 @@ under — so a large workflow monitored frequently contends with RP's
 own state machinery (the Fig 11 overhead mechanism).  That re-parse is
 simulated time; on the host the summary is a running
 :class:`ProfileFold` that consumes only the records new since the last
-sample.
+sample, and the read builds a record only for each of those.
 """
 
 from __future__ import annotations
@@ -142,7 +142,8 @@ class RPMonitorModel(ServiceModel):
                             "rp.monitor_skip", "profile_store", source="rpmon"
                         )
                         continue
-                    # The profile is append-only: fold just the new tail.
+                    # The profile is append-only: fold just the new tail
+                    # (only its records are built).
                     fresh = records[self._fold.folded :]
                     self._fold.fold(fresh)
                     summary = self._fold.snapshot(env.now)

@@ -2,7 +2,9 @@
 
 RADICAL-Pilot submits one *pilot job* through PSI/J to the platform's
 batch scheduler (Fig 1, step 1); once the job starts, the pilot owns a
-set of whole nodes for its walltime.  We model a FIFO queue — strict
+set of whole nodes until it releases them.  The pilot's walltime is
+validated and passed in the :class:`JobRequest`, but not enforced: no
+allocation expires.  We model a FIFO queue — strict
 (backfilling-free) by default, sufficient because the paper's
 experiments each run in a single allocation; ``backfill=True`` opts in
 to a simple backfilling pass so a later request that fits the free pool
@@ -38,19 +40,11 @@ class JobRequest:
 class JobAllocation:
     """A granted job: a set of whole nodes plus lifetime bookkeeping."""
 
-    def __init__(
-        self, env: Environment, request: JobRequest, nodes: list[Node]
-    ) -> None:
-        self.request = request
+    def __init__(self, env: Environment, nodes: list[Node]) -> None:
         self.nodes = nodes
-        self.granted_at = env.now
         self.released_at: float | None = None
-        #: Fires when the allocation is released (or walltime expires).
+        #: Fires when :meth:`BatchSystem.release` releases the allocation.
         self.done: Event = env.event()
-
-    @property
-    def deadline(self) -> float:
-        return self.granted_at + self.request.walltime
 
     @property
     def active(self) -> bool:
@@ -140,5 +134,5 @@ class BatchSystem:
     def _grant(self, request: JobRequest, granted: Event) -> None:
         free = self._free
         nodes = [free.popleft() for _ in range(request.nodes)]
-        allocation = JobAllocation(self.env, request, nodes)
+        allocation = JobAllocation(self.env, nodes)
         granted.succeed(allocation)

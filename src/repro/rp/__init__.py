@@ -21,7 +21,7 @@ from .model import (
     TaskResult,
 )
 from .pilot import Pilot
-from .profiler import ProfileRecord, ProfileStore
+from .profiler import ProfileRecord, ProfileStore, TransitionLog
 from .raptor import FunctionCall, RaptorMaster, RaptorWorkerModel
 from .session import Session
 from .states import (
@@ -65,4 +65,5 @@ __all__ = [
     "TaskModel",
     "TaskResult",
     "TaskState",
+    "TransitionLog",
 ]

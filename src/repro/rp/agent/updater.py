@@ -2,10 +2,10 @@
 
 Every agent-side state transition of every task flows through this
 component and is written to the RP profile store (under its I/O lock);
-the task has already traced it, as the same record.  Because the RP
-monitoring client re-reads those same profile files, frequent
-monitoring contends with this writer — the mechanism behind the
-frequent-monitoring overhead in Fig 11.
+the task has already traced it, as the same row of the run's transition
+log.  Because the RP monitoring client re-reads those same profile
+files, frequent monitoring contends with this writer — the mechanism
+behind the frequent-monitoring overhead in Fig 11.
 
 Persistence is best-effort under faults: if the profile store is
 unavailable (injected outage), the write is retried under a small
@@ -21,7 +21,6 @@ from typing import TYPE_CHECKING, Generator
 from ...faults.retry import RetryPolicy
 from ...messaging.protocol import RPCError
 from ...sim.core import Event
-from ..profiler import ProfileRecord
 from ..task import Task
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -54,17 +53,17 @@ class Updater:
     def advance(
         self, task: Task, state: str, node: str = ""
     ) -> Generator[Event, None, None]:
-        """Transition ``task`` and persist its profile record."""
-        yield from self._persist(task.advance(state, node))
+        """Transition ``task`` and persist its profile row."""
+        yield from self._persist(task, task.advance(state, node))
 
     def record_event(
         self, task: Task, event: str, node: str = ""
     ) -> Generator[Event, None, None]:
         """Record a sub-state event (launch_start, rank_start, ...)."""
-        yield from self._persist(task.record_event(event, node))
+        yield from self._persist(task, task.record_event(event, node))
 
-    def _persist(self, record: ProfileRecord) -> Generator[Event, None, None]:
-        """Write ``record`` with bounded retries, dropping on failure.
+    def _persist(self, task: Task, row: int) -> Generator[Event, None, None]:
+        """Write ``task``'s row with bounded retries, dropping on failure.
 
         The transition itself already happened (in memory + tracer);
         only the durable profile line is at stake here.
@@ -73,14 +72,15 @@ class Updater:
         try:
             yield from DEFAULT_UPDATER_RETRY.execute(
                 self.env,
-                lambda: profiles.write_locked(record),
-                name=f"profile:{record.entity}",
+                lambda: profiles.write_locked(row),
+                name=f"profile:{task.uid}",
             )
         except RPCError:
             self.dropped_records += 1
+            record = task.log.record(row)
             self.session.tracer.record(
                 "rp.profile_drop",
-                record.entity,
+                task.uid,
                 event=record.event,
                 state=record.state,
             )

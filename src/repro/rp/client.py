@@ -26,8 +26,8 @@ __all__ = ["PilotManager", "TaskManager", "Client"]
 
 
 def _record_client_transition(session: Session, task: Task, state: str) -> None:
-    """Client-side transition: advance + profile append (no I/O lock —
-    the client writes its own profile files on its own node)."""
+    """Client-side transition: advance + profile append of its row (no
+    I/O lock — the client writes its own profile files on its own node)."""
     session.profiles.append(task.advance(state, "client"))
 
 
@@ -105,7 +105,7 @@ class TaskManager:
         tasks: list[Task] = []
         for description in descriptions:
             uid = self.session.new_uid("task")
-            task = Task(self.env, uid, description, self.session.tracer)
+            task = Task(self.env, uid, description, self.session.transitions)
             self.tasks[task.uid] = task
             tasks.append(task)
             # Root span of the task's causal tree; every later phase

@@ -1,11 +1,11 @@
 """The RP Session: shared context for one workflow run.
 
 Owns the simulation environment (which mints the run's ids), the
-simulated cluster, the profile store, the RPC registry for service
-discovery, the tracer, the SOMA clients the run built, and the run's
-random stream.  Every other RP component receives the session and
-reaches shared state through it — mirroring how RP threads a Session
-through its component tree.
+simulated cluster, the log of every task transition and the profile
+store over it, the RPC registry for service discovery, the tracer, the
+SOMA clients the run built, and the run's random stream.  Every other
+RP component receives the session and reaches shared state through
+it — mirroring how RP threads a Session through its component tree.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from ..sim.core import Environment
 from ..sim.trace import Tracer
 from ..telemetry.spans import Telemetry
 from .config import DEFAULT_RP_CONFIG, RPConfig
-from .profiler import ProfileStore
+from .profiler import ProfileStore, TransitionLog
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..soma.client import SomaClient
@@ -53,8 +53,12 @@ class Session:
         # (env._telemetry stays None).
         self.telemetry = Telemetry(self.env)
         self.telemetry.tracer = self.tracer
+        #: Every task transition of the run, one row each; the tasks and
+        #: the profile store hold row ids, the tracer its traced rows.
+        self.transitions = TransitionLog(self.tracer)
         self.profiles = ProfileStore(
             self.env,
+            self.transitions,
             write_time=self.config.profile_write_time,
             read_time_per_record=self.config.profile_read_per_record,
             read_time_base=self.config.profile_read_base,

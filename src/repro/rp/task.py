@@ -1,20 +1,22 @@
 """The Task entity: one unit of work, with its full event history.
 
-A task's history is its profile records: each state transition and
-sub-state event is one frozen :class:`~repro.rp.profiler.ProfileRecord`,
-appended to :attr:`Task.events`, added to the run's tracer as its trace
-record, and handed back to the caller, which persists that same object
-to the profile store.
+A task's history is its rows of the run's
+:class:`~repro.rp.profiler.TransitionLog`: each state transition and
+sub-state event is one row, traced in its place by the log, kept by
+row id in :attr:`Task.rows` and handed back to the caller, which
+persists that same row id to the profile store.  :attr:`Task.events`
+reads the history as records (:class:`~repro.rp.profiler.ProfileRecord`),
+each built fresh on read.
 """
 
 from __future__ import annotations
 
+from array import array
 from typing import TYPE_CHECKING
 
 from ..sim.core import Environment, Event
-from ..sim.trace import Tracer
 from .description import TaskDescription, TaskMode
-from .profiler import ProfileRecord
+from .profiler import TransitionLog, Transitions
 from .states import (
     TASK_FINAL_STATES,
     InvalidTransition,
@@ -32,18 +34,17 @@ class Task:
     """A task under RP management."""
 
     def __init__(
-        self, env: Environment, uid: str, description: TaskDescription, tracer: Tracer
+        self, env: Environment, uid: str, description: TaskDescription, log: TransitionLog
     ) -> None:
         description.validate()
         self.env = env
-        self.tracer = tracer
+        self.log = log
         self.uid = uid
         self.description = description
         self.state = TaskState.NEW
-        #: The NEW record is not traced; every later one is.
-        self.events: list[ProfileRecord] = [
-            ProfileRecord(env.now, uid, "state", TaskState.NEW)
-        ]
+        #: This task's row ids in ``log``, oldest first.  The NEW row
+        #: is not traced; every later one is.
+        self.rows = array("i", (log.append(env.now, uid, "state", TaskState.NEW, ""),))
         #: Node names the task's ranks landed on (set by the scheduler).
         self.nodelist: list[str] = []
         #: Fires when the task reaches a final state.
@@ -54,28 +55,31 @@ class Task:
 
     # -- state machine -------------------------------------------------
 
-    def advance(self, new_state: str, node: str | None = None) -> ProfileRecord:
-        """Move to ``new_state``, recording and returning its event."""
+    def advance(self, new_state: str, node: str | None = None) -> int:
+        """Move to ``new_state``, recording its row; returns the row id."""
         if not is_valid_transition(self.state, new_state, kind="task"):
             raise InvalidTransition(
                 f"{self.uid}: illegal transition {self.state} -> {new_state}"
             )
         self.state = new_state
-        record = ProfileRecord(self.env.now, self.uid, "state", new_state, node)
-        self.events.append(record)
-        self.tracer.add(record)
+        row = self.log.append(self.env.now, self.uid, "state", new_state, node)
+        self.rows.append(row)
         if new_state in TASK_FINAL_STATES:
             self.finished_at = self.env.now
             if not self.completed.triggered:
                 self.completed.succeed(self)
-        return record
+        return row
 
-    def record_event(self, name: str, node: str | None = None) -> ProfileRecord:
-        """Record and return a sub-state event (launch_start, ...)."""
-        record = ProfileRecord(self.env.now, self.uid, name, self.state, node)
-        self.events.append(record)
-        self.tracer.add(record)
-        return record
+    def record_event(self, name: str, node: str | None = None) -> int:
+        """Record a sub-state event (launch_start, ...); returns its row id."""
+        row = self.log.append(self.env.now, self.uid, name, self.state, node)
+        self.rows.append(row)
+        return row
+
+    @property
+    def events(self) -> Transitions:
+        """The task's history as records, oldest first (read-only)."""
+        return Transitions(self.log, self.rows)
 
     # -- classification --------------------------------------------------
 
@@ -91,12 +95,7 @@ class Task:
 
     def time_of(self, event_name: str) -> float | None:
         """Timestamp of the first event with ``event_name``, if any."""
-        for event in self.events:
-            if event.event == event_name or (
-                event.event == "state" and event.state == event_name
-            ):
-                return event.time
-        return None
+        return self.log.time_of(self.rows, event_name)
 
     def duration(self, start_event: str, stop_event: str) -> float | None:
         """Seconds between two recorded events, if both exist."""

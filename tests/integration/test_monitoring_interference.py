@@ -85,14 +85,15 @@ def test_profile_reads_counted():
 
 def test_monitor_lock_stall_measured_directly():
     """The updater's profile writes queue behind monitor reads."""
-    from repro.rp import ProfileRecord, ProfileStore
-    from repro.sim import Environment
+    from repro.rp import ProfileStore, TransitionLog
+    from repro.sim import Environment, Tracer
 
     env = Environment()
+    log = TransitionLog(Tracer(env))
     store = ProfileStore(
-        env, write_time=0.0, read_time_base=1.0, read_time_per_record=0.0
+        env, log, write_time=0.0, read_time_base=1.0, read_time_per_record=0.0
     )
-    store.append(ProfileRecord(0.0, "task.000000", "state", "NEW"))
+    store.append(log.append(0.0, "task.000000", "state", "NEW", ""))
     write_done = {}
 
     def reader(env):
@@ -101,7 +102,7 @@ def test_monitor_lock_stall_measured_directly():
     def writer(env):
         yield env.timeout(0.2)
         yield from store.write_locked(
-            ProfileRecord(0.2, "task.000001", "state", "NEW")
+            log.append(0.2, "task.000001", "state", "NEW", "")
         )
         write_done["t"] = env.now
 

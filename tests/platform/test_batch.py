@@ -138,21 +138,3 @@ class TestBackfill:
         env.run()
         start = {name: t for name, t, _ in log}
         assert start["small"] >= 10.0  # head still blocks everyone
-
-
-def test_allocation_walltime_bookkeeping(env, cluster):
-    box = {}
-
-    def proc(env):
-        alloc = yield from cluster.batch.submit(
-            JobRequest(nodes=1, walltime=100.0)
-        )
-        box["deadline"] = alloc.deadline
-        yield env.timeout(40)
-        box["remaining"] = max(0.0, alloc.deadline - env.now)
-        cluster.batch.release(alloc)
-
-    env.process(proc(env))
-    env.run()
-    assert box["deadline"] == pytest.approx(100.0)
-    assert box["remaining"] == pytest.approx(60.0)

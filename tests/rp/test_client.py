@@ -136,9 +136,12 @@ class TestTaskSubmission:
         client.close()
         env.run()
         assert all(t.state == TaskState.DONE for t in tasks)
-        # Each profile line is the task's own history record.
-        history = {id(e) for t in tasks for e in t.events}
-        assert all(id(r) in history for r in client.session.profiles.snapshot())
+        # Each profile line is a row of its task's own history, and
+        # reads back as that history's record.
+        profiles = client.session.profiles
+        history = {row: record for t in tasks for row, record in zip(t.rows, t.events)}
+        assert all(row in history for row in profiles.rows)
+        assert [history[row] for row in profiles.rows] == profiles.snapshot()
         gc.collect()
         assert not [
             obj

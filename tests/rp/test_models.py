@@ -23,7 +23,7 @@ def make_ctx(session, cores=4, gpus=0):
     task = Task(
         session.env, "task.000000", TaskDescription(name="t", ranks=1,
                                                     cores_per_rank=cores),
-        session.tracer,
+        session.transitions,
     )
     return ExecutionContext(
         env=session.env,
@@ -94,7 +94,7 @@ class TestExecutionContext:
             session.env,
             "task.000001",
             TaskDescription(ranks=6, cores_per_rank=2),
-            session.tracer,
+            session.transitions,
         )
         ctx = ExecutionContext(
             env=session.env,

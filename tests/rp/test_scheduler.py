@@ -207,7 +207,7 @@ class TestScanCharge:
             multi_node=False,
         )
         return Task(
-            session.env, session.new_uid("task"), description, session.tracer
+            session.env, session.new_uid("task"), description, session.transitions
         )
 
     def test_scanned_is_position_of_first_fit_in_rotated_order(self):

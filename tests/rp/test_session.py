@@ -1,8 +1,13 @@
 """Session: uids, jitter, stable RNG, wiring."""
 
+import gc
+import weakref
 
+from repro.experiments import run_workflow
 from repro.platform import summit_like
 from repro.rp import RPConfig, Session
+from repro.soma import WORKFLOW, SomaConfig
+from repro.workloads import uniform_bag
 
 
 def test_uid_sequences_are_per_prefix():
@@ -56,3 +61,33 @@ def test_session_owns_distinct_components():
     assert session.cluster.env is session.env
     assert session.tracer.env is session.env
     assert session.rpc_registry.env is session.env
+
+
+def test_each_run_keeps_its_transitions_in_its_own_log():
+    """Two same-seed runs in one process record the same transitions,
+    each in a log of its own, and a dropped run's log is freed."""
+
+    def workload(client, deployment):
+        tasks = client.submit_tasks(uniform_bag(8, duration=5.0))
+        yield from client.wait_tasks(tasks)
+
+    def run():
+        return run_workflow(
+            workload,
+            nodes=2,
+            service_nodes=1,
+            soma_config=SomaConfig(namespaces=(WORKFLOW,), monitors=("rp",)),
+            seed=5,
+        )
+
+    first, second = run(), run()
+    assert first.session.transitions is not second.session.transitions
+    assert list(first.tasks) == list(second.tasks)
+    assert all(
+        list(task.events) == list(second.tasks[uid].events)
+        for uid, task in first.tasks.items()
+    )
+    log = weakref.ref(first.session.transitions)
+    del first
+    gc.collect()
+    assert log() is None

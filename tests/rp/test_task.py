@@ -2,13 +2,20 @@
 
 import pytest
 
-from repro.rp import InvalidTransition, Task, TaskDescription, TaskMode, TaskState
+from repro.rp import (
+    InvalidTransition,
+    Task,
+    TaskDescription,
+    TaskMode,
+    TaskState,
+    TransitionLog,
+)
 from repro.sim import Tracer
 
 
 @pytest.fixture
 def task(env):
-    return Task(env, "task.000000", TaskDescription(name="t"), Tracer(env))
+    return Task(env, "task.000000", TaskDescription(name="t"), TransitionLog(Tracer(env)))
 
 
 class TestAdvance:
@@ -67,27 +74,27 @@ class TestClassification:
 
     def test_service_task(self, env):
         td = TaskDescription(name="svc", mode=TaskMode.SERVICE)
-        t = Task(env, "task.000001", td, Tracer(env))
+        t = Task(env, "task.000001", td, TransitionLog(Tracer(env)))
         assert t.description.mode == TaskMode.SERVICE and not t.is_application
 
     def test_monitor_task(self, env):
         td = TaskDescription(name="mon", mode=TaskMode.MONITOR)
-        t = Task(env, "task.000002", td, Tracer(env))
+        t = Task(env, "task.000002", td, TransitionLog(Tracer(env)))
         assert t.description.mode == TaskMode.MONITOR and not t.is_application
 
 
 class TestDescriptionValidation:
     def test_zero_ranks_rejected(self, env):
         with pytest.raises(ValueError):
-            Task(env, "t", TaskDescription(ranks=0), Tracer(env))
+            Task(env, "t", TaskDescription(ranks=0), TransitionLog(Tracer(env)))
 
     def test_negative_gpus_rejected(self, env):
         with pytest.raises(ValueError):
-            Task(env, "t", TaskDescription(gpus_per_rank=-1), Tracer(env))
+            Task(env, "t", TaskDescription(gpus_per_rank=-1), TransitionLog(Tracer(env)))
 
     def test_bad_mode_rejected(self, env):
         with pytest.raises(ValueError):
-            Task(env, "t", TaskDescription(mode="weird"), Tracer(env))
+            Task(env, "t", TaskDescription(mode="weird"), TransitionLog(Tracer(env)))
 
     def test_totals(self):
         td = TaskDescription(ranks=4, cores_per_rank=3, gpus_per_rank=1)

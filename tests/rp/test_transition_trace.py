@@ -126,7 +126,7 @@ def test_each_transition_path_keeps_its_trace_shape():
 
 
 def test_each_transition_is_traced_as_its_history_record():
-    """A task's profile record is its transition's trace record too."""
+    """A task's profile row is its transition's trace entry too."""
 
     def workload(client, deployment):
         tasks = client.submit_tasks(uniform_bag(16, duration=5.0))
@@ -142,5 +142,12 @@ def test_each_transition_is_traced_as_its_history_record():
     # Every transition but each task's untraced NEW record, once each.
     assert len(traced) == sum(len(t.events) - 1 for t in result.tasks.values())
     assert len(traced) > 16 * 10
-    for rec in traced:
-        assert any(rec is event for event in result.tasks[rec.name].events)
+    # Each transition trace entry is a row of its task's history, and
+    # reads back as that history's record.
+    log = result.session.transitions
+    rows = list(log.traced())
+    assert len(rows) == len(traced)
+    for row, rec in zip(rows, traced):
+        task = result.tasks[rec.name]
+        assert row in task.rows
+        assert rec == task.events[task.rows.index(row)]

@@ -17,7 +17,7 @@ from repro.rp.agent.updater import Updater
 def make_stack(**config):
     session = Session(cluster_spec=summit_like(1), config=RPConfig(**config))
     task = Task(
-        session.env, "task.000000", TaskDescription(name="t"), session.tracer
+        session.env, "task.000000", TaskDescription(name="t"), session.transitions
     )
     return session, Updater(session), task
 
@@ -73,9 +73,11 @@ def test_persisted_record_is_the_task_history_record():
 
     def transitions():
         yield from updater.advance(task, TaskState.TMGR_SCHEDULING, node="cn0001")
-        assert task.events[-1] is session.profiles.snapshot()[-1]
+        assert task.rows[-1] == session.profiles.rows[-1]
+        assert task.events[-1] == session.profiles.snapshot()[-1]
         yield from updater.record_event(task, "launch_start", node="cn0001")
-        assert task.events[-1] is session.profiles.snapshot()[-1]
+        assert task.rows[-1] == session.profiles.rows[-1]
+        assert task.events[-1] == session.profiles.snapshot()[-1]
 
     env.run(env.process(transitions()))
     assert len(session.profiles) == 2

@@ -1,6 +1,9 @@
 """Tracer behaviour."""
 
 import tracemalloc
+from types import SimpleNamespace
+
+import pytest
 
 from repro.sim import Tracer
 
@@ -34,22 +37,50 @@ def test_select_time_window(env):
     assert [r.name for r in tracer.select(since=5, until=15)] == ["t10"]
 
 
-def test_added_records_are_kept_as_they_are(env):
-    """``add`` keeps a record that carries its own trace shape."""
+class Points:
+    """A row source whose rows are ``(time, category, name)`` triples;
+    it counts the records it builds."""
 
-    class Point:
-        time, category, name = 0.0, "b", "y"
-        data = property(lambda self: {"k": 1})
+    trace_categories = frozenset({"b"})
 
+    def __init__(self):
+        self.rows = []
+        self.built = 0
+
+    def traced(self):
+        return iter(range(len(self.rows)))
+
+    def trace_key(self, row):
+        return self.rows[row]
+
+    def record(self, row):
+        self.built += 1
+        time, category, name = self.rows[row]
+        return SimpleNamespace(time=time, category=category, name=name, data={"row": row})
+
+
+def test_added_rows_keep_their_place_and_are_built_on_read(env):
+    """``add`` keeps a source's row in its place among the records; the
+    row's record is built only when a reader takes it."""
     tracer = Tracer(env)
+    points = Points()
     tracer.record("a", "x")
-    point = Point()
-    tracer.add(point)
-    assert tracer.records[1] is point
-    assert tracer.count("a") == tracer.count("b") == 1
+    points.rows.append((0.0, "b", "y"))
+    tracer.add(points)
+    tracer.record("a", "z")
+    assert len(tracer) == 3
+    assert tracer.count("a") == 2 and tracer.count("b") == 1
     assert tracer.count("c") == 0
-    assert tracer.select(category="b") == [point]
     assert tracer.categories() == {"a", "b"}
+    assert [r.name for r in tracer.select(name="x")] == ["x"]
+    assert points.built == 0  # classified by trace_key, never built
+    assert [r.name for r in tracer.records] == ["x", "y", "z"]
+    assert tracer.records[1].data == {"row": 0}
+    assert [r.name for r in tracer.select(category="b")] == ["y"]
+    assert [r.name for r in tracer.select(category="a")] == ["x", "z"]
+    assert points.built == 3
+    with pytest.raises(ValueError):
+        tracer.add(Points())  # one row source per tracer
 
 
 def test_record_get_helper(env):
