@@ -557,8 +557,9 @@ def _cmd_why(args: argparse.Namespace) -> int:
     if target is None:
         tasks = ", ".join(sorted(graph.task_events)[:8])
         print(
-            f"why: no event matches {args.target!r}; try 'run', a span "
-            f"label substring, or a task uid ({tasks}, ...)",
+            f"why: no event matches {args.target!r}; try 'run', a task uid "
+            f"({tasks}, ...), a span id (1-{len(graph.span_events)}), or a "
+            f"span label substring",
             file=sys.stderr,
         )
         return 2

@@ -24,10 +24,17 @@ finished — graph construction is pure post-processing and never touches
 the simulation.  Scheduler grants (wait-on-grant / launch edges) need
 no note: they are the ``rp.alloc`` records of the session tracer, read
 back at build time.
+
+The build allocates little per event.  Each span goes in through
+:meth:`~repro.provenance.graph.ProvGraph.append_span`, with no view
+pair and no ref string of its own; each capture event's attributes go
+in as a shared key tuple and their values, with no dict; and each
+container's program-order anchors are one array of event ids.
 """
 
 from __future__ import annotations
 
+from array import array
 from typing import TYPE_CHECKING, Any
 
 from .graph import ProvEvent, ProvGraph
@@ -263,63 +270,68 @@ def build_graph(
     root = event("run.start", 0.0, "run", "", "run")
     end = event("run.end", finished, "run", "", "run")
     g.root, g.end = ProvEvent(g, root), ProvEvent(g, end)
+    start_of = g._span_start
 
     # 1. Span interval events: a span's span.end id is its span.start id + 1.
-    starts: dict[int, int] = {}
-    raptor_calls: dict[str, int] = {}
-    sched_spans: dict[str, int] = {}
-    exec_spans: dict[str, int] = {}
+    # The span.start ids of raptor calls by call uid, and of each task's
+    # scheduling and execution spans by task uid.
+    call_starts: dict[str, int] = {}
+    sched_starts: dict[str, int] = {}
+    exec_starts: dict[str, int] = {}
     for span in hub.spans:
-        label = f"{span.component}:{span.name}"
-        ref = str(span.span_id)
+        still_open = span.end is None
+        s = g.append_span(
+            span.span_id,
+            span.start,
+            finished if still_open else span.end,
+            f"{span.component}:{span.name}",
+            span.component,
+            still_open,
+        )
         uid = span.attributes.get("uid")
-        s = event("span.start", span.start, label, ref, span.component)
-        if span.end is None:
-            event("span.end", finished, label, ref, span.component, {"open": True})
-        else:
-            event("span.end", span.end, label, ref, span.component)
-        edge(s, s + 1, "span")
-        starts[span.span_id] = s
-        pair = (ProvEvent(g, s), ProvEvent(g, s + 1))
-        g.span_events[span.span_id] = pair
         if isinstance(uid, str):
             if span.name == f"task:{uid}":
-                g.task_events[uid] = pair
+                g.task_events[uid] = (ProvEvent(g, s), ProvEvent(g, s + 1))
             elif span.name == "agent.schedule":
-                sched_spans[uid] = span.span_id
+                sched_starts[uid] = s
             elif span.name == "agent.execute":
-                exec_spans[uid] = span.span_id
+                exec_starts[uid] = s
         if span.name.startswith("raptor.call:"):
-            raptor_calls[span.name.split(":", 1)[1]] = span.span_id
+            call_starts[span.name.split(":", 1)[1]] = s
 
-    # 2. Program-order anchors per container (a span, or the run root).
-    # Each anchor is (t, rank, event id): child span starts and capture
-    # events assigned to the container, sorted by time with a
-    # deterministic tie-break, then chained sequentially.
-    anchors: dict[int | None, list[tuple[float, int, int]]] = {}
+    # 2. Program-order anchors per container (a span id, or None for the
+    # run root): the event ids of its child span starts and of the
+    # capture events assigned to it, chained in (time, child spans first,
+    # id) order.  Each container's ids are appended rising, and every
+    # span.start id is below every capture event's, so a stable sort by
+    # time gives that order.
+    anchors: dict[int | None, array] = {}
 
-    def anchor(container: int | None, eid: int, t: float, rank: int) -> None:
-        if container is not None and container not in starts:
+    def anchor(container: int | None, eid: int) -> None:
+        if start_of(container) < 0:
             container = None
-        anchors.setdefault(container, []).append((t, rank, eid))
+        entries = anchors.get(container)
+        if entries is None:
+            entries = anchors[container] = array("i")
+        entries.append(eid)
 
     for span in hub.spans:
-        anchor(span.parent_id, starts[span.span_id], span.start, 0)
+        anchor(span.parent_id, start_of(span.span_id))
 
     # 3. Capture events.
     if capture is not None:
         sends_by_uid: dict[str, int] = {}
         for uid, method, client, t, span_id in capture.rpc_sends:
-            ev = event("rpc.send", t, f"rpc.send:{method}", uid, "rpc", {"client": client})
+            ev = event("rpc.send", t, f"rpc.send:{method}", uid, "rpc", ("client",), client)
             sends_by_uid[uid] = ev
-            anchor(span_id, ev, t, 1)
+            anchor(span_id, ev)
         for uid, server, arrival, granted, serve_id in capture.rpc_serves:
             grant_ev = event(
                 "rpc.grant", granted, f"rpc.grant:{server}", uid, "rpc",
-                {"queue_time": granted - arrival},
+                ("queue_time",), granted - arrival,
             )
-            serve = starts.get(serve_id) if serve_id is not None else None
-            if serve is not None:
+            serve = start_of(serve_id)
+            if serve >= 0:
                 edge(serve, grant_ev, "rpc.queue")
                 edge(grant_ev, serve + 1, "program")
                 send_ev = sends_by_uid.get(uid)
@@ -331,50 +343,50 @@ def build_graph(
         for sid, name, t, source, nbytes, span_id in capture.store_writes:
             ev = event(
                 "store.write", t, f"store.write:{name}", f"{name}/{source}",
-                "soma-service", {"nbytes": nbytes},
+                "soma-service", ("nbytes",), nbytes,
             )
             writes_by_key[(sid, t, source)] = ev
-            anchor(span_id, ev, t, 1)
+            anchor(span_id, ev)
         for sid, name, op, source, t, span_id, matched, count in capture.store_reads:
             ev = event(
                 "store.read", t, f"store.read:{name}", f"{name}/{source or '*'}",
-                "soma-service", {"op": op, "records": count},
+                "soma-service", ("op", "records"), op, count,
             )
-            anchor(span_id, ev, t, 1)
+            anchor(span_id, ev)
             write_ev = writes_by_key.get(matched) if matched is not None else None
             if write_ev is not None and times[write_ev] <= t:
                 edge(write_ev, ev, "wait-on-store")
         for uid, t, nodes in _grants(hub.tracer):
             ev = event(
                 "sched.grant", t, f"grant:{uid}", uid, "rp-agent",
-                {"nodes": ",".join(nodes)},
+                ("nodes",), ",".join(nodes),
             )
-            sched = starts.get(sched_spans.get(uid))
+            sched = sched_starts.get(uid)
             if sched is not None and times[sched] <= t:
                 edge(sched, ev, "wait-on-grant")
                 if t <= times[sched + 1]:
                     edge(ev, sched + 1, "program")
             else:
                 edge(root, ev, "run")
-            launched = starts.get(exec_spans.get(uid))
+            launched = exec_starts.get(uid)
             if launched is not None and t <= times[launched]:
                 edge(ev, launched, "launch")
         submits_by_uid: dict[Any, int] = {}
         for uid, t, span_id in capture.raptor_submits:
             ev = event("raptor.submit", t, f"raptor.submit:{uid}", str(uid), "raptor")
             submits_by_uid[uid] = ev
-            anchor(span_id, ev, t, 1)
+            anchor(span_id, ev)
         for uid, worker_uid, t in capture.raptor_dispatches:
             ev = event(
                 "raptor.dispatch", t, f"raptor.dispatch:{uid}", str(uid), "raptor",
-                {"worker": worker_uid},
+                ("worker",), worker_uid,
             )
             submit_ev = submits_by_uid.get(uid)
             if submit_ev is not None and times[submit_ev] <= t:
                 edge(submit_ev, ev, "raptor.queue")
             else:
                 edge(root, ev, "run")
-            call = starts.get(raptor_calls.get(str(uid)))
+            call = call_starts.get(str(uid))
             if call is not None and t <= times[call]:
                 edge(ev, call, "raptor.dispatch")
 
@@ -382,13 +394,12 @@ def build_graph(
     # closing edge is skipped when the last anchor outlives it (e.g. a
     # duplicate RPC served after the originating attempt failed).
     for container, entries in anchors.items():
-        entries.sort()
         if container is None:
             prev, close_ev, closing = root, end, "run"
         else:
-            prev = starts[container]
+            prev = start_of(container)
             close_ev, closing = prev + 1, "program"
-        for _t, _rank, eid in entries:
+        for eid in sorted(entries, key=times.__getitem__):
             edge(prev, eid, "program")
             prev = eid
         if times[prev] <= times[close_ev]:
@@ -397,13 +408,13 @@ def build_graph(
     # 5. Join edges: child completion constrains parent completion when
     # the child actually finished first; root spans join the run end.
     for span in hub.spans:
-        child_end = starts[span.span_id] + 1
-        if span.parent_id is not None and span.parent_id in starts:
-            parent_end = starts[span.parent_id] + 1
-            if times[child_end] <= times[parent_end]:
-                edge(child_end, parent_end, "join")
-        elif span.parent_id is None:
+        child_end = start_of(span.span_id) + 1
+        if span.parent_id is None:
             edge(child_end, end, "run")
+        else:
+            parent_start = start_of(span.parent_id)
+            if parent_start >= 0 and times[child_end] <= times[parent_start + 1]:
+                edge(child_end, parent_start + 1, "join")
 
     # 6. Fault windows from the plan, annotated onto overlapping edges.
     windows: list[tuple[str, float, float]] = []
@@ -414,8 +425,8 @@ def build_graph(
             t0 = fe.time
             t1 = finished if fe.duration is None else min(finished, t0 + fe.duration)
             label = f"fault:{fe.kind}"
-            fs = event("fault.start", t0, label, fe.kind, "faults", {"seq": fe.seq})
-            fend = event("fault.end", t1, label, fe.kind, "faults", {"seq": fe.seq})
+            fs = event("fault.start", t0, label, fe.kind, "faults", ("seq",), fe.seq)
+            fend = event("fault.end", t1, label, fe.kind, "faults", ("seq",), fe.seq)
             edge(root, fs, "run")
             edge(fs, fend, "fault.window")
             edge(fend, end, "run")

@@ -17,21 +17,27 @@ run is attributed to exactly one typed edge.
 
 Storage is columnar (DESIGN.md section 3f, "Storage"): one array per
 event field and per edge endpoint, strings interned into one table,
-attributes kept only where non-empty, and CSR in/out adjacency built on
-the first query.  :class:`ProvEvent` and :class:`ProvEdge` are read-only
-views over those columns.
+event attributes in one column of value tuples whose key tuples are
+kept once per graph, edge attributes kept only where non-empty, and CSR
+in/out adjacency built on the first query.  A span is one entry in
+each of two arrays: its id and its ``span.start`` event id (its
+``span.end`` is the next event).  Its events' ``ref`` is the span id,
+formatted on read, and :attr:`ProvGraph.span_events` builds a span's
+pair of events on read.  :class:`ProvEvent` and :class:`ProvEdge` are
+read-only views over those columns.
 """
 
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from collections import Counter, deque
-from collections.abc import Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from itertools import accumulate, islice
 from operator import index as as_index
 from operator import sub
 from types import MappingProxyType
-from typing import Any, Iterator, Mapping
+from typing import Any
 
 __all__ = ["EDGE_KINDS", "EVENT_KINDS", "ProvEdge", "ProvEvent", "ProvGraph"]
 
@@ -102,7 +108,8 @@ class ProvEvent:
     @property
     def ref(self) -> str:
         """Stable external identity: task/request uid, span id, store name."""
-        return self._graph._name(self._graph._ref[self._eid])
+        ref = self._graph._ref[self._eid]
+        return self._graph._name(ref) if ref >= 0 else str(~ref)
 
     @property
     def component(self) -> str:
@@ -111,8 +118,10 @@ class ProvEvent:
 
     @property
     def attrs(self) -> Mapping[str, Any]:
-        attrs = self._graph._event_attrs.get(self._eid)
-        return _NO_ATTRS if attrs is None else MappingProxyType(attrs)
+        slot = self._graph._event_attrs[self._eid]
+        if slot is None:
+            return _NO_ATTRS
+        return MappingProxyType(dict(zip(slot[0], slot[1:])))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ProvEvent):
@@ -200,6 +209,30 @@ class _Views(Sequence):
         return (view(graph, i) for i in range(len(self._column)))
 
 
+class _SpanEvents(Mapping):
+    """``graph.span_events``: span id -> (span.start, span.end) views.
+
+    Read-only; each read builds the pair from the graph's span arrays.
+    """
+
+    __slots__ = ("_graph",)
+
+    def __init__(self, graph: ProvGraph) -> None:
+        self._graph = graph
+
+    def __getitem__(self, span_id: int) -> tuple[ProvEvent, ProvEvent]:
+        start = self._graph._span_start(span_id)
+        if start < 0:
+            raise KeyError(span_id)
+        return ProvEvent(self._graph, start), ProvEvent(self._graph, start + 1)
+
+    def __len__(self) -> int:
+        return len(self._graph._span_ids)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._graph._span_ids)
+
+
 def _group(keys: array, n: int) -> tuple[array, array]:
     """CSR of ``keys`` (one node id per edge) by a stable counting sort.
 
@@ -238,7 +271,13 @@ class ProvGraph:
         self._label = array("i")
         self._ref = array("i")
         self._component = array("i")
-        self._event_attrs: dict[int, dict[str, Any]] = {}
+        #: One slot per event: None, or (keys, *values) with ``keys``
+        #: shared through ``_schemas``.
+        self._event_attrs: list[tuple | None] = []
+        self._schemas: dict[tuple[str, ...], tuple[str, ...]] = {}
+        #: Span ids, rising, and each span's ``span.start`` event id.
+        self._span_ids = array("i")
+        self._span_starts = array("i")
         #: Edge columns, indexed by edge position.
         self.src = array("i")
         self.dst = array("i")
@@ -251,8 +290,8 @@ class ProvGraph:
         self.end: ProvEvent | None = None
         #: task uid -> (span.start event, span.end event) of its root span.
         self.task_events: dict[str, tuple[ProvEvent, ProvEvent]] = {}
-        #: span_id -> (span.start event, span.end event).
-        self.span_events: dict[int, tuple[ProvEvent, ProvEvent]] = {}
+        #: span_id -> (span.start event, span.end event), read-only.
+        self.span_events: Mapping[int, tuple[ProvEvent, ProvEvent]] = _SpanEvents(self)
 
     def __len__(self) -> int:
         return len(self.times)
@@ -280,9 +319,13 @@ class ProvGraph:
         label: str,
         ref: str = "",
         component: str = "",
-        attrs: dict[str, Any] | None = None,
+        keys: tuple[str, ...] = (),
+        *values: Any,
     ) -> int:
-        """:meth:`add_event` without the view: returns the new event id."""
+        """:meth:`add_event` without the view: returns the new event id.
+
+        The attributes are ``keys`` and their ``values``, in order.
+        """
         ids = self._ids
         eid = len(self.times)
         self.times.append(t)
@@ -290,8 +333,42 @@ class ProvGraph:
         self._label.append(ids.setdefault(label, len(ids)))
         self._ref.append(ids.setdefault(ref, len(ids)))
         self._component.append(ids.setdefault(component, len(ids)))
-        if attrs:
-            self._event_attrs[eid] = attrs
+        if keys:
+            self._event_attrs.append((self._schemas.setdefault(keys, keys), *values))
+        else:
+            self._event_attrs.append(None)
+        return eid
+
+    def append_span(
+        self,
+        span_id: int,
+        start: float,
+        end: float,
+        label: str,
+        component: str = "",
+        still_open: bool = False,
+    ) -> int:
+        """Append one span: its ``span.start`` and ``span.end`` events and
+        the ``span`` edge between them.  Returns the start's event id; the
+        end's is the next one.  Both events' ref is the span id.
+
+        Span ids must rise from call to call.  ``still_open`` marks a
+        span that never closed: its end carries ``open: True``.
+        """
+        span_ids = self._span_ids
+        if span_id < 0 or (span_ids and span_id <= span_ids[-1]):
+            raise ValueError(f"span id {span_id} does not rise above {span_ids[-1:].tolist()}")
+        eid = self.append_event("span.start", start, label, "", component)
+        if still_open:
+            self.append_event("span.end", end, label, "", component, ("open",), True)
+        else:
+            self.append_event("span.end", end, label, "", component)
+        # Both refs hold the span id's complement: negative, apart from
+        # the string ids.
+        self._ref[eid] = self._ref[eid + 1] = ~span_id
+        span_ids.append(span_id)
+        self._span_starts.append(eid)
+        self.append_edge(eid, eid + 1, "span")
         return eid
 
     def append_edge(
@@ -316,7 +393,8 @@ class ProvGraph:
         component: str = "",
         **attrs: Any,
     ) -> ProvEvent:
-        return ProvEvent(self, self.append_event(kind, t, label, ref, component, attrs))
+        eid = self.append_event(kind, t, label, ref, component, tuple(attrs), *attrs.values())
+        return ProvEvent(self, eid)
 
     def add_edge(
         self, src: ProvEvent | int, dst: ProvEvent | int, kind: str, **attrs: Any
@@ -329,6 +407,22 @@ class ProvGraph:
         self._edge_attrs.setdefault(index, {}).update(attrs)
 
     # -- navigation ----------------------------------------------------
+
+    def _span_start(self, span_id: int | None) -> int:
+        """``span_id``'s ``span.start`` event id, or -1 for no such span.
+
+        Span ids rise; a hub mints them densely, so the offset from the
+        first id finds a span, and a bisect finds it otherwise.
+        """
+        ids = self._span_ids
+        if not isinstance(span_id, int) or not ids:
+            return -1
+        i = span_id - ids[0]
+        if not (0 <= i < len(ids) and ids[i] == span_id):
+            i = bisect_left(ids, span_id)
+            if i == len(ids) or ids[i] != span_id:
+                return -1
+        return self._span_starts[i]
 
     def _adjacency(self) -> tuple[array, array, array, array]:
         """CSR (in_ptr, in_ids, out_ptr, out_ids), rebuilt after appends."""
@@ -374,21 +468,30 @@ class ProvGraph:
 
     # -- whole-graph algorithms ---------------------------------------
 
-    def topo_order(self) -> list[int] | None:
-        """Kahn topological order of event ids; None if cyclic."""
-        indegree = self.in_degrees()
+    def _kahn(self, indegree: list[int], sources: Iterable[int]) -> Iterator[int]:
+        """Kahn's loop: ``sources`` (each of in-degree 0), then every event
+        whose in-edges all come from events already yielded.
+
+        ``indegree`` holds each event's in-degree and is used up.  On a
+        cycle the loop stops short of the events on or after it.
+        """
         _, _, ptr, ids = self._adjacency()
         dst = self.dst
-        ready = deque(eid for eid, d in enumerate(indegree) if d == 0)
-        order: list[int] = []
+        ready = deque(sources)
         while ready:
             eid = ready.popleft()
-            order.append(eid)
+            yield eid
             for index in ids[ptr[eid] : ptr[eid + 1]]:
                 node = dst[index]
                 indegree[node] -= 1
                 if indegree[node] == 0:
                     ready.append(node)
+
+    def topo_order(self) -> list[int] | None:
+        """Kahn topological order of event ids; None if cyclic."""
+        indegree = self.in_degrees()
+        sources = [eid for eid, d in enumerate(indegree) if d == 0]
+        order = list(self._kahn(indegree, sources))
         if len(order) != len(indegree):
             return None
         return order

@@ -81,10 +81,11 @@ def resolve_target(graph: ProvGraph, token: str) -> ProvEvent | None:
         return graph.end
     if token in graph.task_events:
         return graph.task_events[token][1]
-    if token.isdigit() and int(token) in graph.span_events:
-        return graph.span_events[int(token)][1]
-    for span_id in sorted(graph.span_events):
-        start, end = graph.span_events[span_id]
+    if token.isdigit():
+        pair = graph.span_events.get(int(token))
+        if pair is not None:
+            return pair[1]
+    for start, end in graph.span_events.values():  # in span-id order
         if token in start.label:
             return end
     return None

@@ -8,6 +8,13 @@ A valid run graph satisfies four structural invariants:
 * **reachable** — every event, and in particular every task node, is
   reachable from the run root along forward edges.
 
+When the run root is the only event without in-edges, one Kahn pass
+from it orders every event exactly when the graph is acyclic, and then
+every event is reachable from the root.  So a valid graph is checked
+with one in-degree per event and no set or list of event ids; only a
+graph that fails that pass gets the per-rule checks, which name what is
+wrong.
+
 Violations are facts about the *instrumentation*, not the workload —
 they mean a capture hook recorded an edge that cannot exist — so
 :func:`report_violations` mirrors them into the kernel sanitizer's
@@ -62,13 +69,19 @@ def validate_graph(graph: ProvGraph) -> list[GraphViolation]:
             )
         )
 
+    indegree = graph.in_degrees()
+    rootless = [eid for eid, d in enumerate(indegree) if d == 0]
+    expected_root = [graph.root.eid] if graph.root is not None else []
+    if graph.root is not None and rootless == expected_root:
+        ordered = sum(1 for _ in graph._kahn(indegree, rootless))
+        if ordered == len(graph):
+            return violations
+
     if graph.topo_order() is None:
         violations.append(
             GraphViolation("acyclic", "graph contains at least one cycle")
         )
 
-    rootless = [eid for eid, d in enumerate(graph.in_degrees()) if d == 0]
-    expected_root = [graph.root.eid] if graph.root is not None else []
     if rootless != expected_root:
         labels = ", ".join(graph.event(e).label for e in rootless[:5]) or "(none)"
         violations.append(

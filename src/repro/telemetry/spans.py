@@ -169,6 +169,8 @@ class Telemetry:
         self._global: list[SpanContext] = []
         #: Durable bindings: entity uid -> context (task lifecycles).
         self._bindings: dict[str, SpanContext] = {}
+        #: Span name -> the one copy of it this hub's spans share.
+        self._names: dict[str, str] = {}
         # Bookkeeping the property tests pin down.
         self.spans_started = 0
         self.spans_closed = 0
@@ -237,7 +239,9 @@ class Telemetry:
         ``parent=None`` adopts the ambient context; with no ambient
         context either, the span roots a fresh trace.  ``activate``
         pushes the span's context onto the current ambient stack so
-        nested spans (and spawned processes) parent into it.
+        nested spans (and spawned processes) parent into it.  Spans of
+        one hub share one copy of each name: callers build names such
+        as ``f"rpc.serve:{method}"`` anew on every call.
         """
         if not self.enabled:
             return None
@@ -257,7 +261,7 @@ class Telemetry:
             trace_id=trace_id,
             span_id=self._next_span,
             parent_id=parent_id,
-            name=name,
+            name=self._names.setdefault(name, name),
             component=component,
             start=self.env.now,
             attributes=attributes,

@@ -17,7 +17,10 @@ that keeps a plain list of edge ids per node.
 Random interleavings of appends and queries (backward-in-time edges,
 self-loops, cycles and orphans included) must give the same in/out
 edges in the same order, the same Kahn order, the same reachable sets
-and the same validator findings, word for word.
+and the same validator findings, word for word.  Random rooted graphs,
+valid or broken by a back edge, a self-loop or an orphan, check that
+the validator's acyclic and reachable findings agree with
+``topo_order`` and ``reachable_from``.
 """
 
 from __future__ import annotations
@@ -311,3 +314,59 @@ def test_columns_and_csr_match_naive_reference(ops):
     assert [(e.src, e.dst, e.kind) for e in graph.edges] == ref.edges
     assert graph.event_counts() == dict(sorted(Counter(k for k, _t, _l in ref.events).items()))
     assert graph.edge_counts() == dict(sorted(Counter(k for _s, _d, k in ref.edges).items()))
+
+
+@st.composite
+def rooted_graphs(draw):
+    """(event times, edges, task event ids): event 0 is the root and
+    every other event has an in-edge from an earlier one, plus extra
+    forward edges; then maybe back edges, self-loops and orphan events,
+    each of which may break acyclicity, single-rootedness or reach."""
+    n = draw(st.integers(min_value=1, max_value=25))
+    times = draw(st.lists(TIMES, min_size=n, max_size=n))
+    edges = [(draw(st.integers(min_value=0, max_value=i - 1)), i) for i in range(1, n)]
+    for a, b in draw(st.lists(st.tuples(NODE, NODE), max_size=15)):
+        lo, hi = sorted((a % n, b % n))
+        if lo < hi:
+            edges.append((lo, hi))
+    for a, b in draw(st.lists(st.tuples(NODE, NODE), max_size=2)):
+        lo, hi = sorted((a % n, b % n))
+        edges.append((hi, lo))  # a back edge; a self-loop when lo == hi
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        orphan = len(times)
+        times.append(draw(TIMES))
+        for target in draw(st.lists(NODE, max_size=2)):
+            edges.append((orphan, target % orphan))
+    tasks = draw(st.lists(st.integers(min_value=0, max_value=len(times) - 1), max_size=3))
+    return times, edges, tasks
+
+
+@settings(max_examples=300, deadline=None)
+@given(shape=rooted_graphs())
+def test_validator_agrees_with_topo_order_and_reachability(shape):
+    times, edges, tasks = shape
+    graph, ref = ProvGraph(), ReferenceGraph()
+    for eid, t in enumerate(times):
+        graph.add_event("span.start", t, f"e{eid}")
+        ref.add_event("span.start", t, f"e{eid}")
+    for src, dst in edges:
+        graph.add_edge(src, dst, "program")
+        ref.add_edge(src, dst, "program")
+    graph.root = graph.event(0)
+    for eid in tasks:
+        graph.task_events[f"task.{eid}"] = (graph.event(eid), graph.event(eid))
+
+    violations = validate_graph(graph)
+    rules = [v.rule for v in violations]
+    order = graph.topo_order()
+    reachable = graph.reachable_from(graph.root)
+    assert order == ref.topo_order()
+    assert reachable == ref.reachable_from(0)
+    assert ("acyclic" in rules) == (order is None)
+    rootless = [eid for eid, d in enumerate(graph.in_degrees()) if d == 0]
+    assert ("single-root" in rules) == (rootless != [0])
+    lost = len(reachable) < len(graph) or any(eid not in reachable for eid in tasks)
+    assert ("reachable" in rules) == lost
+    assert [(v.rule, v.detail) for v in violations] == ref.violations(
+        0, {f"task.{eid}": eid for eid in tasks}
+    )

@@ -155,19 +155,37 @@ def test_chain_components_excludes_run_track():
 def test_resolve_target_forms():
     g = ProvGraph()
     g.root = g.add_event("run.start", 0.0, "run")
-    s = g.add_event("span.start", 1.0, "rp-client:task:task.000007", ref="12")
-    e = g.add_event("span.end", 4.0, "rp-client:task:task.000007", ref="12")
+    first = g.append_span(12, 1.0, 4.0, "rp-client:task:task.000007")
+    s, e = g.event(first), g.event(first + 1)
     g.end = g.add_event("run.end", 5.0, "run")
     g.add_edge(g.root, s, "run")
-    g.add_edge(s, e, "span")
     g.add_edge(e, g.end, "run")
-    g.span_events[12] = (s, e)
     g.task_events["task.000007"] = (s, e)
+    assert g.span_events[12] == (s, e)
+    assert (s.ref, e.ref, s.kind, e.kind) == ("12", "12", "span.start", "span.end")
     assert resolve_target(g, "run") is g.end
     assert resolve_target(g, "task.000007") is e
-    assert resolve_target(g, "12") is e
-    assert resolve_target(g, "task:task.0000") is e
+    assert resolve_target(g, "12") == e
+    assert resolve_target(g, "task:task.0000") == e
     assert resolve_target(g, "no-such-thing") is None
+
+
+def test_append_span_keeps_rising_ids_with_gaps():
+    g = ProvGraph()
+    ids = (3, 7, 20)
+    starts = [g.append_span(i, float(i), i + 1.0, f"c:s{i}", "c") for i in ids]
+    last = g.append_span(21, 5.0, 9.0, "c:open", "c", still_open=True)
+    assert list(g.span_events) == [*ids, 21]
+    for span_id, start in zip(ids, starts):
+        assert g.span_events[span_id] == (g.event(start), g.event(start + 1))
+        assert g.event(start + 1).ref == str(span_id)
+    assert (dict(g.event(last).attrs), dict(g.event(last + 1).attrs)) == ({}, {"open": True})
+    for missing in (0, 4, 19, 22):
+        assert missing not in g.span_events
+    for bad in (21, 19, -1):
+        with pytest.raises(ValueError):
+            g.append_span(bad, 0.0, 1.0, "c:late")
+    assert (len(g), len(g.span_events), g.edge_counts()) == (8, 4, {"span": 4})
 
 
 def test_validators_pass_on_well_formed_graph():

@@ -139,6 +139,15 @@ def test_bad_arguments_exit_2_with_one_line(capsys, argv, option):
     assert f"usage: repro {argv[0]}" in err
 
 
+def test_why_without_a_match_names_every_target_form(capsys):
+    assert main(["why", "no-such-span", "--experiment", "ddmd-adaptive"]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("why: no event matches 'no-such-span'; try 'run', ")
+    assert "a task uid (task.000000, " in line
+    assert "a span id (1-" in line
+    assert "a span label substring" in line
+
+
 def test_facility_json_with_chaos(capsys):
     import json
 
