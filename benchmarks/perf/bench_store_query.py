@@ -12,6 +12,13 @@ the legacy algorithm (global time bisect + linear ``record.source``
 filter) on identical stores, and asserts the two return identical
 records — the speedup is only meaningful if the answers agree.
 
+A second case appends the same hardware-monitor samples once as rows
+(the hardware monitor's ``PROC_SAMPLE`` schema) and once as trees built
+path by path, asserts that every record's ``nbytes`` and
+``data.to_json()`` agree across the two forms, and reports the
+per-record append (size + serialize) and rebuild (``record.data``)
+times of each, in microseconds.
+
 Usage::
 
     PYTHONPATH=src python benchmarks/perf/bench_store_query.py
@@ -33,6 +40,7 @@ import sys
 import time
 
 from repro.conduit import Node
+from repro.monitors.hardware_monitor import PROC_SAMPLE
 from repro.soma.storage import NamespaceStore
 from repro.sweep.cache import atomic_write_text
 
@@ -155,16 +163,74 @@ def store_query(sources: int, per_source: int, queries: int) -> dict:
     }
 
 
+def _hardware_samples(count: int, hosts: int) -> list[list]:
+    """``count`` one-row hardware samples, round-robin over ``hosts``."""
+    samples = []
+    for i in range(count):
+        at = 30.0 * (i // hosts) + (i % hosts) * 0.37
+        values = (
+            round(at + 120.0, 3),
+            i % 7,
+            round(512000.0 - i * 3.7, 1),
+            (round(i * 41.3, 1), round(i * 0.7, 1)),
+            42,
+            round(i * 5.5, 3),
+            round((i % 10) / 10, 4),
+            round((i % 4) / 4, 4),
+        )
+        samples.append([(PROC_SAMPLE, f"cn{i % hosts:04d}/{at:.6f}", values)])
+    return samples
+
+
+def _tree_of(rows: list) -> Node:
+    """The tree a publisher without rows builds, path by path."""
+    tree = Node()
+    for schema, key, values in rows:
+        for leaf, value in zip(schema.leaves, values):
+            tree[f"{schema.head}/{key}/{leaf}"] = value
+    return tree
+
+
+def _append_all(payloads: list, hosts: int) -> NamespaceStore:
+    store = NamespaceStore("hardware")
+    for i, payload in enumerate(payloads):
+        store.append(float(i), f"hwmon@cn{i % hosts:04d}", payload)
+    return store
+
+
+def row_records(count: int, hosts: int) -> dict:
+    """Rows against trees for the same samples: append and rebuild."""
+    rows = _hardware_samples(count, hosts)
+    trees = [_tree_of(sample) for sample in rows]
+    result: dict = {"records": count, "hosts": hosts}
+    stores = {}
+    for form, payloads in (("rows", rows), ("trees", trees)):
+        append_s, store = best_of(lambda: _append_all(payloads, hosts))
+        rebuild_s, _ = best_of(lambda: [record.data for record in store])
+        stores[form] = store
+        result[form] = {
+            "append_us": append_s / count * 1e6,
+            "rebuild_us": rebuild_s / count * 1e6,
+        }
+    for as_rows, as_tree in zip(stores["rows"], stores["trees"]):
+        assert as_rows.nbytes == as_tree.nbytes, (as_rows, as_tree)
+        assert as_rows.data.to_json() == as_tree.data.to_json(), (as_rows, as_tree)
+    result["identical"] = True
+    return result
+
+
 def run_all(quick: bool = False) -> dict:
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
         if quick:
             bench = store_query(sources=16, per_source=400, queries=400)
+            rows = row_records(count=2_000, hosts=16)
         else:
             # A Scaling-A-sized deployment: 64 hardware monitors
             # publishing for a long run.
             bench = store_query(sources=64, per_source=4_000, queries=2_000)
+            rows = row_records(count=20_000, hosts=64)
     finally:
         if gc_was_enabled:
             gc.enable()
@@ -173,7 +239,7 @@ def run_all(quick: bool = False) -> dict:
         "schema": 1,
         "quick": quick,
         "python": sys.version.split()[0],
-        "benches": {"store_source_query": bench},
+        "benches": {"store_source_query": bench, "store_row_records": rows},
     }
 
 
@@ -209,6 +275,15 @@ def main(argv: list[str] | None = None) -> int:
         f"indexed {bench['indexed']['seconds'] * 1e3:7.1f} ms   "
         f"speedup {bench['speedup']:.2f}x   "
         f"equivalent={bench['equivalent']}"
+    )
+    rows = results["benches"]["store_row_records"]
+    print(
+        f"store_row_records {rows['records']:,} hardware samples   "
+        f"append rows {rows['rows']['append_us']:.2f} us / "
+        f"trees {rows['trees']['append_us']:.2f} us   "
+        f"rebuild rows {rows['rows']['rebuild_us']:.2f} us / "
+        f"trees {rows['trees']['rebuild_us']:.2f} us   "
+        f"identical={rows['identical']}"
     )
     print(f"results written to {args.out}")
     return 0

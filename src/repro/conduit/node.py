@@ -527,13 +527,19 @@ def _same(a: Any, b: Any) -> bool:
 
 
 def _value_nbytes(value: Any) -> int:
-    """Serialized size of one leaf value (see :meth:`Node.nbytes`)."""
+    """Serialized size of one leaf value (see :meth:`Node.nbytes`).
+
+    A list leaf may come as a tuple (a row's values hold one so).
+    """
+    kind = type(value)
+    if kind is float or kind is int:
+        return 8
     if isinstance(value, (str, bytes)):
         return len(value)
     if isinstance(value, bool) or value is None:
         return 1
     if isinstance(value, (int, float)):
         return 8
-    if isinstance(value, list):
+    if isinstance(value, (list, tuple)):
         return 8 * len(value)
     return 0

@@ -12,7 +12,8 @@ many-task regime) publishing into one sharded deployment:
 * one *tenant* per pilot: a bag-of-tasks engine (``concurrency``
   workers draining ``tasks_per_pilot`` task durations drawn from the
   OpenFOAM/DDMD workload scales) plus a monitor process publishing a
-  batched sample tree per monitoring period;
+  batched sample per monitoring period, one row per namespace
+  (``RP/<tenant>/...`` and ``TAU/<tenant>/...``);
 * the PR 1 degradation contract, generalized: task workers never touch
   the monitoring path, so a shard outage or an admission rejection can
   cost *samples* (recorded as gaps) but never *task time*.  The
@@ -30,7 +31,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Generator, Iterator
 
-from ..conduit import Node as ConduitNode
+from ..conduit.rows import Schema
 from ..faults.injector import FaultInjector
 from ..faults.plan import FaultPlan
 from ..platform import summit_like
@@ -118,6 +119,11 @@ class FacilitySpec:
 
     def tenants(self) -> tuple[str, ...]:
         return tuple(f"t{i:03d}" for i in range(self.pilots))
+
+
+#: A pilot's batch, keyed by tenant, in each namespace it publishes to.
+_RP_BATCH = Schema("RP", ("completed", "batch", "last_finish"))
+_TAU_BATCH = Schema("TAU", ("batch_task_seconds", "batch_tasks"))
 
 
 #: Mean task durations per workload family, seconds.  OpenFOAM: the
@@ -252,17 +258,15 @@ def _flush(
     if not batch:
         return
     state.pending_samples = []
-    base = f"RP/{state.tenant}"
-    tree = ConduitNode()
-    tree[f"{base}/completed"] = state.completed
-    tree[f"{base}/batch"] = len(batch)
-    tree[f"{base}/last_finish"] = batch[-1][0]
-    perf = ConduitNode()
+    tenant = state.tenant
     total = sum(duration for _, duration in batch)
-    perf[f"TAU/{state.tenant}/batch_task_seconds"] = total
-    perf[f"TAU/{state.tenant}/batch_tasks"] = len(batch)
+    rp = (state.completed, len(batch), batch[-1][0])
+    payloads = (
+        (WORKFLOW, [(_RP_BATCH, tenant, rp)]),
+        (PERFORMANCE, [(_TAU_BATCH, tenant, (total, len(batch)))]),
+    )
     published_all = True
-    for namespace, payload in ((WORKFLOW, tree), (PERFORMANCE, perf)):
+    for namespace, payload in payloads:
         if namespace not in spec.namespaces:
             continue
         ok = yield from client.publish(namespace, payload)

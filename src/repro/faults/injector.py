@@ -270,13 +270,14 @@ class FaultInjector:
         """Synthetic-tenant overload: hammer one shard's ingest path.
 
         A raw RPC client (tenant-stamped, no retry) publishes tiny
-        trees round-robin over the shard's namespace servers at
+        samples (one ``FLOOD/<tenant>/seq`` row each) round-robin over
+        the shard's namespace servers at
         ``event.rate`` publishes/s until the window closes.  Refusals
         (admission or outage) are expected — they're the point — so
         they only increment counters; :class:`~repro.sim.core.Interrupt`
         still propagates.
         """
-        from ..conduit import Node as ConduitNode
+        from ..conduit.rows import Schema
         from ..messaging.protocol import RPCError
         from ..messaging.rpc import RPCClient
 
@@ -295,15 +296,18 @@ class FaultInjector:
         )
         deadline = self.env.now + (event.duration or 0.0)
         period = 1.0 / event.rate
+        schema = Schema("FLOOD", ("seq",))
         sent = 0
         while self.env.now < deadline:
             server = servers[sent % len(servers)]
-            tree = ConduitNode()
-            tree[f"FLOOD/{tenant}/seq"] = sent
+            values = (sent,)
             sent += 1
             try:
                 yield from client.call(
-                    server, "publish", body=tree, payload_bytes=tree.nbytes()
+                    server,
+                    "publish",
+                    body=[(schema, tenant, values)],
+                    payload_bytes=schema.nbytes(tenant, values),
                 )
             except RPCError:
                 # Refusals (admission or outage) are the point of the

@@ -2,14 +2,13 @@
 
 from .hardware_monitor import HardwareMonitorModel, hardware_monitor_descriptions
 from .rp_monitor import RPMonitorModel, rp_monitor_description, summarize_profile
-from .tau import TAUWrappedModel, profiles_to_conduit
+from .tau import TAUWrappedModel
 
 __all__ = [
     "HardwareMonitorModel",
     "RPMonitorModel",
     "TAUWrappedModel",
     "hardware_monitor_descriptions",
-    "profiles_to_conduit",
     "rp_monitor_description",
     "summarize_profile",
 ]

@@ -7,14 +7,17 @@ can be scheduled on reserved cores on each compute node".
 
 Each sample: read the synthetic /proc, compute the interval CPU
 utilization online (delta of cumulative jiffies), pay the CPU cost of
-the read+serialize on the local node, and publish the Conduit tree to
-the *hardware* namespace instance.
+the read+serialize on the local node, and publish it to the *hardware*
+namespace instance.  Every sample has Listing 2's leaves, so it goes as
+one row against :data:`PROC_SAMPLE`: the tree a reader gets back is
+``PROC/<host>/<timestamp>/...``, with no tree built on the way.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from ..conduit.rows import Schema
 from ..rp.description import TaskDescription, TaskMode
 from ..rp.model import ExecutionContext, ServiceModel, TaskResult
 from ..sim.core import Interrupt
@@ -30,6 +33,22 @@ __all__ = ["HardwareMonitorModel", "hardware_monitor_descriptions"]
 
 #: CPU seconds consumed per sample by the /proc read + serialization.
 SAMPLE_CPU_COST = 0.04
+
+#: One sample under ``PROC/<host>/<timestamp:.6f>``: what /proc shows
+#: (Listing 2), then the utilizations the client computes online.
+PROC_SAMPLE = Schema(
+    "PROC",
+    (
+        "Uptime",
+        "Num Processes",
+        "Available RAM",
+        "stat/cpu",
+        "stat/ncores",
+        "gpu/busy_seconds",
+        "cpu_utilization",
+        "gpu_utilization",
+    ),
+)
 
 
 class HardwareMonitorModel(ServiceModel):
@@ -81,16 +100,26 @@ class HardwareMonitorModel(ServiceModel):
                     prev, prev_time = snap, snap.timestamp
                     prev_gpu_busy = snap.gpu_busy_seconds
                     self.samples += 1
-                    # The cost of reading /proc + building the Conduit
-                    # tree is real CPU on this node (reserved core +
+                    # The cost of reading /proc + serializing the
+                    # sample is real CPU on this node (reserved core +
                     # mem traffic).
                     act = node.inject_jitter(cpu_seconds=SAMPLE_CPU_COST)
                     yield act.done
-                    tree = snap.to_conduit()
-                    sample = tree.fetch(snap.path)
-                    sample["cpu_utilization"] = round(util, 4)
-                    sample["gpu_utilization"] = round(gpu_util, 4)
-                    yield from self.client.publish(HARDWARE, tree)
+                    busy = snap.cpu_busy_jiffies
+                    values = (
+                        round(snap.uptime, 3),
+                        snap.num_processes,
+                        round(snap.available_ram_mib, 1),
+                        (round(busy, 1), round(snap.cpu_total_jiffies - busy, 1)),
+                        snap.ncores,
+                        round(snap.gpu_busy_seconds, 3),
+                        round(util, 4),
+                        round(gpu_util, 4),
+                    )
+                    key = f"{snap.hostname}/{snap.timestamp:.6f}"
+                    yield from self.client.publish(
+                        HARDWARE, [(PROC_SAMPLE, key, values)]
+                    )
         except Interrupt:
             pass
         return TaskResult(exit_code=0)

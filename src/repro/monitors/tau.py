@@ -12,13 +12,19 @@ wraps another task model, adds a small sampling overhead, and at task
 end publishes the model's per-rank profiles — tagged with hostname and
 task identifier, the two additions the paper made for heterogeneous
 workflows — to the *performance* namespace.
+
+Each rank's profile is one row (:mod:`repro.conduit.rows`) under
+``TAU/<task uid>/<host>/rank<rank:05d>``, its leaves the profile's
+region names: a reader gets back the tree of every rank, merged under
+the task and host.  Ranks with the same regions share one schema per
+publish.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from ..conduit import Node as ConduitNode
+from ..conduit.rows import Row, Schema
 from ..rp.model import ExecutionContext, RankProfile, TaskModel, TaskResult
 from ..soma.namespaces import PERFORMANCE
 
@@ -26,29 +32,37 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..rp.session import Session
     from ..soma.service import SomaConfig
 
-__all__ = ["TAUWrappedModel", "profiles_to_conduit"]
+__all__ = ["TAUWrappedModel", "profile_rows"]
 
 #: Fractional runtime overhead of tau_exec sampling (well under the
 #: few-percent TAU reports for sampling mode).
 SAMPLING_OVERHEAD = 0.015
 
 
-def profiles_to_conduit(
-    task_uid: str, profiles: list[RankProfile]
-) -> ConduitNode:
-    """Per-rank TAU profile tree, tagged with hostname and task id.
+def profile_rows(task_uid: str, profiles: list[RankProfile]) -> list[Row]:
+    """Per-rank TAU profile rows, tagged with hostname and task id.
 
     The hostname tag and task identifier "allow for properly attributing
     the TAU profile to the correct heterogeneous workflow tasks".
     """
-    tree = ConduitNode()
+    schemas: dict[tuple[str, ...], Schema] = {}
+    rows: list[Row] = []
     for profile in profiles:
-        if not profile.seconds_by_region:
+        regions = profile.seconds_by_region
+        if not regions:
             continue  # no leaves, so no (empty) rank node either
-        rank = tree.fetch(f"TAU/{task_uid}/{profile.hostname}/rank{profile.rank:05d}")
-        for region, seconds in profile.seconds_by_region.items():
-            rank[region] = round(seconds, 6)
-    return tree
+        names = tuple(regions)
+        schema = schemas.get(names)
+        if schema is None:
+            schema = schemas[names] = Schema("TAU", names)
+        rows.append(
+            (
+                schema,
+                f"{task_uid}/{profile.hostname}/rank{profile.rank:05d}",
+                tuple([round(seconds, 6) for seconds in regions.values()]),
+            )
+        )
+    return rows
 
 
 class TAUWrappedModel(TaskModel):
@@ -81,6 +95,6 @@ class TAUWrappedModel(TaskModel):
             client = self.config.make_client(
                 self.session, name=f"tau@{ctx.task.uid}", node=None
             )
-            tree = profiles_to_conduit(ctx.task.uid, result.rank_profiles)
-            yield from client.publish(PERFORMANCE, tree)
+            rows = profile_rows(ctx.task.uid, result.rank_profiles)
+            yield from client.publish(PERFORMANCE, rows)
         return result

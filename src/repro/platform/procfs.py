@@ -5,12 +5,13 @@ The SOMA hardware monitoring client of the paper periodically reads
 per-CPU jiffy counters in ``/proc/stat``.  This module synthesizes the
 same counters from the node's meters, so the monitor observes exactly
 what a real /proc reader would: *cumulative* values from which interval
-utilization has to be computed by differencing.
+utilization has to be computed by differencing.  A snapshot is plain
+data; the hardware monitor publishes it as one row of Listing 2's
+sample schema (:data:`repro.monitors.hardware_monitor.PROC_SAMPLE`).
 """
 
 from __future__ import annotations
 
-from ..conduit import Node as ConduitNode
 from .node import Node
 
 __all__ = ["ProcFS", "ProcSnapshot"]
@@ -71,27 +72,6 @@ class ProcSnapshot:
         if d_total <= 0:
             return 0.0
         return max(0.0, min(1.0, d_busy / d_total))
-
-    @property
-    def path(self) -> str:
-        """Where this sample lives in the hardware namespace tree."""
-        return f"PROC/{self.hostname}/{self.timestamp:.6f}"
-
-    def to_conduit(self) -> ConduitNode:
-        """Render as the Conduit tree of Listing 2."""
-        root = ConduitNode()
-        sample = root.fetch(self.path)
-        sample["Uptime"] = round(self.uptime, 3)
-        sample["Num Processes"] = self.num_processes
-        sample["Available RAM"] = round(self.available_ram_mib, 1)
-        stat = sample.fetch("stat")
-        stat["cpu"] = [
-            round(self.cpu_busy_jiffies, 1),
-            round(self.cpu_total_jiffies - self.cpu_busy_jiffies, 1),
-        ]
-        stat["ncores"] = self.ncores
-        sample["gpu/busy_seconds"] = round(self.gpu_busy_seconds, 3)
-        return root
 
 
 class ProcFS:

@@ -15,9 +15,18 @@ under its :class:`~repro.faults.RetryPolicy` (if one is configured),
 then *drops the sample* and records the start of an observability gap.
 The first successful publish after a gap emits a ``soma.gap`` trace
 record with the gap's extent, and the client folds its own health
-counters (drops, retries, gap seconds) into the next published tree
+counters (drops, retries, gap seconds) into the next published sample
 under ``SOMA/health/<client>/`` so the gap is visible in the monitoring
 data itself, not only in client-side state.
+
+Payloads
+--------
+A sample is a Conduit tree, or rows against a declared schema
+(:mod:`repro.conduit.rows`) for a source whose every sample has the
+same leaves.  The client sizes it once, for the wire and the store: a
+tree by walking it, rows from each schema's path bytes, the key and the
+values.  The health annotation goes after a sample's rows as rows of
+its own, on a new list.
 """
 
 from __future__ import annotations
@@ -25,6 +34,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Generator
 
 from ..conduit import Node as ConduitNode
+from ..conduit.rows import Row, Schema, rows_nbytes
 from ..messaging.protocol import AdmissionRejected
 from ..messaging.rpc import RPCClient, RPCError, RPCServer
 from ..sim.core import Event
@@ -36,6 +46,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..rp.session import Session
 
 __all__ = ["SomaClient"]
+
+#: The health annotation: ``SOMA/health/<client>/...`` and, per refused
+#: namespace in "summarize" mode, ``SOMA/degraded/<client>/<ns>/...``.
+_HEALTH = Schema("SOMA/health", ("dropped", "retries", "gap_seconds"))
+_DEGRADED = Schema("SOMA/degraded", ("samples", "bytes"))
 
 
 class SomaClient:
@@ -115,9 +130,10 @@ class SomaClient:
     # -- the monitoring API -----------------------------------------------------
 
     def publish(
-        self, namespace: str, data: ConduitNode
+        self, namespace: str, data: "ConduitNode | list[Row]"
     ) -> Generator[Event, None, bool]:
-        """Publish a Conduit tree to a namespace instance (blocking RPC).
+        """Publish a Conduit tree, or rows, to a namespace instance
+        (blocking RPC).
 
         Returns True on success; False if the sample was dropped after
         the retry policy gave up (the client surfaces the failure but
@@ -125,9 +141,9 @@ class SomaClient:
         """
         server = yield from self.connect(namespace)
         data = self._annotate_health(data)
-        # The one size walk of this sample: it is charged on the wire
-        # and carried to the store in the request's payload_bytes.
-        nbytes = data.nbytes()
+        # The one sizing of this sample: it is charged on the wire and
+        # carried to the store in the request's payload_bytes.
+        nbytes = rows_nbytes(data) if type(data) is list else data.nbytes()
         with self.session.telemetry.span(
             f"soma.publish:{namespace}",
             component="soma-client",
@@ -216,32 +232,43 @@ class SomaClient:
             seconds=extent,
         )
 
-    def _annotate_health(self, data: ConduitNode) -> ConduitNode:
-        """The tree to publish: ``data`` with client health folded in.
+    def _annotate_health(
+        self, data: "ConduitNode | list[Row]"
+    ) -> "ConduitNode | list[Row]":
+        """The sample to publish: ``data`` with client health folded in.
 
         Only once something has gone wrong: a healthy client publishes
         byte-identical payloads with or without fault injection wired
         in, which is what the determinism regression pins down.  The
-        annotation goes on a copy, so the caller's tree stays as the
-        caller built it (a store keeps a serialized snapshot, which
-        nothing changes after the publish).
+        annotation goes on a new list of rows, or on a copy of a tree,
+        so the caller's sample stays as the caller built it (a store
+        keeps a serialized snapshot, which nothing changes after the
+        publish).
         """
         if self.dropped == 0 and self._rpc.retries == 0:
             return data
-        data = data.copy()
-        prefix = f"SOMA/health/{self.name}"
-        data[f"{prefix}/dropped"] = self.dropped
-        data[f"{prefix}/retries"] = self._rpc.retries
-        data[f"{prefix}/gap_seconds"] = self.gap_seconds
+        health: list[Row] = [
+            (_HEALTH, self.name, (self.dropped, self._rpc.retries, self.gap_seconds))
+        ]
         if self.degrade == "summarize" and self._degraded:
             # Cumulative summaries of refused samples, so the gap's
             # *content* (how much data was shed, not just for how long)
             # survives in the monitoring record itself.
             for namespace in sorted(self._degraded):
                 summary = self._degraded[namespace]
-                base = f"SOMA/degraded/{self.name}/{namespace}"
-                data[f"{base}/samples"] = int(summary["samples"])
-                data[f"{base}/bytes"] = summary["bytes"]
+                health.append(
+                    (
+                        _DEGRADED,
+                        f"{self.name}/{namespace}",
+                        (int(summary["samples"]), summary["bytes"]),
+                    )
+                )
+        if type(data) is list:
+            return data + health
+        data = data.copy()
+        for schema, key, values in health:
+            for leaf, value in zip(schema.leaves, values):
+                data[f"{schema.head}/{key}/{leaf}"] = value
         return data
 
     @property

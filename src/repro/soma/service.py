@@ -259,13 +259,13 @@ class SomaServiceModel(ServiceModel):
     def _make_publish_handler(self, namespace: str, store: NamespaceStore):
         def handle(request: RPCRequest) -> dict[str, Any]:
             data = request.body
-            if not isinstance(data, ConduitNode):
+            if not isinstance(data, (ConduitNode, list)):
                 raise TypeError(
-                    f"publish to {namespace!r} expects a Conduit Node, "
-                    f"got {type(data).__name__}"
+                    f"publish to {namespace!r} expects a Conduit Node or "
+                    f"rows, got {type(data).__name__}"
                 )
-            # The client sized the tree once for the wire; published
-            # trees are never mutated, so that size is the stored one.
+            # The client sized the payload once for the wire; published
+            # payloads are never mutated, so that size is the stored one.
             record = store.append(
                 time=self.session.env.now,
                 source=request.client,

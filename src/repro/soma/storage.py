@@ -4,11 +4,19 @@ Each namespace instance stores the Conduit trees its clients publish,
 keyed by arrival time and source.  Analysis code queries these stores
 online (through the service) or offline (after the run).
 
-At rest a record keeps its tree's pickled
-:meth:`~repro.conduit.Node.to_dict` mirror, one ``bytes`` object, not a
-live tree: a stored record is immutable by construction, its payload
-takes a fraction of the tree's memory, and the cyclic GC never walks
-it.
+A record is kept serialized, one ``bytes`` object, not a live tree: a
+stored record is immutable by construction, its payload takes a
+fraction of the tree's memory, and the cyclic GC never walks it.  The
+payload's type selects the form:
+
+* a tree (the RP monitor, application metrics, offline appends) keeps
+  its pickled :meth:`~repro.conduit.Node.to_dict` mirror;
+* rows (:mod:`repro.conduit.rows`: the hardware and TAU monitors, the
+  facility's batches) keep their pickled ``(schema id, key, values)``
+  tuples against the store's schema table, which holds each distinct
+  schema once.  No tree is built on the write.
+
+Either way, reading ``data`` rebuilds the same tree.
 """
 
 from __future__ import annotations
@@ -19,6 +27,7 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from ..conduit import Node
+from ..conduit.rows import Row, Schema, rows_nbytes, rows_tree
 
 __all__ = ["PublishedRecord", "NamespaceStore"]
 
@@ -45,6 +54,19 @@ class PublishedRecord:
         return Node.from_mirror(pickle.loads(self.blob))
 
 
+@dataclass(frozen=True, slots=True)
+class RowRecord(PublishedRecord):
+    """A record published as rows: ``blob`` holds the pickled
+    ``(schema id, key, values)`` tuples, and ``data`` rebuilds their
+    tree from the store's schema table as it was at the append."""
+
+    schemas: tuple[Schema, ...] = field(repr=False)
+
+    @property
+    def data(self) -> Node:
+        return rows_tree(pickle.loads(self.blob), self.schemas)
+
+
 class NamespaceStore:
     """Append-mostly, time-ordered store for one namespace."""
 
@@ -58,6 +80,11 @@ class NamespaceStore:
         #: exactly the global list filtered to that source.
         self._by_source: dict[str, tuple[list[float], list[PublishedRecord]]] = {}
         self.total_bytes = 0.0
+        #: Schema table of the row records: each distinct schema once,
+        #: its index the id a record's rows carry.  A new schema makes a
+        #: new tuple, so the records before it keep the one they hold.
+        self._schemas: tuple[Schema, ...] = ()
+        self._schema_ids: dict[Schema, int] = {}
         #: Provenance taps (see repro.provenance.builder.watch_store).
         #: Both are plain callables fired synchronously from host code;
         #: None means nobody is watching and costs one attribute check.
@@ -68,24 +95,52 @@ class NamespaceStore:
         return len(self._records)
 
     def append(
-        self, time: float, source: str, data: Node, nbytes: float | None = None
+        self,
+        time: float,
+        source: str,
+        data: "Node | list[Row]",
+        nbytes: float | None = None,
     ) -> PublishedRecord:
-        """Store a snapshot of one published tree.
+        """Store a snapshot of one published tree, or of rows.
 
-        The tree is serialized here, so later changes to ``data`` do not
-        reach the store.  ``nbytes`` is the size the publisher already
-        charged for (the service passes the request's
-        ``payload_bytes``), so a publish walks its tree once.  Offline
-        and test appends leave it out and the tree is sized here.
+        The payload is serialized here, so later changes to ``data`` do
+        not reach the store.  ``nbytes`` is the size the publisher
+        already charged for (the service passes the request's
+        ``payload_bytes``), so a publish is sized once.  Offline and
+        test appends leave it out and the payload is sized here.
         """
-        if nbytes is None:
-            nbytes = data.nbytes()
-        record = PublishedRecord(
-            time=time,
-            source=source,
-            blob=pickle.dumps(data.to_dict(), 5),
-            nbytes=nbytes,
-        )
+        if type(data) is list:
+            if nbytes is None:
+                nbytes = rows_nbytes(data)
+            ids = self._schema_ids
+            packed = []
+            # A publish's rows mostly share one schema (a TAU task's
+            # ranks): look each distinct one up once.
+            last = sid = None
+            for schema, key, values in data:
+                if schema is not last:
+                    sid = ids.get(schema)
+                    if sid is None:
+                        sid = ids[schema] = len(self._schemas)
+                        self._schemas += (schema,)
+                    last = schema
+                packed.append((sid, key, values))
+            record: PublishedRecord = RowRecord(
+                time=time,
+                source=source,
+                blob=pickle.dumps(packed, 5),
+                nbytes=nbytes,
+                schemas=self._schemas,
+            )
+        else:
+            if nbytes is None:
+                nbytes = data.nbytes()
+            record = PublishedRecord(
+                time=time,
+                source=source,
+                blob=pickle.dumps(data.to_dict(), 5),
+                nbytes=nbytes,
+            )
         # Publishes arrive in RPC-completion order, which is time order
         # within one environment; insort keeps us safe regardless.
         if self._times and time < self._times[-1]:

@@ -222,14 +222,17 @@ class OpenFOAMTaskModel(TaskModel):
         MPI_Waitall for the stragglers), which is exactly the Fig 5
         pattern: total time per rank is flat, the split shifts.
         """
-        rng = ctx.rng
         profiles: list[RankProfile] = []
         mult = multipliers / multipliers.max()
-        for (rank, placement), m in zip(ctx.rank_map(), mult):
+        rank_map = ctx.rank_map()
+        # Split wait across MPI calls; recv/waitall dominate.  One call
+        # draws every rank's shares: numpy draws the rows in order, so
+        # the values and the stream's state after are those of one call
+        # per rank (nothing else draws from ctx.rng in between).
+        draws = ctx.rng.dirichlet((6.0, 5.0, 1.4, 0.9), size=len(rank_map))
+        for (rank, placement), m, shares in zip(rank_map, mult, draws):
             compute = compute_elapsed * float(m)
             wait = compute_elapsed * float(1.0 - m) + comm_elapsed
-            # Split wait across MPI calls; recv/waitall dominate.
-            shares = rng.dirichlet((6.0, 5.0, 1.4, 0.9))
             regions: dict[str, float] = {}
             for (region, share) in self.COMPUTE_REGIONS:
                 regions[region] = compute * share

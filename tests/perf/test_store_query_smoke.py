@@ -36,6 +36,10 @@ def test_quick_bench_schema_equivalence_and_speedup():
     assert bench["legacy"]["matched"] == bench["indexed"]["matched"]
     # Full-scale runs measure >10x; CI floor is deliberately loose.
     assert bench["speedup"] >= 2.0
+    rows = results["benches"]["store_row_records"]
+    assert rows["identical"] is True
+    for form in ("rows", "trees"):
+        assert rows[form]["append_us"] > 0 and rows[form]["rebuild_us"] > 0
 
 
 def test_legacy_replica_matches_on_out_of_order_appends():

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.platform import Cluster, summit_like
+from repro.rp import Client, PilotDescription, Session
+from repro.soma import HARDWARE, SomaConfig, deploy_soma
 
 
 @pytest.fixture
@@ -58,16 +60,49 @@ def test_utilization_bounded(env, cluster):
     assert 0.0 <= snap.utilization_since(None) <= 1.0
 
 
-def test_to_conduit_tree_shape(env, cluster):
-    node = cluster.nodes[0]
-    env.run(until=30)
-    snap = cluster.procfs(node).read()
-    tree = snap.to_conduit()
-    base = f"PROC/{node.name}/{snap.timestamp:.6f}"
-    assert f"{base}/Uptime" in tree
-    assert f"{base}/Num Processes" in tree
-    assert f"{base}/Available RAM" in tree
-    assert tree[f"{base}/stat/ncores"] == 42
+def test_stored_sample_tree_shape():
+    """The hardware monitor's stored record is Listing 2's tree."""
+    session = Session(cluster_spec=summit_like(3), seed=3)
+    client = Client(session)
+    env = session.env
+    config = SomaConfig(
+        namespaces=(HARDWARE,), monitors=("proc",), monitoring_frequency=30.0
+    )
+
+    def main(env):
+        pilot = yield from client.submit_pilot(PilotDescription(nodes=1, agent_nodes=1))
+        deployment = yield from deploy_soma(client, pilot, config)
+        yield env.timeout(100.0)
+        return pilot, deployment
+
+    pilot, deployment = env.run(env.process(main(env)))
+    client.close()
+    (node,) = pilot.compute_nodes
+    records = deployment.store(HARDWARE).records()
+    assert len(records) >= 2
+    for record in records:
+        tree = record.data
+        (stamp,) = tree[f"PROC/{node.name}"].child_names()
+        assert stamp == f"{float(stamp):.6f}" and float(stamp) <= record.time
+        base = f"PROC/{node.name}/{stamp}"
+        assert tree.paths() == [
+            f"{base}/{leaf}"
+            for leaf in (
+                "Uptime",
+                "Num Processes",
+                "Available RAM",
+                "stat/cpu",
+                "stat/ncores",
+                "gpu/busy_seconds",
+                "cpu_utilization",
+                "gpu_utilization",
+            )
+        ]
+        assert tree[f"{base}/stat/ncores"] == 42
+        busy, idle = tree[f"{base}/stat/cpu"]
+        assert type(tree[f"{base}/stat/cpu"]) is list and busy >= 0 and idle >= 0
+        assert 0.0 <= tree[f"{base}/cpu_utilization"] <= 1.0
+        assert record.nbytes == tree.nbytes()
 
 
 def test_num_processes_counter(env, cluster):

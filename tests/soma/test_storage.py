@@ -6,6 +6,7 @@ import tracemalloc
 import pytest
 
 from repro.conduit import Node
+from repro.monitors.hardware_monitor import PROC_SAMPLE
 from repro.platform import summit_like
 from repro.rp import Client, PilotDescription, Session
 from repro.soma import (
@@ -267,3 +268,45 @@ def test_stored_record_memory_floor():
         tracemalloc.stop()
     assert len(s) == 400 + count and len(names) == 200
     assert retained / count <= 450
+
+
+def hardware_row(host, i):
+    """One hardware monitor sample as it publishes it: one row."""
+    at = 30.0 * i + 0.25
+    values = (
+        round(at + 120.0, 3),
+        i % 7,
+        round(512000.0 - i * 3.7, 1),
+        (round(i * 41.3, 1), round(i * 0.7, 1)),
+        42,
+        round(i * 5.5, 3),
+        round((i % 10) / 10, 4),
+        round((i % 4) / 4, 4),
+    )
+    return [(PROC_SAMPLE, f"{host}/{at:.6f}", values)]
+
+
+def test_row_record_memory_floor():
+    """A hardware-shaped row record retains at most 350 B.
+
+    As a pickled tree mirror the same sample retains about 450 B: the
+    mirror repeats every leaf name, the rows only the key and values.
+    """
+    hosts = [f"cn{k:04d}" for k in range(200)]
+    sources = [f"hwmon@{host}" for host in hosts]
+    s = NamespaceStore("hardware")
+    count = 4000
+    tracemalloc.start()
+    try:
+        for i in range(400):  # warm-up: every source's index, pickle's caches
+            k = i % 200
+            s.append(float(i), sources[k], hardware_row(hosts[k], i))
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(400, 400 + count):
+            k = i % 200
+            s.append(float(i), sources[k], hardware_row(hosts[k], i))
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(s) == 400 + count and len(s._schemas) == 1
+    assert retained / count <= 350
