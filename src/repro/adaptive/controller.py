@@ -34,15 +34,13 @@ class AdaptiveController:
         client: "Client",
         deployment: "SomaDeployment",
         rank_policy: RankTuningPolicy | None = None,
-        training_policy: TrainingParallelismPolicy | None = None,
-        detection_policy: DetectionDrivenPolicy | None = None,
     ) -> None:
         self.client = client
         self.session = client.session
         self.deployment = deployment
         self.rank_policy = rank_policy or RankTuningPolicy()
-        self.training_policy = training_policy or TrainingParallelismPolicy()
-        self.detection_policy = detection_policy or DetectionDrivenPolicy()
+        self.training_policy = TrainingParallelismPolicy()
+        self.detection_policy = DetectionDrivenPolicy()
         #: Log of every decision taken, for post-run inspection.
         self.decisions: list[dict] = []
         self._last_rank_choice: int | None = None
@@ -130,7 +128,7 @@ class AdaptiveController:
         current_period = (
             self.deployment.config.monitoring_frequency
             if self.deployment.enabled
-            else policy.min_monitor_period
+            else policy.MIN_MONITOR_PERIOD
         )
         period = policy.recommend_monitor_period(findings, current_period)
         kinds = tuple(sorted({getattr(f, "kind", f) for f in findings}))

@@ -16,15 +16,22 @@ decisions the paper's results motivate:
 * :class:`UtilizationAwarePlacement` — Sec 4.2 / Fig 8: "prioritizing
   the use of the free CPUs on a node with comparably lower overall CPU
   utilization".
+
+:class:`DetectionDrivenPolicy` steers the same training and monitoring
+decisions from bottleneck findings.  Both training policies model a
+phase's training time with
+:meth:`~repro.workloads.ddmd.DDMDParams.train_gpu_seconds_parallel` at
+the DDMD workload's own costs.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
+
+from ..workloads.ddmd import DDMDParams
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..platform.node import Node
@@ -52,21 +59,17 @@ def _headroom_components(value) -> tuple[float, float]:
     return float(value), 1.0
 
 
-def _modeled_best_workers(
-    limit: int, train_gpu_seconds: float, reduce_seconds: float
-) -> int:
+#: The training costs of every DDMD run the policies steer.
+_TRAINING_COSTS = DDMDParams()
+
+
+def _modeled_best_workers(limit: int, params: DDMDParams) -> int:
     """Training-worker count in ``1..limit`` with the least modeled time.
 
-    The model splits ``train_gpu_seconds`` over the workers and charges
-    a reduce step that grows with ``log2(workers + 1)``; ties keep the
-    smaller count.
+    The time is :meth:`~repro.workloads.ddmd.DDMDParams.train_gpu_seconds_parallel`
+    of ``params``; ties keep the smaller count.
     """
-    best, best_time = 1, train_gpu_seconds
-    for workers in range(2, limit + 1):
-        t = train_gpu_seconds / workers + reduce_seconds * math.log2(workers + 1)
-        if t < best_time:
-            best, best_time = workers, t
-    return best
+    return min(range(1, limit + 1), key=params.train_gpu_seconds_parallel)
 
 
 @dataclass(frozen=True, slots=True)
@@ -133,17 +136,10 @@ class RankTuningPolicy:
 class TrainingParallelismPolicy:
     """Pick the training-task count for the next DDMD phase."""
 
-    def __init__(
-        self,
-        max_workers: int = 6,
-        headroom_threshold: float = 0.5,
-        reduce_seconds: float = 7.0,
-        train_gpu_seconds: float = 260.0,
-    ) -> None:
-        self.max_workers = max_workers
-        self.headroom_threshold = headroom_threshold
-        self.reduce_seconds = reduce_seconds
-        self.train_gpu_seconds = train_gpu_seconds
+    #: Most training workers one phase may use.
+    MAX_WORKERS = 6
+    #: Mean CPU headroom below which training stays serial.
+    HEADROOM_THRESHOLD = 0.5
 
     def recommend(self, headroom: dict, free_gpus: int) -> int:
         """Workers for the next phase's training stage.
@@ -162,13 +158,11 @@ class TrainingParallelismPolicy:
         components = [_headroom_components(v) for v in headroom.values()]
         cpu = float(np.mean([c for c, _ in components]))
         gpu = float(np.mean([g for _, g in components]))
-        if cpu < self.headroom_threshold:
+        if cpu < self.HEADROOM_THRESHOLD:
             return 1
         budget = int(free_gpus * min(1.0, gpu) + 1e-9)
-        limit = max(1, min(self.max_workers, budget))
-        return _modeled_best_workers(
-            limit, self.train_gpu_seconds, self.reduce_seconds
-        )
+        limit = max(1, min(self.MAX_WORKERS, budget))
+        return _modeled_best_workers(limit, _TRAINING_COSTS)
 
 
 class DetectionDrivenPolicy:
@@ -186,19 +180,11 @@ class DetectionDrivenPolicy:
     headroom average to clear a threshold.
     """
 
-    def __init__(
-        self,
-        max_workers: int = 6,
-        reduce_seconds: float = 7.0,
-        train_gpu_seconds: float = 260.0,
-        min_monitor_period: float = 10.0,
-        max_monitor_period: float = 240.0,
-    ) -> None:
-        self.max_workers = max_workers
-        self.reduce_seconds = reduce_seconds
-        self.train_gpu_seconds = train_gpu_seconds
-        self.min_monitor_period = min_monitor_period
-        self.max_monitor_period = max_monitor_period
+    #: Most training workers one phase may use.
+    MAX_WORKERS = 6
+    #: Bounds of the SOMA monitoring period, in seconds.
+    MIN_MONITOR_PERIOD = 10.0
+    MAX_MONITOR_PERIOD = 240.0
 
     @staticmethod
     def _kinds(findings) -> set[str]:
@@ -215,10 +201,8 @@ class DetectionDrivenPolicy:
         kinds = self._kinds(findings)
         if "cpu_oversubscription" in kinds or "scheduler_starvation" in kinds:
             return 1
-        limit = max(1, min(self.max_workers, int(free_gpus)))
-        return _modeled_best_workers(
-            limit, self.train_gpu_seconds, self.reduce_seconds
-        )
+        limit = max(1, min(self.MAX_WORKERS, int(free_gpus)))
+        return _modeled_best_workers(limit, _TRAINING_COSTS)
 
     def recommend_monitor_period(self, findings, current: float) -> float:
         """Monitoring period given current findings.
@@ -226,9 +210,9 @@ class DetectionDrivenPolicy:
         RPC ingest queueing → back off (double the period, capped);
         otherwise keep the current period, floored at the minimum.
         """
-        period = max(self.min_monitor_period, float(current))
+        period = max(self.MIN_MONITOR_PERIOD, float(current))
         if "rpc_queueing" in self._kinds(findings):
-            period = min(self.max_monitor_period, period * 2.0)
+            period = min(self.MAX_MONITOR_PERIOD, period * 2.0)
         return period
 
 

@@ -58,18 +58,16 @@ class CalibrationReport:
 def calibrate(
     seeds: tuple = DEFAULT_SEEDS,
     margin: float = DEFAULT_MARGIN,
-    scenarios: tuple = CLEAN_SCENARIOS,
-    base: Thresholds | None = None,
 ) -> CalibrationReport:
     """Derive thresholds from the clean scenarios.
 
-    ``base`` supplies the structural (non-calibrated) fields; only the
-    fields named by the detectors' ``metric_field`` are replaced.
+    The default thresholds supply the structural (non-calibrated)
+    fields; only the fields named by the detectors' ``metric_field``
+    are replaced.
     """
-    base = base or Thresholds()
     observed: dict = {d.metric_field: 0.0 for d in DETECTORS}
     samples: dict = {d.metric_field: {} for d in DETECTORS}
-    for name in scenarios:
+    for name in CLEAN_SCENARIOS:
         for seed in seeds:
             result = run_scenario(name, seed=seed)
             ctx = DetectionContext.from_result(result)
@@ -84,7 +82,7 @@ def calibrate(
         for d in DETECTORS
     }
     return CalibrationReport(
-        thresholds=base.with_updates(**updates),
+        thresholds=Thresholds().with_updates(**updates),
         observed=observed,
         samples=samples,
         margin=margin,

@@ -31,9 +31,6 @@ class DetectionContext:
     #: Namespace name -> plain-data RPC server accounting
     #: (ranks / calls / errors / mean_queue_seconds / busy_seconds).
     server_stats: dict = field(default_factory=dict)
-    #: The deployment's monitoring period (s); bounds how much
-    #: wall-time one missing sample can represent.
-    monitoring_period: float = 60.0
 
     def store(self, namespace: str) -> "NamespaceStore | None":
         return self.stores.get(namespace)
@@ -54,7 +51,6 @@ class DetectionContext:
             now=now,
             stores=dict(model.stores),
             server_stats=stats,
-            monitoring_period=deployment.config.monitoring_frequency,
         )
 
     @classmethod

@@ -418,11 +418,10 @@ DETECTORS: tuple = (
 def detect_all(
     ctx: DetectionContext,
     thresholds: Thresholds = DEFAULT_THRESHOLDS,
-    detectors=DETECTORS,
 ) -> list[Finding]:
     """Run the battery; findings sorted most severe first."""
     findings: list[Finding] = []
-    for detector in detectors:
+    for detector in DETECTORS:
         findings.extend(detector.detect(ctx, thresholds))
     findings.sort(key=lambda f: (-f.severity, f.kind, f.where))
     return findings

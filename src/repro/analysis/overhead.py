@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-
 from .stats import percent_change, summarize
 
 __all__ = ["OverheadResult", "compare_runtimes"]
@@ -25,8 +24,6 @@ class OverheadResult:
     baseline_mean: float
     config_mean: float
     overhead_percent: float
-    baseline_std: float
-    config_std: float
 
     @property
     def is_speedup(self) -> bool:
@@ -47,8 +44,6 @@ def compare_runtimes(
                 baseline_mean=base.mean,
                 config_mean=s.mean,
                 overhead_percent=percent_change(base.mean, s.mean),
-                baseline_std=base.std,
-                config_std=s.std,
             )
         )
     return out

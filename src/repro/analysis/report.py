@@ -23,8 +23,8 @@ __all__ = [
 _BLOCKS = " ▁▂▃▄▅▆▇█"
 
 
-def fmt(value: float, spec: str = ".2f", na: str = "n/a") -> str:
-    """Format a number, rendering NaN as ``na``.
+def fmt(value: float, spec: str = ".2f") -> str:
+    """Format a number, rendering NaN as ``n/a``.
 
     NaN is what the stats helpers return for undefined quantities (the
     order statistics of an empty sample, a percent change against a
@@ -32,14 +32,14 @@ def fmt(value: float, spec: str = ".2f", na: str = "n/a") -> str:
     here so those show up as ``n/a`` instead of ``nan`` or a fake 0.
     """
     if isinstance(value, float) and math.isnan(value):
-        return na
+        return "n/a"
     return format(value, spec)
 
 
-def fmt_percent(value: float, spec: str = "+.2f", na: str = "n/a") -> str:
-    """Format a percentage with sign, rendering NaN as ``na`` (no %)."""
+def fmt_percent(value: float, spec: str = "+.2f") -> str:
+    """Format a percentage with sign, rendering NaN as ``n/a`` (no %)."""
     if isinstance(value, float) and math.isnan(value):
-        return na
+        return "n/a"
     return format(value, spec) + "%"
 
 

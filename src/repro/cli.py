@@ -303,6 +303,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_info() -> int:
+    import pkgutil
+
+    from . import __path__ as package_path
     from . import __version__
     from .platform import SUMMIT
 
@@ -314,9 +317,8 @@ def _cmd_info() -> int:
         f"memory-bandwidth capacity {SUMMIT.node.memory_bandwidth} "
         "core-equivalents"
     )
-    print("subsystems: sim, platform, conduit, messaging, rp, entk, "
-          "soma, monitors, workloads, adaptive, experiments, analysis, "
-          "sweep")
+    subsystems = sorted(m.name for m in pkgutil.iter_modules(package_path) if m.ispkg)
+    print(f"subsystems: {', '.join(subsystems)}")
     print("benchmarks: one per paper table/figure "
           "(pytest benchmarks/ --benchmark-only)")
     return 0

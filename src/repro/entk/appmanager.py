@@ -3,10 +3,10 @@
 "This is configured and managed by RADICAL-EnTK (Ensemble Toolkit),
 which is a higher-level abstraction of RADICAL-Pilot functionality"
 (paper Sec 3.2).  The AppManager runs each pipeline as a process:
-submit a stage's tasks, wait for the barrier, fire the stage's
-post_exec hook, continue.  An optional ``between_phases`` callback
-(every ``stages_per_phase`` stages) hosts the adaptive-experiment
-analysis the paper performs between DDMD phases.
+submit a stage's tasks, wait for the barrier, continue.  An optional
+``between_phases`` callback (every ``stages_per_phase`` stages) hosts
+the adaptive-experiment analysis the paper performs between DDMD
+phases; it is the one hook the experiments use.
 """
 
 from __future__ import annotations
@@ -119,8 +119,6 @@ class AppManager:
                 stage_name=stage.name,
                 duration=stage.duration,
             )
-            if stage.post_exec is not None:
-                stage.post_exec(stage)
 
     # -- results -----------------------------------------------------------
 

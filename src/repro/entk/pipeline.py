@@ -12,15 +12,15 @@ class Pipeline:
 
     The paper uses EnTK "to schedule n number of phases in a row,
     within m number of concurrent pipelines" (Sec 3.2, Fig 3); a phase
-    is four consecutive stages appended to the pipeline.  The uid is
+    is four consecutive stages appended with :meth:`add_stage`.  The uid is
     minted, and an unnamed pipeline named after it, when
     :meth:`~repro.entk.appmanager.AppManager.run` receives it.
     """
 
-    def __init__(self, name: str = "", stages: list[Stage] | None = None) -> None:
+    def __init__(self, name: str = "") -> None:
         self.uid = ""
         self.name = name
-        self.stages: list[Stage] = list(stages or [])
+        self.stages: list[Stage] = []
         self.started_at: float | None = None
         self.finished_at: float | None = None
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from ..rp.description import TaskDescription
 
@@ -25,14 +25,10 @@ class Stage:
         self,
         name: str = "",
         tasks: list[TaskDescription] | None = None,
-        post_exec: Callable[["Stage"], None] | None = None,
     ) -> None:
         self.uid = ""
         self.name = name
         self.task_descriptions: list[TaskDescription] = list(tasks or [])
-        #: Callback invoked (synchronously) when the stage completes —
-        #: EnTK's post_exec hook, used for adaptive decisions.
-        self.post_exec = post_exec
         #: Filled at runtime.
         self.tasks: "list[Task]" = []
         self.started_at: float | None = None

@@ -104,6 +104,18 @@ class FacilitySpec:
             raise ValueError(
                 f"admission_rate must be > 0 or None, got {self.admission_rate}"
             )
+        # An unknown family would fail deep inside the run, and an empty
+        # mix on the first pilot's ``i % 0``.
+        if not self.workload_mix or not set(self.workload_mix) <= {"openfoam", "ddmd"}:
+            raise ValueError(
+                "workload_mix must name one or more of 'openfoam' and 'ddmd', "
+                f"got {self.workload_mix!r}"
+            )
+        # Checked here because the pilots set it on clients already built.
+        if self.degrade not in ("drop", "summarize"):
+            raise ValueError(
+                f"degrade must be 'drop' or 'summarize', got {self.degrade!r}"
+            )
 
     def soma_config(self) -> SomaConfig:
         return SomaConfig(

@@ -37,9 +37,13 @@ __all__ = [
 RANK_CONFIGS = (20, 41, 82, 164)
 
 
+#: Hardware sampling period of the Table 1 runs, in seconds.
+HARDWARE_FREQUENCY = 30.0
+
+
 @dataclass(frozen=True, slots=True)
 class OpenFOAMExperiment:
-    """One row of Table 1."""
+    """One row of Table 1: every task runs under TAU when SOMA is deployed."""
 
     name: str
     instances_per_config: int
@@ -47,9 +51,7 @@ class OpenFOAMExperiment:
     agent_nodes: int = 1
     rank_configs: tuple[int, ...] = RANK_CONFIGS
     monitors: tuple[str, ...] = ("proc", "rp")
-    use_tau: bool = True
     monitoring_frequency: float = 60.0
-    hardware_frequency: float = 30.0
     soma_ranks_per_namespace: int = 1
     #: 0 = the paper's single-instance deployment; N>0 shards the
     #: service across N instances behind the consistent-hash ring.
@@ -65,7 +67,7 @@ class OpenFOAMExperiment:
             ranks_per_namespace=self.soma_ranks_per_namespace,
             namespaces=(WORKFLOW, HARDWARE, PERFORMANCE),
             monitoring_frequency=self.monitoring_frequency,
-            hardware_frequency=self.hardware_frequency,
+            hardware_frequency=HARDWARE_FREQUENCY,
             monitors=self.monitors,
             shards=self.soma_shards,
         )
@@ -101,7 +103,7 @@ def run_openfoam_experiment(
                     params=experiment.params,
                     name=f"openfoam-{ranks}r-{i}",
                 )
-                if experiment.use_tau and deployment.enabled:
+                if deployment.enabled:
                     td = deployment.wrap_with_tau(td)
                 descriptions.append(td)
         tasks = client.submit_tasks(descriptions)
@@ -123,7 +125,7 @@ def run_openfoam_experiment(
         agent_nodes=experiment.agent_nodes,
         soma_config=experiment.soma_config(),
         seed=seed,
-        drain_seconds=experiment.hardware_frequency + 5.0,
+        drain_seconds=HARDWARE_FREQUENCY + 5.0,
     )
 
 

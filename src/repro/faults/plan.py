@@ -289,12 +289,11 @@ class FaultPlan:
         tenant: str,
         rate: float,
         duration: float,
-        namespaces: "tuple[str, ...] | None" = None,
     ) -> "FaultPlan":
-        """Flood ``shard`` with ``rate`` publishes/s from a synthetic
-        ``tenant`` for ``duration`` seconds (admission-control chaos:
-        the flooding tenant should be throttled, co-resident tenants
-        should keep their budgets)."""
+        """Flood every namespace server of ``shard`` with ``rate``
+        publishes/s from a synthetic ``tenant`` for ``duration`` seconds
+        (admission-control chaos: the flooding tenant should be
+        throttled, co-resident tenants should keep their budgets)."""
         return self._add(
             time=at,
             kind=TENANT_FLOOD,
@@ -302,7 +301,6 @@ class FaultPlan:
             tenant=tenant,
             rate=rate,
             duration=duration,
-            namespaces=tuple(namespaces) if namespaces is not None else None,
         )
 
     # -- access -------------------------------------------------------

@@ -30,7 +30,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["RetryPolicy", "RetryExhausted", "TRANSIENT_ERRORS"]
 
-#: Failure classes a retry policy considers transient by default.
+#: Failure classes a retry policy considers transient.
 TRANSIENT_ERRORS: tuple[type[BaseException], ...] = (
     RPCTimeout,
     ServiceUnavailable,
@@ -124,7 +124,6 @@ class RetryPolicy:
         env: Environment,
         make_attempt: Callable[[], Generator[Event, Any, Any]],
         rng: "np.random.Generator | None" = None,
-        retry_on: tuple[type[BaseException], ...] = TRANSIENT_ERRORS,
         on_retry: Callable[[int, float, BaseException], None] | None = None,
         name: str = "call",
     ) -> Generator[Event, Any, Any]:
@@ -159,7 +158,7 @@ class RetryPolicy:
                         env, make_attempt(), per_attempt, name=f"{name}#{attempt}"
                     )
                 )
-            except retry_on as exc:
+            except TRANSIENT_ERRORS as exc:
                 last_error = exc
             if attempt + 1 >= self.max_attempts:
                 break

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 from typing import Any
 
 __all__ = [
+    "DEFAULT_TENANT",
     "RPCRequest",
     "RPCResponse",
     "RPCError",
@@ -13,6 +14,11 @@ __all__ = [
     "ServiceUnavailable",
     "AdmissionRejected",
 ]
+
+
+#: Tenant of a client that acts for no named one: every client of a
+#: single-workflow run; the facility names one tenant per pilot.
+DEFAULT_TENANT = "default"
 
 
 @dataclass(slots=True)
@@ -23,7 +29,6 @@ class RPCRequest:
     payload_bytes: float
     body: Any
     client: str
-    sent_at: float
     #: Minted from the caller's environment (``env.new_id("rpc")``).
     uid: int
     #: Telemetry baggage (a SpanContext) stamped at send time; pure
@@ -31,19 +36,16 @@ class RPCRequest:
     ctx: Any = None
     #: Tenant the calling client acts for; admission control keys its
     #: per-tenant token buckets on this.
-    tenant: str = "default"
+    tenant: str = DEFAULT_TENANT
 
 
 @dataclass(slots=True)
 class RPCResponse:
     """The reply to one :class:`RPCRequest`."""
 
-    request_uid: int
     ok: bool
     body: Any
-    served_by: str = ""
-    service_time: float = 0.0
-    queue_time: float = 0.0
+    queue_time: float
 
 
 class RPCError(Exception):

@@ -25,6 +25,7 @@ from ..sim.resources import Resource
 from ..platform.network import Network
 from ..platform.node import Node, NodeFailure
 from .protocol import (
+    DEFAULT_TENANT,
     AdmissionRejected,
     RPCError,
     RPCRequest,
@@ -44,11 +45,13 @@ __all__ = ["RPCServer", "RPCClient", "RPCRegistry", "ServerStats"]
 DEFAULT_BASE_SERVICE_TIME = 2e-4
 #: Fallback incremental CPU time per payload byte.
 DEFAULT_PER_BYTE_SERVICE_TIME = 2e-9
+#: Client-side serialization CPU time per payload byte.
+SERIALIZE_COST_PER_BYTE = 1e-9
 #: Size of a response envelope in bytes.
 RESPONSE_BYTES = 256.0
 
-#: Default accounting-window length for :class:`ServerStats`, seconds.
-DEFAULT_STATS_WINDOW = 60.0
+#: Accounting-window length of :class:`ServerStats`, seconds.
+STATS_WINDOW = 60.0
 
 
 class ServerStats:
@@ -60,7 +63,7 @@ class ServerStats:
     dilutes a lifetime mean — ten minutes of saturation disappear into
     hours of idle publishing — so detectors that look for queueing
     bursts read :attr:`peak_window_queue_time` instead: the largest
-    per-window mean queue wait over fixed ``window_seconds`` windows.
+    per-window mean queue wait over fixed ``STATS_WINDOW`` windows.
 
     Window rolling is pure host-side arithmetic driven by the call
     completions themselves (no kernel events), so arming it never
@@ -74,7 +77,6 @@ class ServerStats:
         "queue_time",
         "errors",
         "rejections",
-        "window_seconds",
         "windows_closed",
         "peak_window_queue_time",
         "peak_window_calls",
@@ -83,7 +85,7 @@ class ServerStats:
         "_window_queue_time",
     )
 
-    def __init__(self, window_seconds: float = DEFAULT_STATS_WINDOW) -> None:
+    def __init__(self) -> None:
         self.calls = 0
         self.bytes = 0.0
         self.busy_time = 0.0
@@ -91,7 +93,6 @@ class ServerStats:
         self.errors = 0
         #: Calls refused by the admission gate before queueing.
         self.rejections = 0
-        self.window_seconds = window_seconds
         #: Windows finalized so far (only windows that saw calls).
         self.windows_closed = 0
         #: Worst per-window mean queue wait seen so far.
@@ -129,14 +130,12 @@ class ServerStats:
         self.queue_time += queue_time
         if self._window_start is None:
             self._window_start = now
-        elif now - self._window_start >= self.window_seconds:
+        elif now - self._window_start >= STATS_WINDOW:
             self._close_window()
             # Realign on the fixed grid anchored at the first call, so
             # two identical runs roll windows at identical instants.
             elapsed = now - self._window_start
-            self._window_start += self.window_seconds * (
-                elapsed // self.window_seconds
-            )
+            self._window_start += STATS_WINDOW * (elapsed // STATS_WINDOW)
         self._window_calls += 1
         self._window_queue_time += queue_time
 
@@ -273,10 +272,8 @@ class RPCServer:
             if handler is None:
                 self.stats.errors += 1
                 return RPCResponse(
-                    request_uid=request.uid,
                     ok=False,
                     body=RPCError(f"no such method {request.method!r}"),
-                    served_by=self.name,
                     queue_time=queue_time,
                 )
             service_time = self.service_time_for(request.payload_bytes)
@@ -315,14 +312,7 @@ class RPCServer:
             self.stats.note_call(
                 self.env.now, queue_time, elapsed, request.payload_bytes
             )
-            return RPCResponse(
-                request_uid=request.uid,
-                ok=ok,
-                body=body,
-                served_by=self.name,
-                service_time=elapsed,
-                queue_time=queue_time,
-            )
+            return RPCResponse(ok=ok, body=body, queue_time=queue_time)
 
 
 class RPCClient:
@@ -340,10 +330,9 @@ class RPCClient:
         network: Network,
         name: str,
         node: Node | None = None,
-        serialize_cost_per_byte: float = 1e-9,
         rng: "np.random.Generator | None" = None,
         component: str = "rpc-client",
-        tenant: str = "default",
+        tenant: str = DEFAULT_TENANT,
     ) -> None:
         self.env = env
         self.network = network
@@ -354,7 +343,6 @@ class RPCClient:
         self.tenant = tenant
         #: Telemetry track this client's attempt spans appear on.
         self.component = component
-        self.serialize_cost_per_byte = serialize_cost_per_byte
         #: Source of deterministic backoff jitter for retrying calls.
         self.rng = rng
         self.calls = 0
@@ -455,7 +443,6 @@ class RPCClient:
             payload_bytes=payload_bytes,
             body=body,
             client=self.name,
-            sent_at=start,
             uid=self.env.new_id("rpc"),
             tenant=self.tenant,
         )
@@ -467,7 +454,7 @@ class RPCClient:
                 request.uid, method, self.name, start, span
             )
         # Client-side serialization cost (charged on our node if any).
-        ser = payload_bytes * self.serialize_cost_per_byte
+        ser = payload_bytes * SERIALIZE_COST_PER_BYTE
         if ser > 0 and self.node is not None:
             act = self.node.inject_jitter(cpu_seconds=ser)
             yield act.done
@@ -499,7 +486,6 @@ class RPCClient:
                 payload_bytes=payload_bytes,
                 body=body,
                 client=self.name,
-                sent_at=start,
                 uid=self.env.new_id("rpc"),
                 ctx=request.ctx,
                 tenant=self.tenant,

@@ -73,12 +73,10 @@ class TAUWrappedModel(TaskModel):
         session: "Session",
         config: "SomaConfig",
         inner: TaskModel,
-        sampling_overhead: float = SAMPLING_OVERHEAD,
     ) -> None:
         self.session = session
         self.config = config
         self.inner = inner
-        self.sampling_overhead = sampling_overhead
 
     def execute(self, ctx: ExecutionContext):
         env = ctx.env
@@ -86,8 +84,8 @@ class TAUWrappedModel(TaskModel):
         result: TaskResult = yield from self.inner.execute(ctx)
         elapsed = env.now - start
         # Sampling overhead: the signal-handler cost tau_exec adds.
-        if self.sampling_overhead > 0 and elapsed > 0:
-            yield env.timeout(elapsed * self.sampling_overhead)
+        if elapsed > 0:
+            yield env.timeout(elapsed * SAMPLING_OVERHEAD)
         # Publish the profiles from the application's address space —
         # the client stub needs no resources of its own (Sec 2.2.1),
         # so no node is attached (no extra jitter charged).

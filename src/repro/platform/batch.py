@@ -4,11 +4,10 @@ RADICAL-Pilot submits one *pilot job* through PSI/J to the platform's
 batch scheduler (Fig 1, step 1); once the job starts, the pilot owns a
 set of whole nodes until it releases them.  The pilot's walltime is
 validated and passed in the :class:`JobRequest`, but not enforced: no
-allocation expires.  We model a FIFO queue — strict
-(backfilling-free) by default, sufficient because the paper's
-experiments each run in a single allocation; ``backfill=True`` opts in
-to a simple backfilling pass so a later request that fits the free pool
-is granted even while the queue head waits.
+allocation expires.  We model a strict FIFO queue without
+backfilling: a later request waits behind a blocked head even when it
+would fit the free pool.  That is sufficient because the paper's
+experiments each run in a single allocation.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ class JobRequest:
     nodes: int
     walltime: float
     name: str = "pilot"
-    queue: str = "batch"
 
 
 class JobAllocation:
@@ -52,23 +50,14 @@ class JobAllocation:
 
 
 class BatchSystem:
-    """FIFO allocation of whole nodes to jobs.
+    """Strict FIFO allocation of whole nodes to jobs."""
 
-    With ``backfill=True``, requests behind a blocked head that fit the
-    free pool are granted out of order (relative arrival order among the
-    backfilled jobs is preserved; the head keeps its place).
-    """
-
-    def __init__(
-        self, env: Environment, nodes: list[Node], backfill: bool = False
-    ) -> None:
+    def __init__(self, env: Environment, nodes: list[Node]) -> None:
         self.env = env
         self._nodes = nodes
         self._free: deque[Node] = deque(nodes)
         self._pending: deque[tuple[JobRequest, Event]] = deque()
-        self.backfill = backfill
         self.completed = 0
-        self.backfilled = 0
 
     @property
     def free_nodes(self) -> int:
@@ -107,7 +96,7 @@ class BatchSystem:
     # -- internals ------------------------------------------------------
 
     def _try_grant(self) -> None:
-        # FIFO head first: grant as long as the head of the queue fits.
+        # Grant as long as the head of the queue fits.
         pending = self._pending
         while pending:
             request, granted = pending[0]
@@ -115,21 +104,6 @@ class BatchSystem:
                 break
             pending.popleft()
             self._grant(request, granted)
-        if not self.backfill or not pending or not self._free:
-            return
-        # Backfill pass: grant any later request that fits what is left,
-        # keeping the relative order of everything that stays queued.
-        remaining: deque[tuple[JobRequest, Event]] = deque()
-        while pending:
-            request, granted = pending.popleft()
-            # The first entry is always the non-fitting head, so every
-            # grant here jumps at least one queued job.
-            if len(self._free) >= request.nodes:
-                self._grant(request, granted)
-                self.backfilled += 1
-            else:
-                remaining.append((request, granted))
-        self._pending = remaining
 
     def _grant(self, request: JobRequest, granted: Event) -> None:
         free = self._free

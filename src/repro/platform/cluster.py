@@ -20,16 +20,14 @@ class Cluster:
     grants the pilot job its allocation.
     """
 
-    def __init__(
-        self, env: Environment, spec: ClusterSpec, backfill: bool = False
-    ) -> None:
+    def __init__(self, env: Environment, spec: ClusterSpec) -> None:
         self.env = env
         self.spec = spec
         self.nodes: list[Node] = [
             Node(env, index, spec.node) for index in range(spec.nodes)
         ]
         self.network = Network(env, spec.network, spec.nodes)
-        self.batch = BatchSystem(env, self.nodes, backfill=backfill)
+        self.batch = BatchSystem(env, self.nodes)
         self._procfs = {node.name: ProcFS(node) for node in self.nodes}
 
     def procfs(self, node: Node) -> ProcFS:

@@ -17,15 +17,16 @@ __all__ = ["StepIntegrator"]
 class StepIntegrator:
     """Integrates a piecewise-constant signal over simulated time.
 
-    Only the current value and the running integral are kept, so a
-    meter's memory stays constant however long the run.
+    The signal starts at 0 when the meter is built.  Only the current
+    value and the running integral are kept, so a meter's memory stays
+    constant however long the run.
     """
 
     __slots__ = ("env", "value", "_integral", "_last_time")
 
-    def __init__(self, env: Environment, initial: float = 0.0) -> None:
+    def __init__(self, env: Environment) -> None:
         self.env = env
-        self.value = float(initial)
+        self.value = 0.0
         self._integral = 0.0
         self._last_time = env.now
 

@@ -205,7 +205,7 @@ class Node:
             act.on_end.append(_ended)
         return act
 
-    def inject_jitter(self, cpu_seconds: float, mem_demand: float = 0.5) -> Activity:
+    def inject_jitter(self, cpu_seconds: float) -> Activity:
         """Short OS-noise burst (monitor sampling, serialization, ...).
 
         Steals one core-equivalent for ``cpu_seconds`` and exerts a
@@ -216,7 +216,7 @@ class Node:
             cores=1,
             work=cpu_seconds * self.spec.core_speed,
             mem_intensity=0.3,
-            demand_per_core=mem_demand,
+            demand_per_core=0.5,
             cpu_busy=True,
         )
 

@@ -241,15 +241,14 @@ def build_graph(
     hub: "Telemetry | None" = None,
     capture: ProvenanceCapture | None = None,
     plan: Any = None,
-    close: bool = True,
 ) -> ProvGraph:
     """Stitch one finished run into a :class:`ProvGraph`.
 
     ``result`` is a :class:`~repro.experiments.harness.WorkflowResult`;
     ``hub``/``capture``/``plan`` override its telemetry hub, capture
     notebook, and fault plan (a bare hub with no capture still yields
-    the span-skeleton graph).  ``close=True`` freezes the capture so
-    later offline store reads stop appending notes.  With a capture,
+    the span-skeleton graph).  Building freezes the capture so later
+    offline store reads stop appending notes.  With a capture,
     scheduler grants come from the ``rp.alloc`` records of
     ``hub.tracer``.
     """
@@ -443,6 +442,6 @@ def build_graph(
             if overlapping:
                 g.annotate_edge(index, faults=overlapping)
 
-    if close and capture is not None:
+    if capture is not None:
         capture.close()
     return g

@@ -389,11 +389,10 @@ class ProvGraph:
         kind: str,
         t: float,
         label: str,
-        ref: str = "",
         component: str = "",
         **attrs: Any,
     ) -> ProvEvent:
-        eid = self.append_event(kind, t, label, ref, component, tuple(attrs), *attrs.values())
+        eid = self.append_event(kind, t, label, "", component, tuple(attrs), *attrs.values())
         return ProvEvent(self, eid)
 
     def add_edge(

@@ -39,6 +39,11 @@ KIND_PRIORITY: dict[str, int] = {
 }
 
 
+#: Longest chain :func:`why_chain` walks: the guard against a cycle in a
+#: malformed graph.
+MAX_HOPS = 100000
+
+
 def last_constraint(graph: ProvGraph, event: ProvEvent) -> ProvEdge | None:
     """The incoming edge that held ``event`` back the longest."""
     best: ProvEdge | None = None
@@ -50,18 +55,16 @@ def last_constraint(graph: ProvGraph, event: ProvEvent) -> ProvEdge | None:
     return best
 
 
-def why_chain(
-    graph: ProvGraph, target: ProvEvent, max_hops: int = 100000
-) -> list[ProvEdge]:
+def why_chain(graph: ProvGraph, target: ProvEvent) -> list[ProvEdge]:
     """Most-constraining chain from ``target`` back toward the root.
 
     Returned target-first (``chain[0].dst == target.eid``); the walk
     stops at the unique in-degree-zero event (the run root on a valid
-    graph) or after ``max_hops`` on a malformed one.
+    graph) or after ``MAX_HOPS`` on a malformed one.
     """
     chain: list[ProvEdge] = []
     event = target
-    while len(chain) < max_hops:
+    while len(chain) < MAX_HOPS:
         edge = last_constraint(graph, event)
         if edge is None:
             break

@@ -6,7 +6,8 @@ available resources and then queues those tasks to an Executor"
 nodes; MPI tasks may span nodes, single-node tasks may not.  Service
 and monitor tasks are pinned according to their tags, and application
 tasks may only touch SOMA service nodes when the pilot runs in the
-"shared" configuration (Figs 10/11).
+"shared" configuration (Figs 10/11).  The wait list admits services
+first, then monitors, then application tasks, each in arrival order.
 
 The scheduler is a single sequential loop, so its per-decision cost —
 ``schedule_base_cost + schedule_per_node_cost × nodes scanned`` —
@@ -151,7 +152,7 @@ class AgentScheduler:
             return -100
         if task.description.mode == TaskMode.MONITOR:
             return -50
-        return task.description.priority
+        return 0
 
     def _end_schedule_span(self, task: Task, **attributes) -> None:
         span = self._spans.pop(task.uid, None)

@@ -4,7 +4,10 @@ A :class:`TaskDescription` specifies the executable (here: a
 :class:`~repro.rp.model.TaskModel`), its resource geometry (ranks ×
 cores per rank, GPUs per rank) and scheduling hints.  A
 :class:`PilotDescription` specifies the node allocation.  Mirrors RP's
-public API surface as used in the paper's run scripts.
+public API surface as used in the paper's run scripts, and only as far
+as the scheduler and executor act on it: a field they would ignore
+(memory per rank, pre/post-exec hooks, queue and project names) is not
+here, since setting it would change nothing.
 """
 
 from __future__ import annotations
@@ -48,17 +51,10 @@ class TaskDescription:
     mode: str = TaskMode.EXECUTABLE
     #: If True the ranks may be spread over multiple nodes (MPI).
     multi_node: bool = True
-    #: Memory per rank in MiB (0 = don't track).
-    memory_per_rank_mib: float = 0.0
-    #: Scheduling priority (lower = sooner); services get -100.
-    priority: int = 0
     #: Named tags (e.g. {'colocate': 'agent_node'}).
     tags: dict[str, str] = field(default_factory=dict)
     #: Free-form metadata passed through to results.
     metadata: dict[str, Any] = field(default_factory=dict)
-    #: Pre-exec hook names (e.g. starting a SOMA client wrapper).
-    pre_exec: list[str] = field(default_factory=list)
-    post_exec: list[str] = field(default_factory=list)
 
     @property
     def total_cores(self) -> int:
@@ -101,9 +97,6 @@ class PilotDescription:
     share_service_nodes: bool = False
     #: Walltime in (simulated) seconds.
     walltime: float = 24 * 3600.0
-    #: Queue name (cosmetic).
-    queue: str = "batch"
-    project: str = "CSC000"
 
     @property
     def total_nodes(self) -> int:

@@ -222,12 +222,11 @@ class ServiceModel(TaskModel):
 
 
 class FailingModel(TaskModel):
-    """Fails after ``delay`` seconds — for failure-injection tests."""
+    """Exits with code 1 after ``delay`` seconds — for failure-injection tests."""
 
-    def __init__(self, delay: float = 1.0, exit_code: int = 1) -> None:
+    def __init__(self, delay: float) -> None:
         self.delay = delay
-        self.exit_code = exit_code
 
     def execute(self, ctx: ExecutionContext):
         yield ctx.env.timeout(self.delay)
-        return TaskResult(exit_code=self.exit_code)
+        return TaskResult(exit_code=1)

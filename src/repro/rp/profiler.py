@@ -160,9 +160,9 @@ class TransitionLog:
         events, states = self.event.codes, self.state.codes
         return (row for row in range(len(self.time)) if events[row] or states[row])
 
-    def trace_key(self, row: int) -> tuple[float, str, str]:
+    def trace_key(self, row: int) -> tuple[str, str]:
         category = "rp.event" if self.event.codes[row] else "rp.state"
-        return self.time[row], category, self.entity.at(row)
+        return category, self.entity.at(row)
 
 
 class Transitions(Sequence):

@@ -8,14 +8,15 @@ tasks, amortizing per-task launch overhead — the property that makes
 function tasks cheap compared to executable tasks.
 
 Workers are resident service-mode tasks holding cores; the master
-dispatches :class:`FunctionCall` items to the first free worker.
+dispatches :class:`FunctionCall` items to the first free worker.  A
+call is simulated CPU work: its outcome is its completion time.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Generator
+from typing import Any, Generator
 
 from ..sim.core import Event, Interrupt
 from ..sim.stores import Store
@@ -23,6 +24,9 @@ from .description import TaskDescription, TaskMode
 from .model import ExecutionContext, ServiceModel, TaskResult
 
 __all__ = ["FunctionCall", "RaptorWorkerModel", "RaptorMaster"]
+
+#: Memory intensity of a function call's CPU work.
+CALL_MEM_INTENSITY = 0.1
 
 
 @dataclass(slots=True)
@@ -32,13 +36,9 @@ class FunctionCall:
     #: Simulated function: duration model (seconds of CPU per core).
     duration: float
     cores: int = 1
-    mem_intensity: float = 0.1
-    #: Optional Python callable evaluated at completion (pure, instant).
-    fn: Callable[[], Any] | None = None
     #: Minted by :meth:`RaptorMaster.submit` from the run's environment.
     uid: int = -1
-    #: Result plumbing, filled by the worker.
-    result: Any = None
+    #: Completion plumbing, filled by the master and the worker.
     done: Event | None = None
     submitted_at: float = 0.0
     finished_at: float | None = None
@@ -80,12 +80,10 @@ class RaptorWorkerModel(ServiceModel):
                     act = placement.node.run_compute(
                         cores=min(call.cores, placement.num_cores),
                         work=call.duration * placement.node.spec.core_speed,
-                        mem_intensity=call.mem_intensity,
+                        mem_intensity=CALL_MEM_INTENSITY,
                     )
                     yield act.done
                     call.finished_at = ctx.env.now
-                    if call.fn is not None:
-                        call.result = call.fn()
                     self.master._call_finished(self, call)
                 finally:
                     if tel is not None:

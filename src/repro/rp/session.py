@@ -34,17 +34,13 @@ class Session:
 
     def __init__(
         self,
-        env: Environment | None = None,
-        cluster: Cluster | None = None,
         cluster_spec: ClusterSpec | None = None,
         config: RPConfig | None = None,
         seed: int = 42,
     ) -> None:
         self.seed = seed
-        self.env = env or Environment()
-        if cluster is None:
-            cluster = Cluster(self.env, cluster_spec or summit_like(8))
-        self.cluster = cluster
+        self.env = Environment()
+        self.cluster = Cluster(self.env, cluster_spec or summit_like(8))
         self.config = config or DEFAULT_RP_CONFIG
         self.rng = np.random.default_rng(seed)
         self.tracer = Tracer(self.env)

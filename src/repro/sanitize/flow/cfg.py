@@ -38,9 +38,9 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Iterator
 
-__all__ = ["Node", "CFG", "build_cfg", "stmt_has_yield"]
+__all__ = ["Node", "CFG", "build_cfg", "iter_same_function", "stmt_has_yield"]
 
 #: Statement/synthetic node kinds a CFG can contain.
 KINDS = (
@@ -49,8 +49,8 @@ KINDS = (
 )
 
 
-def _iter_same_function(node: ast.AST):
-    """Child walk that does not descend into nested defs/lambdas."""
+def iter_same_function(node: ast.AST) -> Iterator[ast.AST]:
+    """Child walk that does not descend into nested defs, lambdas or classes."""
     stack = list(ast.iter_child_nodes(node))
     while stack:
         child = stack.pop()
@@ -71,7 +71,7 @@ def stmt_has_yield(stmt: ast.stmt) -> bool:
         return True
     return any(
         isinstance(child, (ast.Yield, ast.YieldFrom))
-        for child in _iter_same_function(stmt)
+        for child in iter_same_function(stmt)
     )
 
 
@@ -127,7 +127,7 @@ class _Cleanup:
 class _Loop:
     depth: int  # cleanup-stack depth at loop entry
     continue_target: int
-    breaks: list[tuple[int, str]] = field(default_factory=list)
+    breaks: list[tuple[int, str]] = field(init=False, default_factory=list)
 
 
 @dataclass(slots=True)

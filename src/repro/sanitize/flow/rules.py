@@ -42,8 +42,7 @@ import ast
 from types import SimpleNamespace
 from typing import Callable
 
-from ..simlint import _body_contains_yield, _walk_same_function
-from .cfg import CFG, Node, build_cfg
+from .cfg import CFG, Node, build_cfg, iter_same_function, stmt_has_yield
 from .solver import solve_forward
 from .summaries import FunctionInfo, Program
 from .taint import FunctionTaint, _dotted, _node_exprs, _walk_expr
@@ -71,7 +70,7 @@ def flow_findings(program: Program, path: str, flag: Flag) -> None:
 
 def _check_lifecycle(info: FunctionInfo, flag: Flag) -> None:
     requests: dict[str, int] = {}
-    for child in _walk_same_function(info.node):
+    for child in iter_same_function(info.node):
         if (
             isinstance(child, ast.Assign)
             and len(child.targets) == 1
@@ -259,7 +258,7 @@ _FRESH_CALLS = {"dict", "list", "set", "defaultdict", "Counter", "OrderedDict"}
 def _local_containers(info: FunctionInfo) -> set[str]:
     """Names bound to containers created locally (no concurrent writer)."""
     fresh: set[str] = set()
-    for child in _walk_same_function(info.node):
+    for child in iter_same_function(info.node):
         if not (
             isinstance(child, ast.Assign)
             and len(child.targets) == 1
@@ -281,7 +280,7 @@ def _local_containers(info: FunctionInfo) -> set[str]:
 def _check_stale_reads(info: FunctionInfo, flag: Flag) -> None:
     local = _local_containers(info)
     tracked = False
-    for child in _walk_same_function(info.node):
+    for child in iter_same_function(info.node):
         fact = _read_fact(child)
         if fact is not None and fact[1].split(".")[0] not in local:
             tracked = True
@@ -363,10 +362,10 @@ def _subscript_writes(stmt: ast.AST) -> list[tuple[str, str]]:
 
 
 def _check_interrupts(info: FunctionInfo, flag: Flag) -> None:
-    for child in _walk_same_function(info.node):
+    for child in iter_same_function(info.node):
         if not isinstance(child, ast.Try):
             continue
-        if not _body_contains_yield(child.body):
+        if not any(stmt_has_yield(stmt) for stmt in child.body):
             continue
         interrupt_seen = False
         for handler in child.handlers:

@@ -40,18 +40,17 @@ def solve_forward(
     transfer: Transfer,
     join: Join,
     edge_transfer: EdgeTransfer | None = None,
-    max_steps: int | None = None,
 ) -> dict[int, Any]:
     """Iterate to a fixpoint; returns the entry state of every node.
 
-    Unreachable nodes are absent from the result.  ``max_steps`` is a
-    backstop against a non-monotone rule looping forever (the default
-    scales with graph size and is far above any honest fixpoint).
+    Unreachable nodes are absent from the result.  A step budget is a
+    backstop against a non-monotone rule looping forever: it scales
+    with graph size and is far above any honest fixpoint.
     """
     states: dict[int, Any] = {cfg.entry: init}
     work: deque[int] = deque([cfg.entry])
     queued = {cfg.entry}
-    budget = max_steps if max_steps is not None else 200 * max(len(cfg.nodes), 1)
+    budget = 200 * max(len(cfg.nodes), 1)
     steps = 0
     while work:
         steps += 1

@@ -33,7 +33,7 @@ from pathlib import PurePath
 from typing import Iterable
 
 from ..simlint import _Imports
-from .cfg import CFG, build_cfg
+from .cfg import CFG, build_cfg, stmt_has_yield
 from .taint import EMPTY_SUMMARY, FunctionTaint, Summary
 
 __all__ = ["FunctionInfo", "Program", "build_program", "compute_summaries"]
@@ -110,13 +110,6 @@ def _params_of(node: ast.FunctionDef | ast.AsyncFunctionDef) -> list[str]:
     return [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)]
 
 
-def _has_yield(node: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
-    for child in ast.walk(node):
-        if isinstance(child, (ast.Yield, ast.YieldFrom)):
-            return True
-    return False
-
-
 def _collect(
     program: Program,
     body: list[ast.stmt],
@@ -140,7 +133,7 @@ def _collect(
                     node=stmt,
                     imports=imports,
                     params=_params_of(stmt),
-                    is_generator=_has_yield(stmt),
+                    is_generator=any(stmt_has_yield(s) for s in stmt.body),
                 )
             )
             _collect(
@@ -179,18 +172,18 @@ def build_program(sources: Iterable[tuple[str, str]]) -> Program:
     return program
 
 
-def compute_summaries(program: Program, *, max_steps: int | None = None) -> None:
+def compute_summaries(program: Program) -> None:
     """Fixpoint of per-function summaries over the call graph.
 
     Starts every function in the worklist; when a summary changes, the
     function's known callers are requeued.  Summaries only grow (unions
-    over finite taint sets), so this terminates; ``max_steps`` is a
-    defensive backstop.
+    over finite taint sets), so this terminates; a step budget of 20
+    per function is a defensive backstop.
     """
     callers: dict[str, set[str]] = {}
     work: deque[str] = deque(program.functions)
     queued = set(work)
-    budget = max_steps if max_steps is not None else 20 * max(len(queued), 1)
+    budget = 20 * max(len(queued), 1)
     steps = 0
     while work:
         steps += 1

@@ -63,10 +63,11 @@ import io
 import json
 import os
 import re
-import sys
 import tokenize
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
+
+from .flow.cfg import iter_same_function, stmt_has_yield
 
 __all__ = [
     "Rule",
@@ -330,35 +331,6 @@ class _Imports(ast.NodeVisitor):
         return None
 
 
-def _walk_same_function(node: ast.AST) -> Iterator[ast.AST]:
-    """Walk a subtree without descending into nested function/class defs."""
-    stack = list(ast.iter_child_nodes(node))
-    while stack:
-        child = stack.pop()
-        if isinstance(
-            child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
-        ):
-            continue
-        yield child
-        stack.extend(ast.iter_child_nodes(child))
-
-
-def _contains_yield(node: ast.AST) -> bool:
-    return any(
-        isinstance(child, (ast.Yield, ast.YieldFrom))
-        for child in _walk_same_function(node)
-    )
-
-
-def _body_contains_yield(stmts: Iterable[ast.stmt]) -> bool:
-    for stmt in stmts:
-        if isinstance(stmt, (ast.Yield, ast.YieldFrom)):
-            return True
-        if _contains_yield(stmt):
-            return True
-    return False
-
-
 # --------------------------------------------------------------------------
 # the linter
 
@@ -396,7 +368,7 @@ class _Linter(ast.NodeVisitor):
     # -- functions -------------------------------------------------------
 
     def _visit_function(self, node: ast.FunctionDef | ast.AsyncFunctionDef) -> None:
-        if _body_contains_yield(node.body):
+        if any(stmt_has_yield(stmt) for stmt in node.body):
             self._check_generator_lifecycles(node)
         self.generic_visit(node)
 
@@ -410,7 +382,7 @@ class _Linter(ast.NodeVisitor):
     ) -> None:
         # Locals assigned from `<x>.event()`.
         events: set[str] = set()
-        for child in _walk_same_function(func):
+        for child in iter_same_function(func):
             if (
                 isinstance(child, ast.Assign)
                 and len(child.targets) == 1
@@ -424,7 +396,7 @@ class _Linter(ast.NodeVisitor):
                 events.add(child.targets[0].id)
 
         yields: dict[str, ast.AST] = {}
-        for child in _walk_same_function(func):
+        for child in iter_same_function(func):
             if (
                 isinstance(child, (ast.Yield, ast.YieldFrom))
                 and isinstance(child.value, ast.Name)
@@ -436,7 +408,7 @@ class _Linter(ast.NodeVisitor):
         for name, node in yields.items():
             uses = sum(
                 1
-                for child in _walk_same_function(func)
+                for child in iter_same_function(func)
                 if isinstance(child, ast.Name) and child.id == name
             )
             if uses <= 2:
@@ -448,7 +420,7 @@ class _Linter(ast.NodeVisitor):
                 )
 
         # SL010: expression statements discarding a fresh event.
-        for child in _walk_same_function(func):
+        for child in iter_same_function(func):
             if (
                 isinstance(child, ast.Expr)
                 and isinstance(child.value, ast.Call)
@@ -591,14 +563,11 @@ def main(
     paths: Iterable[str],
     fmt: str = "text",
     show_suppressed: bool = False,
-    stream=None,
 ) -> int:
     """Entry point behind ``python -m repro lint``; returns the exit code."""
-    if stream is None:
-        stream = sys.stdout
     report = lint_paths(paths)
     if fmt == "json":
-        print(report.format_json(), file=stream)
+        print(report.format_json())
     else:
-        print(report.format_text(show_suppressed=show_suppressed), file=stream)
+        print(report.format_text(show_suppressed=show_suppressed))
     return 1 if report.unsuppressed else 0

@@ -229,7 +229,7 @@ class Event:
         self.env._schedule(self, priority)
         return self
 
-    def fail(self, exception: BaseException, priority: int = NORMAL) -> "Event":
+    def fail(self, exception: BaseException) -> "Event":
         """Trigger the event with an exception.
 
         The exception is re-raised in every process waiting on this
@@ -242,7 +242,7 @@ class Event:
             raise TypeError(f"{exception!r} is not an exception")
         self._ok = False
         self._value = exception
-        self.env._schedule(self, priority)
+        self.env._schedule(self)
         return self
 
     def defuse(self) -> None:
@@ -419,10 +419,10 @@ class Process(Event):
 class Environment:
     """The simulation environment: clock plus event queue.
 
+    The simulated clock starts at 0.
+
     Parameters
     ----------
-    initial_time:
-        Starting value of the simulated clock.
     sanitize:
         Attach the runtime :class:`~repro.sim.sanitizer.KernelSanitizer`
         (event-leak, deadlock, resource-leak, and shared-dict-race
@@ -430,8 +430,8 @@ class Environment:
         switch of :func:`switches`.
     """
 
-    def __init__(self, initial_time: float = 0.0, sanitize: bool | None = None) -> None:
-        self._now = float(initial_time)
+    def __init__(self, sanitize: bool | None = None) -> None:
+        self._now = 0.0
         #: Pending set: a ``heapq`` list of ``(time, priority, eid, event)``.
         self._queue: list[tuple[float, int, int, Event]] = []
         self._eid = 0
@@ -455,7 +455,7 @@ class Environment:
         self.events_executed = 0
         self.peak_heap_size = 0
         self.tombstones_skipped = 0
-        #: Longest put/get/request waiter queue seen by any store or
+        #: Longest get/request waiter queue seen by any store or
         #: resource attached to this environment.
         self.max_waiter_queue = 0
 

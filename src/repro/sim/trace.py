@@ -68,8 +68,8 @@ class RowSource(Protocol):
     def traced(self) -> Iterator[int]:
         """The ids of the traced rows, in row order."""
 
-    def trace_key(self, row: int) -> tuple[float, str, str]:
-        """``(time, category, name)`` of a row, without building its record."""
+    def trace_key(self, row: int) -> tuple[str, str]:
+        """``(category, name)`` of a row, without building its record."""
 
     def record(self, row: int) -> Any:
         """A fresh record of a row: ``time``, ``category``, ``name``, ``data``."""
@@ -138,7 +138,7 @@ class Tracer:
         rows = self._rows
         if rows is not None and category in rows.trace_categories:
             count += sum(
-                1 for row in rows.traced() if rows.trace_key(row)[1] == category
+                1 for row in rows.traced() if rows.trace_key(row)[0] == category
             )
         return count
 
@@ -146,27 +146,19 @@ class Tracer:
         self,
         category: str | None = None,
         name: str | None = None,
-        since: float | None = None,
-        until: float | None = None,
     ) -> list[Any]:
         """Filter stored records."""
 
-        def keep(time: float, rec_category: str, rec_name: str) -> bool:
-            if category is not None and rec_category != category:
-                return False
-            if name is not None and rec_name != name:
-                return False
-            if since is not None and time < since:
-                return False
-            if until is not None and time > until:
-                return False
-            return True
+        def keep(rec_category: str, rec_name: str) -> bool:
+            return (category is None or rec_category == category) and (
+                name is None or rec_name == name
+            )
 
         rows = self._rows
         if rows is None or (
             category is not None and category not in rows.trace_categories
         ):
-            return [rec for rec in self._records if keep(rec.time, rec.category, rec.name)]
+            return [rec for rec in self._records if keep(rec.category, rec.name)]
         kept: list[Any] = []
         records, traced = iter(self._records), rows.traced()
         for kind in self._kinds:
@@ -176,7 +168,7 @@ class Tracer:
                     kept.append(rows.record(row))
             else:
                 rec = next(records)
-                if keep(rec.time, rec.category, rec.name):
+                if keep(rec.category, rec.name):
                     kept.append(rec)
         return kept
 
@@ -184,5 +176,5 @@ class Tracer:
         categories = {rec.category for rec in self._records}
         rows = self._rows
         if rows is not None:
-            categories.update(rows.trace_key(row)[1] for row in rows.traced())
+            categories.update(rows.trace_key(row)[0] for row in rows.traced())
         return categories

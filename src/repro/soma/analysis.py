@@ -45,9 +45,7 @@ class UtilizationPoint:
     gpu_utilization: float
 
 
-def cpu_utilization_series(
-    store: NamespaceStore, hostname: str | None = None
-) -> dict[str, list[UtilizationPoint]]:
+def cpu_utilization_series(store: NamespaceStore) -> dict[str, list[UtilizationPoint]]:
     """Per-node utilization traces from the hardware namespace.
 
     This is Fig 7's line data: "each colored line shows the CPU
@@ -60,8 +58,6 @@ def cpu_utilization_series(
             continue
         proc_node = proc["PROC"]
         for host, host_node in proc_node.children():
-            if hostname is not None and host != hostname:
-                continue
             for ts, sample in host_node.children():
                 series[host].append(
                     UtilizationPoint(

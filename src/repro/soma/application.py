@@ -107,7 +107,8 @@ class InstrumentedModel(TaskModel):
     ``ctx.task.description.metadata['app_metrics']`` before execution,
     records whatever it wants through it, and the wrapper flushes at
     task end.  Models that never touch the handle still publish one
-    default figure of merit: their wall-clock rate of progress.
+    default figure of merit, ``progress_rate``: their wall-clock rate
+    of progress.
     """
 
     def __init__(
@@ -115,12 +116,10 @@ class InstrumentedModel(TaskModel):
         session: "Session",
         config: "SomaConfig",
         inner: TaskModel,
-        default_metric: str = "progress_rate",
     ) -> None:
         self.session = session
         self.config = config
         self.inner = inner
-        self.default_metric = default_metric
 
     def execute(self, ctx: ExecutionContext):
         metrics = ApplicationMetrics(self.session, ctx.task.uid, self.config)
@@ -130,7 +129,7 @@ class InstrumentedModel(TaskModel):
         elapsed = ctx.env.now - start
         if metrics.published_samples == 0 and not metrics._pending:
             rate = 1.0 / elapsed if elapsed > 0 else 0.0
-            metrics.record(self.default_metric, rate, unit="tasks/s")
+            metrics.record("progress_rate", rate, unit="tasks/s")
         yield from metrics.flush()
         result.data["app_metrics_published"] = metrics.published_samples
         return result

@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING, Any, Generator
 
 from ..conduit import Node as ConduitNode
 from ..conduit.rows import Row, Schema, rows_nbytes
-from ..messaging.protocol import AdmissionRejected
+from ..messaging.protocol import DEFAULT_TENANT, AdmissionRejected
 from ..messaging.rpc import RPCClient, RPCError, RPCServer
 from ..sim.core import Event
 from .sharding import HashRing, registry_name, route
@@ -62,7 +62,7 @@ class SomaClient:
         name: str,
         node: "Node | None" = None,
         retry: "RetryPolicy | None" = None,
-        tenant: str = "default",
+        tenant: str = DEFAULT_TENANT,
         ring: HashRing | None = None,
         degrade: str = "drop",
     ) -> None:

@@ -26,6 +26,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["render_dashboard"]
 
+#: Nodes the hardware panel lists; the rest are counted in one line.
+MAX_HOSTS = 8
+
 
 def _workflow_panel(deployment: "SomaDeployment") -> str:
     store = deployment.service_model.stores.get(WORKFLOW)
@@ -53,7 +56,7 @@ def _workflow_panel(deployment: "SomaDeployment") -> str:
     return "\n".join(lines)
 
 
-def _hardware_panel(deployment: "SomaDeployment", max_hosts: int) -> str:
+def _hardware_panel(deployment: "SomaDeployment") -> str:
     store = deployment.service_model.stores.get(HARDWARE)
     if store is None or len(store) == 0:
         return "hardware: (no data)"
@@ -62,7 +65,7 @@ def _hardware_panel(deployment: "SomaDeployment", max_hosts: int) -> str:
         "hardware namespace "
         f"({len(store)} publishes from {len(series)} nodes)"
     ]
-    for host in sorted(series)[:max_hosts]:
+    for host in sorted(series)[:MAX_HOSTS]:
         points = series[host]
         cpu = sparkline(
             [p.cpu_utilization for p in points], lo=0.0, hi=1.0
@@ -72,8 +75,8 @@ def _hardware_panel(deployment: "SomaDeployment", max_hosts: int) -> str:
             f"  {host} cpu {cpu} {last.cpu_utilization:4.0%}"
             f"  gpu {last.gpu_utilization:4.0%}"
         )
-    if len(series) > max_hosts:
-        lines.append(f"  ... {len(series) - max_hosts} more nodes")
+    if len(series) > MAX_HOSTS:
+        lines.append(f"  ... {len(series) - MAX_HOSTS} more nodes")
     return "\n".join(lines)
 
 
@@ -142,9 +145,7 @@ def _application_panel(deployment: "SomaDeployment") -> str:
     )
 
 
-def render_dashboard(
-    deployment: "SomaDeployment", max_hosts: int = 8
-) -> str:
+def render_dashboard(deployment: "SomaDeployment") -> str:
     """One point-in-time text dashboard over every namespace."""
     if not deployment.enabled:
         return "SOMA not deployed (baseline run)"
@@ -160,7 +161,7 @@ def render_dashboard(
         if namespace == WORKFLOW:
             panels.append(_workflow_panel(deployment))
         elif namespace == HARDWARE:
-            panels.append(_hardware_panel(deployment, max_hosts))
+            panels.append(_hardware_panel(deployment))
         elif namespace == PERFORMANCE:
             panels.append(_performance_panel(deployment))
         elif namespace == APPLICATION:

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any
 
 from ..conduit import Node as ConduitNode
+from ..messaging.protocol import DEFAULT_TENANT
 from ..messaging.rpc import RPCRequest, RPCServer
 from ..rp.description import TaskDescription, TaskMode
 from ..rp.model import ExecutionContext, ServiceModel
@@ -78,9 +79,6 @@ class SomaConfig:
     shards: int = 0
     #: Virtual nodes per shard instance on the consistent-hash ring.
     ring_vnodes: int = DEFAULT_VNODES
-    #: Tenant this deployment's own clients publish as (facility runs
-    #: override per pilot via :meth:`make_client`).
-    tenant: str = "default"
     #: Per-tenant publish budget, tokens/second, enforced per service
     #: instance; None disables admission control (the differential
     #: battery requires the disabled path to be byte-identical to the
@@ -143,7 +141,7 @@ class SomaConfig:
         session: "Session",
         name: str,
         node: "Node | None" = None,
-        tenant: str | None = None,
+        tenant: str = DEFAULT_TENANT,
     ) -> "SomaClient":
         """A SOMA client wired for this deployment (routing + tenancy).
 
@@ -158,7 +156,7 @@ class SomaConfig:
             name=name,
             node=node,
             retry=self.retry,
-            tenant=tenant if tenant is not None else self.tenant,
+            tenant=tenant,
             ring=self.ring,
         )
         session.soma_clients.append(client)
@@ -341,10 +339,9 @@ class SomaServiceModel(ServiceModel):
 
     # -- offline access (after the run) ---------------------------------------------
 
-    def store(self, namespace: str, tenant: str | None = None) -> NamespaceStore:
-        """The store owning ``(tenant, namespace)``; the tenant defaults
-        to the deployment's own and only matters when sharded."""
-        tenant = tenant if tenant is not None else self.config.tenant
+    def store(self, namespace: str, tenant: str = DEFAULT_TENANT) -> NamespaceStore:
+        """The store owning ``(tenant, namespace)``; the tenant only
+        matters when sharded."""
         return self.stores[route(self.ring, tenant, namespace)]
 
 

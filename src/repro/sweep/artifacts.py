@@ -208,7 +208,7 @@ def render_table1() -> str:
                 exp.num_tasks,
                 f"{exp.compute_nodes} (+{exp.agent_nodes})",
                 ",".join(str(r) for r in exp.rank_configs),
-                "proc, rp, tau" if exp.use_tau else ",".join(exp.monitors),
+                ", ".join((*exp.monitors, "tau")),
                 exp.soma_ranks_per_namespace,
             ]
         )
@@ -605,17 +605,13 @@ def render_facility(payload: dict) -> str:
 # -- the default matrix ------------------------------------------------
 
 
-def default_matrix(
-    full_scale: bool | None = None,
-) -> tuple[SweepSpec, dict[str, Artifact]]:
+def default_matrix() -> tuple[SweepSpec, dict[str, Artifact]]:
     """Every paper artifact's cells + renderers, one declarative matrix.
 
-    ``full_scale=None`` defers to ``REPRO_FULL_SCALE=1`` (adds the 256-
-    and 512-pipeline Scaling-B columns, minutes of simulation), exactly
-    like the benches.
+    ``REPRO_FULL_SCALE=1`` adds the 256- and 512-pipeline Scaling-B
+    columns (minutes of simulation), exactly like the benches.
     """
-    if full_scale is None:
-        full_scale = os.environ.get("REPRO_FULL_SCALE", "0") == "1"
+    full_scale = os.environ.get("REPRO_FULL_SCALE", "0") == "1"
     scales = (64, 128, 256, 512) if full_scale else (64, 128)
 
     cells: list[CellSpec] = [

@@ -124,11 +124,7 @@ def collect_openfoam(
         for ranks in experiment.rank_configs
     }
     tau = None
-    if (
-        experiment.use_tau
-        and result.deployment.enabled
-        and result.payload["by_ranks"].get(20)
-    ):
+    if result.deployment.enabled and result.payload["by_ranks"].get(20):
         task = result.payload["by_ranks"][20][0]
         store = result.deployment.store(PERFORMANCE)
         breakdown = rank_region_breakdown(store, task.uid)

@@ -47,17 +47,17 @@ def result_digest(payload: Any) -> str:
 _CODE_FINGERPRINT: str | None = None
 
 
-def code_fingerprint(refresh: bool = False) -> str:
+def code_fingerprint() -> str:
     """sha256 over every ``*.py`` source file of the repro package.
 
-    ``REPRO_SWEEP_CODE_VERSION`` overrides the computed fingerprint
-    (useful to share a cache across trivially-different checkouts).
+    Computed once per process.  ``REPRO_SWEEP_CODE_VERSION`` overrides
+    it (useful to share a cache across trivially-different checkouts).
     """
     global _CODE_FINGERPRINT
     override = os.environ.get("REPRO_SWEEP_CODE_VERSION", "").strip()
     if override:
         return override
-    if _CODE_FINGERPRINT is not None and not refresh:
+    if _CODE_FINGERPRINT is not None:
         return _CODE_FINGERPRINT
     import repro
 

@@ -46,6 +46,9 @@ __all__ = [
 #: Chrome trace-event timestamps are microseconds.
 _US = 1e6
 
+#: Rows :func:`flame_summary` shows.
+FLAME_ROWS = 20
+
 
 def _component_order(spans: "list[Span]") -> dict[str, int]:
     """Component -> tid, in first-seen creation order (deterministic)."""
@@ -60,7 +63,6 @@ def chrome_trace(
     telemetry: "Telemetry",
     counters: Mapping[str, float] | None = None,
     pid: int = 1,
-    process_name: str = "repro-sim",
 ) -> dict[str, Any]:
     """Export one hub's spans (+ optional counters) as a trace document.
 
@@ -78,7 +80,7 @@ def chrome_trace(
             "ph": "M",
             "pid": pid,
             "tid": 0,
-            "args": {"name": process_name},
+            "args": {"name": "repro-sim"},
         }
     ]
     for component, tid in tids.items():
@@ -364,11 +366,12 @@ def _self_times(telemetry: "Telemetry") -> dict[int, float]:
     return self_time
 
 
-def flame_summary(telemetry: "Telemetry", top: int = 20) -> str:
+def flame_summary(telemetry: "Telemetry") -> str:
     """Plain-text flame profile aggregated by (component, span name).
 
     Rows are sorted by aggregate self time (descending, then name) —
-    the same ordering every run, so the output goldens cleanly.
+    the same ordering every run, so the output goldens cleanly — and
+    the first ``FLAME_ROWS`` are shown.
     """
     now = telemetry.env.now
     self_times = _self_times(telemetry)
@@ -381,7 +384,7 @@ def flame_summary(telemetry: "Telemetry", top: int = 20) -> str:
         entry[2] += self_times[span.span_id]
     ordered = sorted(
         rows.items(), key=lambda item: (-item[1][2], item[0])
-    )[: max(0, top)]
+    )[:FLAME_ROWS]
     lines = [
         "flame summary (by self time, simulated seconds)",
         f"{'component':<14} {'span':<34} {'count':>6} "

@@ -164,14 +164,11 @@ class GPUStageTaskModel(TaskModel):
 class SelectionTaskModel(TaskModel):
     """The CPU-only model-selection stage."""
 
-    def __init__(
-        self,
-        cpu_seconds: float,
-        mem_intensity: float = 0.35,
-        noise_sigma: float = 0.03,
-    ) -> None:
+    #: Memory intensity of the selection work.
+    MEM_INTENSITY = 0.35
+
+    def __init__(self, cpu_seconds: float, noise_sigma: float = 0.03) -> None:
         self.cpu_seconds = cpu_seconds
-        self.mem_intensity = mem_intensity
         self.noise_sigma = noise_sigma
 
     def execute(self, ctx: ExecutionContext):
@@ -181,7 +178,7 @@ class SelectionTaskModel(TaskModel):
         act = node.run_compute(
             cores=placement.num_cores,
             work=self.cpu_seconds * noise * node.spec.core_speed,
-            mem_intensity=self.mem_intensity,
+            mem_intensity=self.MEM_INTENSITY,
         )
         yield act.done
         return TaskResult(exit_code=0, data={"stage": "selection"})

@@ -12,16 +12,14 @@ def uniform_bag(
     count: int,
     duration: float,
     ranks: int = 1,
-    cores_per_rank: int = 1,
     name: str = "uniform",
 ) -> list[TaskDescription]:
-    """``count`` identical fixed-duration tasks (a classic BoT)."""
+    """``count`` identical fixed-duration tasks of one core per rank (a classic BoT)."""
     return [
         TaskDescription(
             name=f"{name}-{i}",
             model=FixedDurationModel(duration),
             ranks=ranks,
-            cores_per_rank=cores_per_rank,
         )
         for i in range(count)
     ]

@@ -17,7 +17,8 @@ from repro.rp import (
     Session,
     TaskDescription,
 )
-from repro.workloads import OpenFOAMParams
+from repro.adaptive.policies import _modeled_best_workers
+from repro.workloads import DDMDParams, OpenFOAMParams
 
 
 class TestRankTuningPolicy:
@@ -87,8 +88,8 @@ class TestTrainingParallelismPolicy:
 
     def test_reduce_overhead_caps_workers(self):
         # Enormous reduce cost: parallelism never pays.
-        policy = TrainingParallelismPolicy(reduce_seconds=1000.0)
-        assert policy.recommend({"cn0001": 0.99}, free_gpus=6) == 1
+        params = DDMDParams(train_reduce_seconds=1000.0)
+        assert _modeled_best_workers(6, params) == 1
 
 
 class TestUtilizationAwarePlacement:
@@ -225,10 +226,8 @@ class TestDetectionDrivenPolicy:
         assert policy.recommend_training_workers([], free_gpus=0) == 1
 
     def test_reduce_overhead_can_beat_fan_out(self):
-        policy = DetectionDrivenPolicy(
-            reduce_seconds=200.0, train_gpu_seconds=260.0
-        )
-        assert policy.recommend_training_workers([], free_gpus=12) == 1
+        params = DDMDParams(train_reduce_seconds=200.0, train_gpu_seconds=260.0)
+        assert _modeled_best_workers(6, params) == 1
 
     @pytest.mark.parametrize(
         "kind", ("cpu_oversubscription", "scheduler_starvation")

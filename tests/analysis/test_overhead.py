@@ -50,6 +50,6 @@ def test_compare_runtimes_empty_sample_is_nan():
 
 
 def test_overhead_result_is_frozen():
-    result = OverheadResult("c", 1.0, 2.0, 100.0, 0.0, 0.0)
+    result = OverheadResult("c", 1.0, 2.0, 100.0)
     with pytest.raises(AttributeError):
         result.config = "other"

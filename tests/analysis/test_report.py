@@ -19,7 +19,6 @@ def test_fmt_handles_nan_and_specs():
     assert fmt(1.2345) == "1.23"
     assert fmt(1.2345, ".1f") == "1.2"
     assert fmt(math.nan) == "n/a"
-    assert fmt(math.nan, na="-") == "-"
     assert fmt_percent(4.0) == "+4.00%"
     assert fmt_percent(-5.5) == "-5.50%"
     assert fmt_percent(math.nan) == "n/a"

@@ -26,6 +26,13 @@ def make_stack(nodes=2, seed=1):
     return session, client
 
 
+def pipeline_of(*stages):
+    pipeline = Pipeline()
+    for stage in stages:
+        pipeline.add_stage(stage)
+    return pipeline
+
+
 def td(name, duration=2.0, **kwargs):
     return TaskDescription(
         name=name, model=FixedDurationModel(duration), **kwargs
@@ -39,9 +46,7 @@ class TestStructure:
         assert len(stage.task_descriptions) == 2
 
     def test_pipeline_counts_tasks(self):
-        pipeline = Pipeline(
-            stages=[Stage(tasks=[td("a"), td("b")]), Stage(tasks=[td("c")])]
-        )
+        pipeline = pipeline_of(Stage(tasks=[td("a"), td("b")]), Stage(tasks=[td("c")]))
         assert pipeline.num_tasks == 3
 
     def test_uids_unique(self):
@@ -50,7 +55,7 @@ class TestStructure:
         for _run in range(2):
             session, client = make_stack()
             pipelines = [
-                Pipeline(stages=[Stage(tasks=[td(f"p{i}s{j}")]) for j in range(2)])
+                pipeline_of(*[Stage(tasks=[td(f"p{i}s{j}")]) for j in range(2)])
                 for i in range(2)
             ]
             named = Stage(name="named", tasks=[td("n")])
@@ -69,11 +74,9 @@ class TestExecution:
     def test_stages_run_in_order(self):
         session, client = make_stack()
         env = session.env
-        pipeline = Pipeline(
-            stages=[
-                Stage(name="first", tasks=[td("a", 3.0)]),
-                Stage(name="second", tasks=[td("b", 3.0)]),
-            ]
+        pipeline = pipeline_of(
+            Stage(name="first", tasks=[td("a", 3.0)]),
+            Stage(name="second", tasks=[td("b", 3.0)]),
         )
         manager = AppManager(client)
 
@@ -91,7 +94,7 @@ class TestExecution:
         session, client = make_stack(nodes=2)
         env = session.env
         pipelines = [
-            Pipeline(stages=[Stage(tasks=[td(f"p{i}", 10.0)])])
+            pipeline_of(Stage(tasks=[td(f"p{i}", 10.0)]))
             for i in range(2)
         ]
         manager = AppManager(client)
@@ -109,24 +112,6 @@ class TestExecution:
         assert overlap < sum(durations)
         client.close()
 
-    def test_stage_post_exec_callback(self):
-        session, client = make_stack()
-        env = session.env
-        called = []
-        stage = Stage(
-            name="cb",
-            tasks=[td("x", 1.0)],
-            post_exec=lambda s: called.append(s.name),
-        )
-        manager = AppManager(client)
-
-        def main(env):
-            yield from manager.run([Pipeline(stages=[stage])])
-
-        env.run(env.process(main(env)))
-        assert called == ["cb"]
-        client.close()
-
     def test_between_phases_callback(self):
         session, client = make_stack()
         env = session.env
@@ -141,7 +126,7 @@ class TestExecution:
         )
 
         def main(env):
-            yield from manager.run([Pipeline(stages=stages)])
+            yield from manager.run([pipeline_of(*stages)])
 
         env.run(env.process(main(env)))
         assert phases_seen == [0, 1]
@@ -161,7 +146,7 @@ class TestExecution:
         manager = AppManager(client)
 
         def main(env):
-            yield from manager.run([Pipeline(stages=[stage])])
+            yield from manager.run([pipeline_of(stage)])
 
         env.run(env.process(main(env)))
         assert len(manager.failed_tasks) == 1
@@ -171,11 +156,9 @@ class TestExecution:
     def test_stage_durations_query(self):
         session, client = make_stack()
         env = session.env
-        pipeline = Pipeline(
-            stages=[
-                Stage(name="sim", tasks=[td("a", 2.0)]),
-                Stage(name="train", tasks=[td("b", 2.0)]),
-            ]
+        pipeline = pipeline_of(
+            Stage(name="sim", tasks=[td("a", 2.0)]),
+            Stage(name="train", tasks=[td("b", 2.0)]),
         )
         manager = AppManager(client)
 

@@ -33,7 +33,6 @@ class TestTable1Configs:
         assert TUNING.rank_configs == (20, 41, 82, 164)
         assert TUNING.soma_ranks_per_namespace == 1
         assert set(TUNING.monitors) == {"proc", "rp"}
-        assert TUNING.use_tau
 
     def test_overload_row(self):
         assert OVERLOAD.num_tasks == 80
@@ -142,6 +141,9 @@ class TestFacilitySpec:
             ("shards", 0),
             ("admission_rate", 0.0),
             ("admission_rate", float("nan")),
+            ("degrade", "bogus"),  # ran as if it were "drop"
+            ("workload_mix", ("nope",)),  # failed deep inside the run
+            ("workload_mix", ()),  # ZeroDivisionError on the first pilot
         ],
     )
     def test_invalid_field_rejected_by_name(self, field, value):

@@ -38,7 +38,8 @@ def test_flame_summary_golden(traced_openfoam):
     _result, hub = traced_openfoam
     check_golden(
         "flame_openfoam_tuning_seed11.txt",
-        flame_summary(hub, top=15) + "\n",
+        # The golden pins the header and the first 15 rows.
+        "\n".join(flame_summary(hub).splitlines()[:3 + 15]) + "\n",
     )
 
 

@@ -75,62 +75,18 @@ def test_release_returns_nodes(env, cluster):
 
 
 class TestBackfill:
-    """Opt-in backfilling: later jobs that fit run past a blocked head."""
+    """No backfilling: a blocked head holds back every later job."""
 
-    def test_backfill_grants_fitting_job_past_blocked_head(self, env):
-        from repro.platform.batch import BatchSystem
-        from repro.platform.specs import summit_like
-        from repro.platform.cluster import Cluster
-
-        cluster = Cluster(env, summit_like(4))
-        batch = BatchSystem(env, cluster.nodes, backfill=True)
+    def test_backfill_preserves_order_among_blocked_jobs(self, env, cluster):
         log = []
-
-        def submit(nodes, hold, name):
-            alloc = yield from batch.submit(
-                JobRequest(nodes=nodes, walltime=1e6, name=name)
-            )
-            log.append((name, env.now))
-            yield env.timeout(hold)
-            batch.release(alloc)
-
-        env.process(submit(3, 10, "big"))
-        env.process(submit(2, 5, "waits"))  # head-of-line: needs 2, 1 free
-        env.process(submit(1, 5, "small"))  # fits the single free node
+        env.process(submit_and_hold(env, cluster, 4, 10, log, "full"))
+        env.process(submit_and_hold(env, cluster, 3, 5, log, "first"))
+        env.process(submit_and_hold(env, cluster, 3, 5, log, "second"))
         env.run()
-        start = {name: t for name, t in log}
-        # 'small' is backfilled at t=0 instead of waiting for 'big'.
-        assert start["small"] == 0.0
-        assert start["waits"] >= 10.0
-        assert batch.backfilled == 1
-
-    def test_backfill_preserves_order_among_blocked_jobs(self, env):
-        from repro.platform.batch import BatchSystem
-        from repro.platform.cluster import Cluster
-        from repro.platform.specs import summit_like
-
-        cluster = Cluster(env, summit_like(4))
-        batch = BatchSystem(env, cluster.nodes, backfill=True)
-        log = []
-
-        def submit(nodes, hold, name):
-            alloc = yield from batch.submit(
-                JobRequest(nodes=nodes, walltime=1e6, name=name)
-            )
-            log.append((name, env.now))
-            yield env.timeout(hold)
-            batch.release(alloc)
-
-        env.process(submit(4, 10, "full"))
-        env.process(submit(3, 5, "first"))
-        env.process(submit(3, 5, "second"))
-        env.run()
-        # Nothing can backfill (0 free); FIFO order must hold.
-        assert [name for name, _ in log] == ["full", "first", "second"]
-        assert batch.backfilled == 0
+        # Nothing can start while 'full' holds every node; FIFO order holds.
+        assert [name for name, _, _ in log] == ["full", "first", "second"]
 
     def test_strict_fifo_is_the_default(self, env, cluster):
-        assert cluster.batch.backfill is False
         log = []
         env.process(submit_and_hold(env, cluster, 3, 10, log, "big"))
         env.process(submit_and_hold(env, cluster, 2, 5, log, "waits"))

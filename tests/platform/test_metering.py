@@ -7,7 +7,8 @@ from repro.platform.metering import StepIntegrator
 
 class TestStepIntegrator:
     def test_integral_of_constant(self, env):
-        meter = StepIntegrator(env, initial=3.0)
+        meter = StepIntegrator(env)
+        meter.add(3.0)
         env.run(until=10)
         assert meter.integral == pytest.approx(30.0)
 

@@ -1,10 +1,10 @@
 """Property-based tests for Store waiter dispatch.
 
-Interleaves capacity-bounded puts and gets with cancellations of
-already-triggered and still-pending waiters, then checks the store
-against a straightforward reference model: FIFO order is preserved,
-no item is ever lost or duplicated, and cancelling a triggered waiter
-is a no-op.
+Interleaves puts and gets with cancellations of already-triggered and
+still-pending gets, then checks the store against a straightforward
+reference model: every put stores its item at once, FIFO order is
+preserved, no item is ever lost or duplicated, a cancelled get never
+takes an item, and cancelling a triggered get is a no-op.
 """
 
 from hypothesis import given, settings
@@ -16,32 +16,20 @@ from repro.sim import Environment, Store
 class ModelStore:
     """Reference implementation of Store's dispatch semantics."""
 
-    def __init__(self, capacity):
-        self.capacity = capacity
+    def __init__(self):
         self.items = []
-        self.pending_puts = []  # [(op_id, value)]
         self.pending_gets = []  # [op_id]
         self.stored = []  # values in storage order
-        self.stored_ids = set()  # put op_ids that made it into the store
         self.received = {}  # get op_id -> value
 
     def dispatch(self):
-        progress = True
-        while progress:
-            progress = False
-            while self.pending_puts and len(self.items) < self.capacity:
-                op_id, value = self.pending_puts.pop(0)
-                self.items.append(value)
-                self.stored.append(value)
-                self.stored_ids.add(op_id)
-                progress = True
-            while self.pending_gets and self.items:
-                op_id = self.pending_gets.pop(0)
-                self.received[op_id] = self.items.pop(0)
-                progress = True
+        while self.pending_gets and self.items:
+            op_id = self.pending_gets.pop(0)
+            self.received[op_id] = self.items.pop(0)
 
-    def put(self, op_id, value):
-        self.pending_puts.append((op_id, value))
+    def put(self, value):
+        self.items.append(value)
+        self.stored.append(value)
         self.dispatch()
 
     def get(self, op_id):
@@ -49,14 +37,8 @@ class ModelStore:
         self.dispatch()
 
     def cancel(self, op_id):
-        for i, (pid, _) in enumerate(self.pending_puts):
-            if pid == op_id:
-                del self.pending_puts[i]
-                self.dispatch()
-                return
         if op_id in self.pending_gets:
             self.pending_gets.remove(op_id)
-            self.dispatch()
 
 
 ops_strategy = st.lists(
@@ -72,12 +54,12 @@ ops_strategy = st.lists(
 )
 
 
-@given(ops=ops_strategy, capacity=st.integers(min_value=1, max_value=4))
+@given(ops=ops_strategy)
 @settings(max_examples=200)
-def test_store_matches_reference_model(ops, capacity):
+def test_store_matches_reference_model(ops):
     env = Environment()
-    store = Store(env, capacity=capacity)
-    model = ModelStore(capacity)
+    store = Store(env)
+    model = ModelStore()
 
     events = []  # (op_id, kind, event) in issue order
     next_value = 0
@@ -87,7 +69,7 @@ def test_store_matches_reference_model(ops, capacity):
             op_id = len(events)
             event = store.put(next_value)
             events.append((op_id, "put", event))
-            model.put(op_id, next_value)
+            model.put(next_value)
             next_value += 1
         elif op[0] == "get":
             op_id = len(events)
@@ -105,8 +87,7 @@ def test_store_matches_reference_model(ops, capacity):
     # Triggered events must match the model exactly.
     for op_id, kind, event in events:
         if kind == "put":
-            # A put is triggered iff the model stored its item.
-            assert event.triggered == (op_id in model.stored_ids)
+            assert event.triggered
         else:
             if op_id in model.received:
                 assert event.triggered
@@ -149,13 +130,16 @@ def test_cancelled_get_never_steals_an_item(n_gets, cancel_idx):
     assert [g.value for g in survivors] == list(range(len(survivors)))
 
 
-@given(capacity=st.integers(min_value=1, max_value=3))
+@given(count=st.integers(min_value=1, max_value=3))
 @settings(max_examples=50)
-def test_cancel_after_trigger_is_noop(capacity):
+def test_cancel_after_trigger_is_noop(count):
     env = Environment()
-    store = Store(env, capacity=capacity)
-    put = store.put("x")
-    assert put.triggered
-    put.cancel()  # must not un-store the item
+    store = Store(env)
+    for i in range(count):
+        store.put(i)
     get = store.get()
-    assert get.triggered and get.value == "x"
+    assert get.triggered
+    get.cancel()  # must not give the item back
+    env.run()
+    assert get.value == 0
+    assert list(store.items) == list(range(1, count))

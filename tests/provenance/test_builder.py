@@ -123,7 +123,7 @@ def test_graph_memory_floor(adaptive_graph):
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        rebuilt = build_graph(result, close=False)
+        rebuilt = build_graph(result)
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
@@ -191,7 +191,7 @@ def test_bare_hub_yields_span_skeleton(adaptive_graph):
     capture = hub.provenance
     hub.provenance = None
     try:
-        skeleton = build_graph(result, close=False)
+        skeleton = build_graph(result)
     finally:
         hub.provenance = capture
     assert validate_graph(skeleton) == []

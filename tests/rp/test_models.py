@@ -72,9 +72,9 @@ class TestFailingModel:
     def test_nonzero_exit(self, session):
         ctx = make_ctx(session)
         result = session.env.run(
-            session.env.process(FailingModel(2.0, exit_code=3).execute(ctx))
+            session.env.process(FailingModel(2.0).execute(ctx))
         )
-        assert result.exit_code == 3
+        assert result.exit_code == 1
         assert session.env.now == pytest.approx(2.0)
 
 

@@ -89,24 +89,6 @@ class TestDispatch:
         assert finishes[0] < finishes[-1]  # sequential, not batched
         client.close()
 
-    def test_callable_results_are_plumbed_back(self):
-        session, client, box = boot()
-        env = session.env
-        master = RaptorMaster(env)
-        client.submit_tasks([master.worker_description()])
-
-        def main(env):
-            calls = [
-                FunctionCall(duration=0.1, fn=lambda i=i: i * i)
-                for i in range(5)
-            ]
-            done = yield from master.map(calls)
-            return done
-
-        calls = env.run(env.process(main(env)))
-        assert [c.result for c in calls] == [0, 1, 4, 9, 16]
-        client.close()
-
     def test_worker_reuse_amortizes_launch_overhead(self):
         """Many short calls ride two launched worker tasks — the point
         of RAPTOR (Sec 2.1): function tasks skip per-task launch."""

@@ -146,12 +146,11 @@ def test_raptor_master_and_workers(stack):
         client.submit_tasks(
             [master.worker_description(cores=4) for _ in range(3)]
         )
-        calls = [FunctionCall(duration=2.0, fn=lambda: 7) for _ in range(9)]
+        calls = [FunctionCall(duration=2.0) for _ in range(9)]
         done = yield from master.map(calls)
         return done
 
     calls = env.run(env.process(main(env)))
-    assert all(c.result == 7 for c in calls)
     assert all(c.finished_at is not None for c in calls)
     assert master.completed == 9
     assert master.num_workers == 3

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from repro.sanitize import simlint
+from repro.sanitize.flow import build_program
 
 FIXTURES = Path(__file__).parent / "fixtures" / "flow"
 BAD = sorted(FIXTURES.glob("*.py.bad"))
@@ -92,6 +93,20 @@ def test_taint_follows_returns_across_files(tmp_path):
     assert len(hits) == 1
     assert hits[0].path.endswith("proc.py")
     assert "time.perf_counter" in hits[0].message
+
+
+def test_a_nested_generator_does_not_make_its_outer_def_one():
+    source = textwrap.dedent(
+        """
+        def outer(env):
+            def inner():
+                yield env.timeout(1)
+            return inner
+        """
+    )
+    program = build_program([("mod.py", source)])
+    assert not program.functions["mod.outer"].is_generator
+    assert program.functions["mod.outer.inner"].is_generator
 
 
 def test_flow_mode_replaces_syntactic_source_rules():

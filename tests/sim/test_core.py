@@ -2,16 +2,12 @@
 
 import pytest
 
-from repro.sim import Environment, Interrupt, SimulationError
+from repro.sim import Interrupt, SimulationError
 
 
 class TestEnvironmentBasics:
     def test_clock_starts_at_zero(self, env):
         assert env.now == 0.0
-
-    def test_clock_starts_at_initial_time(self):
-        env = Environment(initial_time=100.0)
-        assert env.now == 100.0
 
     def test_step_empty_queue_raises(self, env):
         with pytest.raises(SimulationError):

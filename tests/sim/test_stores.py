@@ -1,7 +1,5 @@
 """Store semantics."""
 
-import pytest
-
 from repro.sim import Store
 
 
@@ -38,28 +36,17 @@ class TestStore:
         env.process(producer(env))
         assert env.run(c) == (5.0, "late")
 
-    def test_capacity_blocks_put(self, env):
-        store = Store(env, capacity=1)
-        log = []
-
-        def producer(env):
-            yield store.put("a")
-            log.append(("a", env.now))
-            yield store.put("b")
-            log.append(("b", env.now))
-
-        def consumer(env):
-            yield env.timeout(4)
-            yield store.get()
-
-        env.process(producer(env))
-        env.process(consumer(env))
+    def test_put_event_precedes_the_get_it_serves(self, env):
+        store = Store(env)
+        order = []
+        get = store.get()
+        get.callbacks.append(lambda event: order.append("get"))
+        put = store.put("x")
+        put.callbacks.append(lambda event: order.append("put"))
+        assert put.triggered and get.triggered
         env.run()
-        assert log == [("a", 0.0), ("b", 4.0)]
-
-    def test_invalid_capacity(self, env):
-        with pytest.raises(ValueError):
-            Store(env, capacity=0)
+        assert order == ["put", "get"]
+        assert get.value == "x"
 
     def test_len(self, env):
         store = Store(env)
@@ -80,26 +67,13 @@ class TestCancellation:
         assert not first.triggered
         assert second.triggered and second.value == "item"
 
-    def test_cancelled_put_is_skipped(self, env):
-        store = Store(env, capacity=1)
-        store.put("held")
-        blocked = store.put("blocked")
-        behind = store.put("behind")
-        blocked.cancel()
-
-        def consumer(env):
-            out = []
-            for _ in range(2):
-                out.append((yield store.get()))
-            return out
-
-        assert env.run(env.process(consumer(env))) == ["held", "behind"]
-        assert not blocked.triggered
-
     def test_cancel_after_trigger_is_noop(self, env):
         store = Store(env)
-        put = store.put("x")
-        assert put.triggered
-        put.cancel()
+        store.put("x")
+        store.put("y")
+        get = store.get()
+        assert get.triggered
+        get.cancel()
         env.run()
-        assert len(store) == 1
+        assert get.value == "x"
+        assert list(store.items) == ["y"]

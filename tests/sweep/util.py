@@ -2,7 +2,7 @@
 
 ``mini_matrix`` is a deliberately small but *real* matrix — fig4-style
 OpenFOAM overload cells shrunk to 2 instances per configuration on 4
-nodes, two rank configurations, no TAU — one cell per seed.  Small
+nodes, two rank configurations — one cell per seed.  Small
 enough that the parity battery runs it at three job counts, real
 enough that a payload digest covers actual simulation output.
 """
@@ -17,7 +17,6 @@ MINI_OVERRIDES = {
     "instances_per_config": 2,
     "compute_nodes": 4,
     "rank_configs": [20, 41],
-    "use_tau": False,
 }
 
 

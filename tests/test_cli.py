@@ -1,5 +1,7 @@
 """CLI entry points."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -15,6 +17,19 @@ def test_info(capsys):
     out = capsys.readouterr().out
     assert "repro" in out
     assert "summit-like" in out
+
+
+def test_info_names_every_subpackage(capsys):
+    import repro
+
+    assert main(["info"]) == 0
+    line = next(
+        line for line in capsys.readouterr().out.splitlines()
+        if line.startswith("subsystems: ")
+    )
+    root = Path(repro.__file__).parent
+    packages = sorted(p.parent.name for p in root.glob("*/__init__.py"))
+    assert line == "subsystems: " + ", ".join(packages)
 
 
 def test_openfoam_tuning(capsys):

@@ -26,7 +26,8 @@ import ast
 from pathlib import Path
 from typing import Iterator, Mapping
 
-REPO_ROOT = Path(__file__).resolve().parents[1]
+from tests.source_index import REPO_ROOT, attribute_loads, modules, name_loads
+
 CALLER_TREES = ("src", "examples", "benchmarks")
 
 _CONDUIT = "Conduit's Node API: the paper's namespaces are Conduit trees"
@@ -90,25 +91,6 @@ ALLOWED: dict[str, str] = {
 }
 
 
-def _loaded_names(module: ast.AST) -> set[str]:
-    names: set[str] = set()
-    for node in ast.walk(module):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            names.add(node.attr)
-        elif (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id in ("getattr", "hasattr")
-            and len(node.args) >= 2
-            and isinstance(node.args[1], ast.Constant)
-            and isinstance(node.args[1].value, str)
-        ):
-            names.add(node.args[1].value)
-    return names
-
-
 def _is_node_visitor(cls: ast.ClassDef, visitors: set[str]) -> bool:
     bases = {ast.unparse(base) for base in cls.bases}
     return bool(bases & ({"ast.NodeVisitor", "NodeVisitor"} | visitors))
@@ -143,12 +125,13 @@ def scan(root: Path, allowed: Mapping[str, str]) -> tuple[list[str], list[str]]:
     loaded: set[str] = set()
     defs: list[tuple[str, str, int]] = []
     for tree in CALLER_TREES:
-        for path in sorted((root / tree).rglob("*.py")):
-            module = ast.parse(path.read_text(), filename=str(path))
-            loaded |= _loaded_names(module)
+        for module in modules(root, tree):
+            loaded |= attribute_loads(module.tree) | name_loads(module.tree)
             if tree == "src":
-                rel = path.relative_to(root).as_posix()
-                defs.extend((f"{rel}::{q}", node.name, node.lineno) for q, node in _defs(module))
+                defs.extend(
+                    (f"{module.rel}::{q}", node.name, node.lineno)
+                    for q, node in _defs(module.tree)
+                )
     uncalled = {key: line for key, name, line in defs if name not in loaded}
     flagged = [
         f"{key.replace('::', f':{line}: ', 1)} has no caller outside the tests"
